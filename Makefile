@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test sweep check check-bounds check-consistency check-transval fuzz bench bench-full bench-engine regress metrics experiments experiments-quick trace export examples clean
+.PHONY: test sweep check check-bounds check-consistency check-transval fuzz bench bench-full metrics experiments experiments-quick trace export examples clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -53,19 +53,6 @@ bench:
 
 bench-full:
 	REPRO_FULL_BENCH=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Engine timing harness: cold vs warm cache vs parallel prefill, the
-# differential-emulation grid and the interpreter pre-decode
-# micro-benchmark; writes BENCH_pr8.json.
-bench-engine:
-	$(PYTHON) tools/bench_engine.py
-
-# Benchmark-regression gate: re-run the timing harness and compare it
-# against the committed BENCH_pr8.json baseline with noise-aware
-# thresholds (regressed iff >1.5x slower AND >50ms lost). Exit codes:
-# 0 ok, 1 regressed, 2 malformed input.
-regress:
-	$(PYTHON) -m repro.telemetry regress --baseline BENCH_pr8.json
 
 # Metered quick evaluation: every worker writes a metrics-<pid>.jsonl
 # sidecar under metrics/, the manifest embeds the merged rollup, and the

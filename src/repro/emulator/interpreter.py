@@ -117,7 +117,7 @@ class InterpreterConfig:
     #: entries at construction, removing per-step type dispatch and cost
     #: lookups from the hot loop. Semantics are bit-identical either way;
     #: False selects the original per-step loop (kept as the differential
-    #: reference implementation and for micro-benchmarks).
+    #: reference implementation for tests and the testkit).
     predecode: bool = True
     #: Compile straight-line runs of each pre-decoded block into fused
     #: superinstruction closures executed with zero dispatch, charging
@@ -126,9 +126,11 @@ class InterpreterConfig:
     #: totals, reports and diffemu snapshots all match the per-step
     #: loops, and the interpreter falls back to per-step execution for
     #: any run that asks for per-step observation (``step_hook``,
-    #: ``trace``, a recording power manager, enabled telemetry) and on
-    #: every cold-path event (checkpoints, predicted in-segment power
-    #: failures, instruction-budget edges, mid-segment resume points).
+    #: ``trace``, a recording power manager) and on every cold-path
+    #: event (checkpoints, predicted in-segment power failures,
+    #: instruction-budget edges, mid-segment resume points). Telemetry
+    #: and metrics are emitted only on those cold paths, so traced and
+    #: metered runs take this loop too.
     #: Requires ``predecode``; False selects the plain pre-decoded loop.
     compiled: bool = True
     #: Called as commit_hook(interpreter, ckpt_id) after a checkpoint has
@@ -241,9 +243,9 @@ class Interpreter:
         self._seg_anchor = 0.0
         # The metrics registry and flight recorder follow the same
         # discipline: bound once, consulted only on cold paths, None
-        # when disabled. Unlike tracing (_tm), metrics alone do NOT
-        # disqualify the compiled loop — counters are only bumped at
-        # segment boundaries the compiled loop also crosses.
+        # when disabled. Like tracing (_tm), they do not disqualify the
+        # compiled loop: events and counters are emitted only on cold
+        # paths the compiled loop runs one step at a time.
         self._mm = metrics.get()
         self._fr = flight.get()
         if self._mm is not None:
@@ -508,16 +510,16 @@ class Interpreter:
             and config.step_hook is None
             and config.trace is None
             and self.power.record is None
-            and self._tm is None
         ):
             # No per-step observation requested: run the threaded-code
             # loop. Anything that needs step granularity — the testkit
-            # sweep's step_hook, block tracing, a recording power
-            # manager or enabled telemetry — gets the per-step
-            # pre-decoded loop and bit-identical streams. A metrics
-            # registry alone (self._mm) does NOT disqualify: counters
-            # are bumped only at segment boundaries the compiled loop
-            # crosses too, so loop choice stays metrics-invariant.
+            # sweep's step_hook, block tracing or a recording power
+            # manager — gets the per-step pre-decoded loop. Telemetry
+            # and metrics do NOT disqualify: every event and counter is
+            # emitted on a cold path (run begin/end, checkpoints,
+            # restores, power failures) that the compiled loop runs one
+            # step at a time with meter and power state reconciled, so
+            # traces and counters are identical on either loop.
             if self._ccode is None:
                 self._ccode = compiled_blocks.compile_blocks(self, _Frame)
             self.loop_used = "compiled"
@@ -715,8 +717,8 @@ class Interpreter:
     def _execute_undecoded(self) -> Tuple[bool, str]:
         """The original per-step loop: type-dispatch and cost lookups on
         every instruction. Kept as the reference implementation the
-        pre-decoded loop is differentially tested (and benchmarked)
-        against; selected with ``config.predecode=False``."""
+        pre-decoded loop is differentially tested against; selected with
+        ``config.predecode=False``."""
         frames = self.frames
         costs = self._costs
         dispatch = self._dispatch

@@ -17,9 +17,9 @@ Drivers opt in with :func:`enable` (or ``--trace`` on
 sidecars (:mod:`repro.telemetry.rollup`) that merge deterministically
 across worker pools. ``python -m repro.telemetry`` has subcommands for
 trace reports (``report``/``convert``), the merged metrics table or
-Prometheus exposition (``metrics``), crash forensics (``postmortem``)
-and the benchmark-regression gate (``regress``). See
-docs/observability.md.
+Prometheus exposition (``metrics``) and crash forensics
+(``postmortem``). See docs/observability.md; performance is measured
+by the ``perfbench/`` benchmark (docs/performance.md).
 """
 
 from repro.telemetry.core import (

@@ -15,13 +15,9 @@ Usage::
     # Inspect postmortem bundles left by a crashed worker or sweep:
     python -m repro.telemetry postmortem metrics-dir/ [--tail N]
 
-    # Benchmark-regression gate against the committed baseline:
-    python -m repro.telemetry regress --baseline BENCH_pr8.json
-
 Exit codes: ``report`` exits 1 when any observed segment window exceeds
-its certified static bound; ``regress`` exits 0 when every shared timing
-is within threshold, 1 on a regression, 2 on malformed/mismatched
-input. All commands exit 2 on unreadable or schema-invalid files.
+its certified static bound. All commands exit 2 on unreadable or
+schema-invalid files.
 """
 
 from __future__ import annotations
@@ -29,12 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.telemetry import flight, regress as regress_mod, rollup
+from repro.telemetry import flight, rollup
 from repro.telemetry.events import TraceSchemaError
 from repro.telemetry.exporters import read_jsonl, write_chrome
 from repro.telemetry.metrics import MetricsError, MetricsRegistry
@@ -95,43 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="flight-recorder events to show per bundle (default 20)",
     )
 
-    regress = sub.add_parser(
-        "regress",
-        help="compare a fresh bench_engine run against a baseline",
-    )
-    regress.add_argument(
-        "--baseline", required=True,
-        help="committed baseline document (BENCH_pr8.json)",
-    )
-    regress.add_argument(
-        "--current", default=None,
-        help="existing result document to compare (default: run the "
-             "harness now)",
-    )
-    regress.add_argument(
-        "--bench", default=os.path.join("tools", "bench_engine.py"),
-        help="timing-harness script (default: tools/bench_engine.py)",
-    )
-    regress.add_argument(
-        "--bench-args", default="",
-        help="extra arguments for the harness, shell-quoted "
-             '(e.g. --bench-args "--micro-only --jobs 2")',
-    )
-    regress.add_argument(
-        "--max-ratio", type=float, default=regress_mod.DEFAULT_MAX_RATIO,
-        help="regression iff current > baseline * RATIO (default "
-             f"{regress_mod.DEFAULT_MAX_RATIO})",
-    )
-    regress.add_argument(
-        "--min-seconds", type=float,
-        default=regress_mod.DEFAULT_MIN_SECONDS,
-        help="... and current - baseline > SECONDS (default "
-             f"{regress_mod.DEFAULT_MIN_SECONDS})",
-    )
-    regress.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the comparison result as JSON",
-    )
     return parser
 
 
@@ -201,38 +159,12 @@ def _cmd_postmortem(args) -> int:
     return 0
 
 
-def _cmd_regress(args) -> int:
-    try:
-        baseline = regress_mod.load_doc(args.baseline, "baseline")
-        if args.current is not None:
-            current = regress_mod.load_doc(args.current, "current")
-        else:
-            current = regress_mod.run_bench(
-                args.bench, shlex.split(args.bench_args)
-            )
-        result = regress_mod.compare(
-            baseline, current,
-            max_ratio=args.max_ratio, min_seconds=args.min_seconds,
-        )
-    except regress_mod.RegressError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(regress_mod.render_report(result))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0 if result["ok"] else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "metrics":
         return _cmd_metrics(args)
     if args.command == "postmortem":
         return _cmd_postmortem(args)
-    if args.command == "regress":
-        return _cmd_regress(args)
 
     try:
         records = read_jsonl(args.trace)

@@ -8,9 +8,10 @@ contract down from every angle the batching could break:
 
 - report identity across corpus x techniques x power modes, including
   failure placement (``failure_offsets``) and the Fig. 6/7 energy split;
-- the fallback rules: ``step_hook``, tracing, recording power managers
-  and telemetry must silently select the per-step pre-decoded loop with
-  identical streams;
+- the fallback rules: ``step_hook``, tracing and recording power
+  managers must silently select the per-step pre-decoded loop with
+  identical streams, while telemetry keeps the compiled loop and
+  records the same event stream;
 - crash identity: division by zero, reads of uninitialized registers and
   instruction-budget exhaustion must surface at the same instruction
   with the same accounting, even when they fire mid-segment;
@@ -71,7 +72,9 @@ def _powers(eb=3000.0):
     }
 
 
-@pytest.mark.parametrize("program", ["sumloop", "warloop", "branchy", "calls"])
+@pytest.mark.parametrize(
+    "program", ["sumloop", "warloop", "branchy", "calls", "aes"]
+)
 def test_continuous_tri_loop_identity(program):
     bench = load_program(program)
     reports = {
@@ -214,8 +217,8 @@ def test_telemetry_bypasses_compiled_loop():
     try:
         interp = _interp(bench.module, bench.default_inputs())
         interp.run()
-        assert interp.loop_used == "predecoded", (
-            "enabled telemetry must select the per-step loop"
+        assert interp.loop_used == "compiled", (
+            "enabled telemetry must not bypass the compiled loop"
         )
     finally:
         telemetry.disable()
@@ -223,9 +226,9 @@ def test_telemetry_bypasses_compiled_loop():
 
 
 def test_telemetry_streams_unchanged_by_compiled_default():
-    """Telemetry runs fall back to the per-step loop, so the recorded
-    event stream must be byte-identical whether or not the compiled
-    loop is enabled in the config."""
+    """Traced runs take the compiled loop when the config enables it,
+    and the recorded event stream must be byte-identical to the one the
+    pre-decoded loop records."""
     from repro import telemetry
 
     bench = load_program("warloop")
@@ -237,7 +240,6 @@ def test_telemetry_streams_unchanged_by_compiled_default():
                 bench.module, bench.default_inputs(), compiled=compiled
             )
             interp.run()
-            assert interp.loop_used == "predecoded"
             tm = telemetry.get()
             # Runtime events are stamped with the emulated timeline;
             # drop wall-clock span durations before comparing.

@@ -8,6 +8,7 @@ timestamps and durations are exact, not approximate.
 import pytest
 
 from repro import telemetry
+from repro.telemetry import metrics
 from repro.telemetry.events import (
     TraceSchemaError,
     header_record,
@@ -125,6 +126,10 @@ def test_metrics_registry_and_snapshot():
     expected = [0] * len(window["buckets"])
     expected[0], expected[2], expected[7] = 1, 1, 1
     assert window["buckets"] == expected
+    # The re-exported metric classes are the registry's own.
+    assert (telemetry.Counter, telemetry.Gauge, telemetry.Histogram) == (
+        metrics.Counter, metrics.Gauge, metrics.Histogram
+    )
 
 
 def test_run_ids_are_unique_and_sequential():
