@@ -152,7 +152,6 @@ def run_against_reference(
     max_instructions: int = 100_000_000,
     reference_report: Optional[ExecutionReport] = None,
     restore_fidelity: str = "image",
-    predecode: bool = True,
     compiled: bool = True,
 ) -> VerificationResult:
     """Run ``transformed`` under ``power`` and compare the final NVM state
@@ -165,9 +164,9 @@ def run_against_reference(
     (see :class:`repro.emulator.interpreter.InterpreterConfig`), under
     which a checkpoint whose restore set misses live VM state is
     dynamically convicted instead of silently healed.
-    ``predecode``/``compiled`` select the interpreter loop for the
-    intermittent run (the testkit's ``--compiled`` axis re-runs cells on
-    the slower loops to cross-check the compiled one).
+    ``compiled=False`` runs the intermittent run on the pre-decoded loop
+    (the testkit's ``--compiled`` axis re-runs cells there to cross-check
+    the compiled one).
     """
     if transval_enabled() and transformed is not reference:
         validate_placement(reference, transformed)
@@ -185,7 +184,6 @@ def run_against_reference(
             inputs=inputs,
             max_instructions=max_instructions,
             restore_fidelity=restore_fidelity,
-            predecode=predecode,
             compiled=compiled,
         )
     except EmulationError as exc:

@@ -270,8 +270,6 @@ def record_tape(
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
     max_snapshots: int = DEFAULT_MAX_SNAPSHOTS,
-    predecode: bool = True,
-    compiled: bool = True,
 ) -> SnapshotTape:
     """Run the column failure-free and capture its snapshot tape.
 
@@ -312,8 +310,6 @@ def record_tape(
         inputs=dict(inputs or {}),
         max_instructions=max_instructions,
         vm_size=vm_size,
-        predecode=predecode,
-        compiled=compiled,
         commit_hook=hook,
     )
     interp = Interpreter(module, model, policy, power, config)
@@ -518,8 +514,6 @@ def fork_cell(
     vm_size: int = 1 << 30,
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
-    predecode: bool = True,
-    compiled: bool = True,
     step_hook: Optional[Callable[[str, int], None]] = None,
 ) -> ExecutionReport:
     """Resume one cell from ``tape.entries[entry_index]``."""
@@ -532,8 +526,6 @@ def fork_cell(
         inputs=dict(inputs or {}),
         max_instructions=max_instructions,
         vm_size=vm_size,
-        predecode=predecode,
-        compiled=compiled,
         step_hook=step_hook,
     )
     interp = Interpreter(module, model, policy, spec.build(), config)
@@ -629,8 +621,6 @@ def run_cell(
     vm_size: int = 1 << 30,
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
-    predecode: bool = True,
-    compiled: bool = True,
     stats: Optional[DiffEmuStats] = None,
 ) -> Tuple[ExecutionReport, ForkPlan]:
     """Run one grid cell differentially: synthesize, fork or fall back.
@@ -647,8 +637,7 @@ def run_cell(
             stats.cold += 1
         return _run_cold(
             module, model, policy, spec, vm_size=vm_size, inputs=inputs,
-            max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+            max_instructions=max_instructions,
         ), plan
     plan = plan_cell(tape, spec)
     if plan.kind == "synthesize":
@@ -660,8 +649,7 @@ def run_cell(
             report = fork_cell(
                 module, model, policy, spec, tape, plan.entry_index,
                 vm_size=vm_size, inputs=inputs,
-                max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+                max_instructions=max_instructions,
             )
         except EmulationError as exc:
             # A tape recorded for a different module revision (or
@@ -676,8 +664,7 @@ def run_cell(
                 stats.cold += 1
             return _run_cold(
                 module, model, policy, spec, vm_size=vm_size, inputs=inputs,
-                max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+                max_instructions=max_instructions,
             ), plan
         if stats is not None:
             stats.forked += 1
@@ -686,8 +673,7 @@ def run_cell(
         stats.cold += 1
     return _run_cold(
         module, model, policy, spec, vm_size=vm_size, inputs=inputs,
-        max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+        max_instructions=max_instructions,
     ), plan
 
 
@@ -700,14 +686,11 @@ def _run_cold(
     vm_size: int,
     inputs: Optional[Dict[str, List[int]]],
     max_instructions: int,
-    predecode: bool,
-    compiled: bool,
 ) -> ExecutionReport:
     from repro.emulator.interpreter import run_intermittent
 
     return run_intermittent(
         module, model, policy, spec.build(),
         vm_size=vm_size, inputs=inputs,
-        max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+        max_instructions=max_instructions,
     )

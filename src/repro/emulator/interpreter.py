@@ -113,25 +113,19 @@ class InterpreterConfig:
     inputs: Dict[str, List[int]] = field(default_factory=dict)
     #: Enforce the VM capacity limit at run time.
     vm_size: int = 1 << 30
-    #: Pre-decode every basic block into (handler, cost, inst, label)
-    #: entries at construction, removing per-step type dispatch and cost
-    #: lookups from the hot loop. Semantics are bit-identical either way;
-    #: False selects the original per-step loop (kept as the differential
-    #: reference implementation for tests and the testkit).
-    predecode: bool = True
     #: Compile straight-line runs of each pre-decoded block into fused
     #: superinstruction closures executed with zero dispatch, charging
     #: each run's energy/cycles as one batch (:mod:`repro.emulator.
     #: compiled`). Semantics are bit-identical: failure points, meter
-    #: totals, reports and diffemu snapshots all match the per-step
-    #: loops, and the interpreter falls back to per-step execution for
+    #: totals, reports and diffemu snapshots all match the pre-decoded
+    #: loop, and the interpreter falls back to per-step execution for
     #: any run that asks for per-step observation (``step_hook``,
     #: ``trace``, a recording power manager) and on every cold-path
     #: event (checkpoints, predicted in-segment power failures,
     #: instruction-budget edges, mid-segment resume points). Telemetry
     #: and metrics are emitted only on those cold paths, so traced and
-    #: metered runs take this loop too.
-    #: Requires ``predecode``; False selects the plain pre-decoded loop.
+    #: metered runs take this loop too. False selects the plain
+    #: pre-decoded loop, the compiled loop's differential reference.
     compiled: bool = True
     #: Called as commit_hook(interpreter, ckpt_id) after a checkpoint has
     #: fully committed — the save persisted *and* the wait-mode
@@ -252,17 +246,6 @@ class Interpreter:
             self._mm.counter("interp.runs").add(1)
         if self._fr is not None:
             self._fr.provide("interpreter", self._flight_state)
-        # Cost cache of the undecoded loop, keyed by id(inst) for O(1)
-        # probes but storing (inst, cost) pairs: the held reference pins
-        # each instruction object alive, so an id can never be recycled
-        # by a newer instruction while its entry exists — the lifetime
-        # hazard of the bare id()-keyed cache this replaces (a module
-        # rewritten mid-run could free an instruction and serve a stale
-        # cost for its reused id). tests/test_interpreter_decode.py pins
-        # the pinning down with a freed-id regression test.
-        self._costs: Dict[
-            int, Tuple[Instruction, Tuple[int, float, float, bool, bool]]
-        ] = {}
         if self.config.restore_fidelity not in ("image", "metadata"):
             raise EmulationError(
                 f"unknown restore_fidelity "
@@ -278,8 +261,8 @@ class Interpreter:
         self._has_env = any(
             var.volatile_input for var in module.all_variables()
         )
-        #: type-keyed dispatch table — measurably faster than an
-        #: isinstance chain in the hot loop.
+        #: Type-keyed handler table, consulted once per instruction at
+        #: decode time.
         self._dispatch = {
             BinOp: self._apply_binop,
             Load: self._apply_load,
@@ -291,19 +274,14 @@ class Interpreter:
             Call: self._do_call,
             Ret: self._do_ret,
         }
-        if self._has_env:
-            # The undecoded loop (and _apply) must re-check per Load;
-            # modules without environment inputs keep the direct handler
-            # and pay nothing.
-            self._dispatch[Load] = self._apply_load_auto
-        self._code = self._decode_module() if self.config.predecode else None
+        self._code = self._decode_module()
         #: Compiled segment maps, built lazily on the first execution
         #: that is eligible for the compiled loop (frames must exist and
         #: most runs never need it when observation hooks force the
-        #: per-step loops). {(function, label): {index: Segment}}.
+        #: per-step loop). {(function, label): {index: Segment}}.
         self._ccode = None
-        #: Which loop the last _execute used: "compiled", "predecoded"
-        #: or "undecoded" (introspection for tests and benchmarks).
+        #: Which loop the last _execute used: "compiled" or "predecoded"
+        #: (introspection for tests and benchmarks).
         self.loop_used: Optional[str] = None
 
     # -- pre-decoding ----------------------------------------------------------
@@ -312,12 +290,12 @@ class Interpreter:
         """Decode every basic block once into ``(handler, cost, inst,
         label)`` entries, keyed by ``(function name, block label)``.
 
-        The hot loop then runs on plain list indexing instead of per-step
-        ``type(inst)`` dispatch-dict probes and ``id(inst)`` cost-cache
-        lookups. Decoding binds to the instruction objects present at
-        construction: the module must not be structurally modified while
-        this interpreter is alive (compilation finishes before emulation
-        starts everywhere in this codebase).
+        The hot loops then run on plain list indexing, with no per-step
+        type dispatch or cost computation. Decoding binds to the
+        instruction objects present at construction: the module must not
+        be structurally modified while this interpreter is alive
+        (compilation finishes before emulation starts everywhere in this
+        codebase).
         """
         code: Dict[Tuple[str, str], list] = {}
         for func in self.module.functions.values():
@@ -336,28 +314,11 @@ class Interpreter:
 
     def _handler_for(self, inst: Instruction):
         """Decode-time handler selection: environment-input Loads bind
-        directly to the sampling handler, so the pre-decoded hot loop
-        never re-tests ``volatile_input`` per step."""
+        directly to the sampling handler, so the hot loops never re-test
+        ``volatile_input`` per step."""
         if type(inst) is Load and inst.var.volatile_input:
             return self._apply_load_env
-        handler = self._dispatch.get(type(inst))
-        if handler is self._apply_load_auto:
-            return self._apply_load
-        return handler
-
-    # -- cost cache ------------------------------------------------------------
-
-    def _cost(self, inst: Instruction) -> Tuple[int, float, float, bool, bool]:
-        """Undecoded-loop accessor: _compute_cost memoized by id(inst),
-        with the instruction object held in the entry so the id stays
-        pinned (see the lifetime note on ``_costs``)."""
-        key = id(inst)
-        cached = self._costs.get(key)
-        if cached is not None:
-            return cached[1]
-        result = self._compute_cost(inst)
-        self._costs[key] = (inst, result)
-        return result
+        return self._dispatch.get(type(inst))
 
     def _compute_cost(
         self, inst: Instruction
@@ -501,9 +462,6 @@ class Interpreter:
         )
 
     def _execute(self) -> Tuple[bool, str]:
-        if self._code is None:
-            self.loop_used = "undecoded"
-            return self._run_selected_loop(self._execute_undecoded)
         config = self.config
         if (
             config.compiled
@@ -714,58 +672,7 @@ class Interpreter:
             handler(frame, inst)
         return True, ""
 
-    def _execute_undecoded(self) -> Tuple[bool, str]:
-        """The original per-step loop: type-dispatch and cost lookups on
-        every instruction. Kept as the reference implementation the
-        pre-decoded loop is differentially tested against; selected with
-        ``config.predecode=False``."""
-        frames = self.frames
-        costs = self._costs
-        dispatch = self._dispatch
-        consume = self.power.consume
-        charge = self.meter.charge_compute
-        max_instructions = self.config.max_instructions
-        compute_cost = self._cost
-        step_hook = self.config.step_hook
-
-        while frames:
-            if self.instructions_executed >= max_instructions:
-                return False, "instruction budget exhausted (runaway program?)"
-            frame = frames[-1]
-            inst = frame.function.blocks[frame.block].instructions[frame.index]
-
-            handler = dispatch.get(type(inst))
-            if handler is None:  # checkpoint pseudo-instructions
-                outcome = self._do_checkpoint(frame, inst)
-                if outcome is not None:
-                    return outcome
-                continue
-
-            entry = costs.get(id(inst))
-            cost = entry[1] if entry is not None else compute_cost(inst)
-            cycles, energy, access_energy, is_vm, has_access = cost
-            if step_hook is not None:
-                step_hook(
-                    f"{frame.function.name}:{frame.block}:{frame.index}",
-                    cycles,
-                )
-            if consume(energy, cycles):
-                if not self._handle_power_failure():
-                    return False, "no forward progress"
-                continue
-            self.active_cycles += cycles
-            self.instructions_executed += 1
-            charge(energy, access_energy, is_vm, has_access)
-            handler(frame, inst)
-        return True, ""
-
     # -- instruction effects -----------------------------------------------------
-
-    def _apply(self, frame: _Frame, inst: Instruction) -> None:
-        handler = self._dispatch.get(type(inst))
-        if handler is None:
-            raise EmulationError(f"cannot interpret {type(inst).__name__}")
-        handler(frame, inst)
 
     def _apply_binop(self, frame: _Frame, inst: BinOp) -> None:
         frame.registers[inst.dest.name] = self._binop(frame, inst)
@@ -792,14 +699,6 @@ class Interpreter:
         self._env_counts[name] = count + 1
         frame.registers[inst.dest.name] = inst.dest.type.wrap(raw + count)
         frame.index += 1
-
-    def _apply_load_auto(self, frame: _Frame, inst: Load) -> None:
-        """Undecoded-loop Load dispatch for modules with environment
-        inputs (the pre-decoded path binds the right handler up front)."""
-        if inst.var.volatile_input:
-            self._apply_load_env(frame, inst)
-        else:
-            self._apply_load(frame, inst)
 
     def _apply_store(self, frame: _Frame, inst: Store) -> None:
         name = frame.ref_bindings.get(inst.var.name, inst.var.name)
@@ -1336,7 +1235,6 @@ def run_continuous(
     inputs: Optional[Dict[str, List[int]]] = None,
     trace: Optional[Callable[[str, str], None]] = None,
     max_instructions: int = 200_000_000,
-    predecode: bool = True,
     compiled: bool = True,
 ) -> ExecutionReport:
     """Run a module under continuous power (reference/profiling runs).
@@ -1349,7 +1247,6 @@ def run_continuous(
         inputs=dict(inputs or {}),
         trace=trace,
         max_instructions=max_instructions,
-        predecode=predecode,
         compiled=compiled,
     )
     interp = Interpreter(
@@ -1371,7 +1268,6 @@ def run_intermittent(
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
     step_hook: Optional[Callable[[str, int], None]] = None,
-    predecode: bool = True,
     compiled: bool = True,
     restore_fidelity: str = "image",
 ) -> ExecutionReport:
@@ -1381,7 +1277,6 @@ def run_intermittent(
         max_instructions=max_instructions,
         vm_size=vm_size,
         step_hook=step_hook,
-        predecode=predecode,
         compiled=compiled,
         restore_fidelity=restore_fidelity,
     )

@@ -133,9 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--compiled", action="store_true",
                       dest="compiled_check",
                       help="re-run every non-crashed cell on the "
-                      "pre-decoded and undecoded interpreter loops and "
-                      "convict any divergence from the compiled loop "
-                      "(triples the grid)")
+                      "pre-decoded interpreter loop and convict any "
+                      "divergence from the compiled loop "
+                      "(doubles the grid)")
     diff.add_argument("--transval", action="store_true",
                       dest="transval_check",
                       help="statically certify every feasible placement "

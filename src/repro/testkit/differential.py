@@ -36,13 +36,12 @@ snapshot — see :mod:`repro.emulator.diffemu`). The two full
 bit-for-bit; a divergence is recorded as a disagreement, exactly like a
 cross-technique one.
 
-With ``compiled_check=True`` every non-crashed cell is additionally
-re-run on the plain pre-decoded loop (``compiled=False``) and on the
-legacy undecoded loop (``predecode=False``) — three independent
-interpreter hot loops over the same semantics. The primary run uses the
-compiled (threaded-code) loop, so any report divergence convicts the
-batched accounting or the superinstruction codegen; it is recorded as a
-disagreement, exactly like a cross-technique one.
+With ``compiled_check=True`` every non-crashed cell becomes a *pair*
+as well: it is re-run on the plain pre-decoded loop (``compiled=False``),
+the per-step reference of the compiled (threaded-code) loop the primary
+run uses. Any report divergence convicts the batched accounting or the
+superinstruction codegen; it is recorded as a disagreement, exactly
+like a cross-technique one.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ class DiffResult:
     #: differential side planned each one (synthesize / fork / cold).
     diffemu_cells: int = 0
     diffemu_kinds: Dict[str, int] = field(default_factory=dict)
-    #: Compiled-vs-predecoded-vs-undecoded triples checked
+    #: Compiled-vs-pre-decoded loop pairs checked
     #: (``compiled_check=True``).
     compiled_cells: int = 0
     #: (program, technique, TBPF) placements statically certified as
@@ -134,8 +133,8 @@ class DiffResult:
             )
         if self.compiled_cells:
             lines.append(
-                "  compiled-loop triples: "
-                f"{self.compiled_cells} (compiled/predecoded/undecoded)"
+                "  compiled-loop pairs: "
+                f"{self.compiled_cells} (compiled/predecoded)"
             )
         if self.transval_cells:
             lines.append(
@@ -202,8 +201,8 @@ def run_differential(
     snapshot/fork path — and convicts any report divergence.
 
     ``compiled_check=True`` re-runs every non-crashed cell on the
-    pre-decoded and undecoded interpreter loops and convicts any
-    divergence from the compiled-loop report (triples the grid).
+    pre-decoded interpreter loop and convicts any divergence from the
+    compiled-loop report (doubles the grid).
 
     ``transval_check=True`` additionally certifies every feasible
     (program, technique, TBPF) placement *statically* as a refinement of
@@ -377,32 +376,23 @@ def _run_program(
                     )
                 result.runs += 1
                 if compiled_check and not run.crashed:
-                    # Same cell on the two slower interpreter loops: three
-                    # hot-loop implementations must produce the identical
-                    # report (fresh PowerManager per run — a consumed
-                    # manager is not reusable).
-                    for loop, kwargs in (
-                        ("predecoded", {"compiled": False}),
-                        ("undecoded", {"predecode": False,
-                                       "compiled": False}),
-                    ):
-                        alt = run_against_reference(
-                            comp.module, bench.module, plat.model,
-                            comp.policy, _power_for(mode, tbpf, eb, seed),
-                            vm_size=plat.vm_size, inputs=inputs,
-                            max_instructions=max_instructions,
-                            reference_report=reference, **kwargs,
+                    # Same cell on the pre-decoded loop: both hot loops
+                    # must produce the identical report (fresh
+                    # PowerManager — a consumed manager is not reusable).
+                    alt = run_against_reference(
+                        comp.module, bench.module, plat.model,
+                        comp.policy, _power_for(mode, tbpf, eb, seed),
+                        vm_size=plat.vm_size, inputs=inputs,
+                        max_instructions=max_instructions,
+                        reference_report=reference, compiled=False,
+                    )
+                    result.runs += 1
+                    if alt.crashed or repr(alt.report) != repr(run.report):
+                        result.disagreements.append(
+                            f"{program}/{technique} under {desc}: "
+                            "predecoded loop diverges from the compiled "
+                            "loop"
                         )
-                        result.runs += 1
-                        if (
-                            alt.crashed
-                            or repr(alt.report) != repr(run.report)
-                        ):
-                            result.disagreements.append(
-                                f"{program}/{technique} under {desc}: "
-                                f"{loop} loop diverges from the compiled "
-                                "loop"
-                            )
                     result.compiled_cells += 1
                 if (
                     diff_emulation

@@ -1,16 +1,18 @@
 """The compiled (threaded-code) interpreter loop must be bit-identical
-to the per-step loops it replaces.
+to the per-step pre-decoded loop it replaces.
 
 ``Interpreter._execute_compiled`` runs whole straight-line segments as
 fused closures with one batched power/meter transaction per segment
 (:mod:`repro.emulator.compiled`). These tests pin the equivalence
 contract down from every angle the batching could break:
 
+- the decode table both loops run on: every instruction bound to the
+  handler its type (and environment-input flag) selects, at its cost;
 - report identity across corpus x techniques x power modes, including
   failure placement (``failure_offsets``) and the Fig. 6/7 energy split;
 - the fallback rules: ``step_hook``, tracing and recording power
-  managers must silently select the per-step pre-decoded loop with
-  identical streams, while telemetry keeps the compiled loop and
+  managers must silently select the per-step pre-decoded loop without
+  changing the report, while telemetry keeps the compiled loop and
   records the same event stream;
 - crash identity: division by zero, reads of uninitialized registers and
   instruction-budget exhaustion must surface at the same instruction
@@ -20,6 +22,7 @@ contract down from every angle the batching could break:
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +38,19 @@ from repro.emulator.interpreter import (
 from repro.emulator.runtime import CheckpointPolicy
 from repro.energy import msp430fr5969_platform
 from repro.errors import EmulationError
-from repro.ir.instructions import Checkpoint, CondCheckpoint
+from repro.ir.instructions import (
+    BinOp,
+    Branch,
+    Call,
+    Checkpoint,
+    CondCheckpoint,
+    Jump,
+    Load,
+    Move,
+    Ret,
+    Store,
+    UnOp,
+)
 from repro.ir.textparser import parse_ir
 from repro.testkit.corpus import compile_for, load_program
 
@@ -49,9 +64,37 @@ CASES = [
 ]
 
 LOOPS = (
-    ("compiled", {"predecode": True, "compiled": True}),
-    ("predecoded", {"predecode": True, "compiled": False}),
-    ("undecoded", {"predecode": False, "compiled": False}),
+    ("compiled", {"compiled": True}),
+    ("predecoded", {"compiled": False}),
+)
+
+#: The handler each instruction type must decode to, written out
+#: independently of the interpreter's own table. ``None`` routes the
+#: entry to the checkpoint cold path. Loads of volatile environment
+#: inputs decode to ``_apply_load_env`` instead (see
+#: ``_expected_handler``).
+HANDLERS = {
+    BinOp: "_apply_binop",
+    Load: "_apply_load",
+    Store: "_apply_store",
+    Move: "_apply_move",
+    UnOp: "_apply_unop",
+    Jump: "_apply_jump",
+    Branch: "_apply_branch",
+    Call: "_do_call",
+    Ret: "_do_ret",
+    Checkpoint: None,
+    CondCheckpoint: None,
+}
+
+CORPUS_PROGRAMS = ("sumloop", "warloop", "branchy", "calls")
+TECHNIQUES = ("schematic", "rockclimb", "allnvm", "ratchet", "mementos",
+              "alfred")
+#: A checked-in transformed module whose ``@data`` is a volatile
+#: environment input: its Loads of ``@data`` must decode to the
+#: sampling handler.
+VOLATILE_IR = (
+    Path(__file__).parent / "corpus_bad" / "warloop_ratchet_repeated_read.ir"
 )
 
 
@@ -83,18 +126,14 @@ def test_continuous_tri_loop_identity(program):
         )
         for name, kw in LOOPS
     }
-    assert (
-        _asdict(reports["compiled"])
-        == _asdict(reports["predecoded"])
-        == _asdict(reports["undecoded"])
-    )
+    assert _asdict(reports["compiled"]) == _asdict(reports["predecoded"])
 
 
 @pytest.mark.parametrize("program,technique", CASES)
 @pytest.mark.parametrize("mode", ["energy", "periodic", "scheduled",
                                   "stochastic"])
 def test_intermittent_tri_loop_identity(program, technique, mode):
-    """Corpus x technique x power mode: the three loops must agree on the
+    """Corpus x technique x power mode: the two loops must agree on the
     full report — outputs, energy categories, cycle counts, the number of
     power failures AND where on the timeline each one landed."""
     bench = load_program(program)
@@ -109,9 +148,7 @@ def test_intermittent_tri_loop_identity(program, technique, mode):
             comp.module, PLAT.model, comp.policy, _powers()[mode](),
             vm_size=PLAT.vm_size, inputs=bench.default_inputs(), **kw
         )
-    ref = _asdict(reports["undecoded"])
-    assert _asdict(reports["compiled"]) == ref
-    assert _asdict(reports["predecoded"]) == ref
+    assert _asdict(reports["compiled"]) == _asdict(reports["predecoded"])
 
 
 def test_mid_segment_failure_placement():
@@ -134,9 +171,9 @@ def test_mid_segment_failure_placement():
             )
             for _, kw in LOOPS
         ]
-        assert _asdict(reports[0]) == _asdict(reports[1]) == (
-            _asdict(reports[2])
-        ), f"failure placement diverged at offset {offset}"
+        assert _asdict(reports[0]) == _asdict(reports[1]), (
+            f"failure placement diverged at offset {offset}"
+        )
 
 
 def _interp(module, inputs=None, **config):
@@ -145,6 +182,60 @@ def _interp(module, inputs=None, **config):
         CheckpointPolicy.rollback_mode("continuous"),
         PowerManager.continuous(),
         InterpreterConfig(inputs=dict(inputs or {}), **config),
+    )
+
+
+def _expected_handler(interp, inst):
+    if type(inst) is Load and inst.var.volatile_input:
+        return interp._apply_load_env
+    name = HANDLERS[type(inst)]
+    return None if name is None else getattr(interp, name)
+
+
+def _decode_cases():
+    for program in CORPUS_PROGRAMS:
+        for technique in TECHNIQUES:
+            yield pytest.param(program, technique,
+                               id=f"{program}-{technique}")
+    yield pytest.param(None, None, id="volatile-input")
+
+
+@pytest.mark.parametrize("program,technique", _decode_cases())
+def test_decode_covers_every_block_and_flags_checkpoints(program, technique):
+    """Both loops run on the decode table, so a wrong handler or cost
+    there corrupts them identically and no loop-identity test can see
+    it: check every entry against the type table above and against
+    ``_compute_cost`` instead."""
+    if program is None:
+        module = parse_ir(VOLATILE_IR.read_text())
+    else:
+        bench = load_program(program)
+        comp = compile_for(
+            technique, bench.module, PLAT,
+            input_generator=bench.input_generator(),
+        )
+        module = comp.module
+    interp = _interp(module)
+    expected = {
+        (f.name, label)
+        for f in module.functions.values()
+        for label in f.blocks
+    }
+    assert set(interp._code) == expected
+    env_loads = 0
+    for (fname, label), entries in interp._code.items():
+        block = module.functions[fname].blocks[label]
+        assert len(entries) == len(block.instructions)
+        for index, (handler, cost, inst, lab) in enumerate(entries):
+            assert inst is block.instructions[index], "decode must bind identity"
+            assert lab == f"{fname}:{label}:{index}"
+            assert handler == _expected_handler(interp, inst), (
+                f"{lab}: {type(inst).__name__} decoded to {handler}"
+            )
+            assert cost == interp._compute_cost(inst)
+            env_loads += handler == interp._apply_load_env
+    assert (env_loads > 0) == (program is None), (
+        "exactly the volatile-input module samples the environment"
     )
 
 
@@ -163,9 +254,14 @@ def test_loop_selection_and_fallbacks():
     interp.run()
     assert interp.loop_used == "predecoded"
 
-    interp = _interp(module, inputs, predecode=False)
+    # Block tracing (the profiler's input) needs every block entry.
+    blocks = []
+    interp = _interp(
+        module, inputs, trace=lambda fn, label: blocks.append((fn, label))
+    )
     interp.run()
-    assert interp.loop_used == "undecoded"
+    assert interp.loop_used == "predecoded"
+    assert blocks, "the trace fallback must still deliver the stream"
 
     hooks = []
     interp = _interp(
@@ -187,7 +283,11 @@ def test_loop_selection_and_fallbacks():
     assert interp.loop_used == "predecoded"
 
 
-def test_step_hook_stream_identical_to_undecoded():
+def test_step_hook_stream_identical_to_predecoded():
+    """A step_hook run under the compiled default falls back to the
+    pre-decoded loop: its stream must equal the one an explicit
+    ``compiled=False`` run records, and observing the run must not
+    change its report."""
     bench = load_program("branchy")
     comp = compile_for(
         "mementos", bench.module, PLAT,
@@ -195,18 +295,24 @@ def test_step_hook_stream_identical_to_undecoded():
     )
     assert comp.feasible
 
-    def run(predecode):
+    def run(compiled, hooked=True):
         hooks = []
-        run_intermittent(
+        report = run_intermittent(
             comp.module, PLAT.model, comp.policy,
             PowerManager.energy_budget(3000.0),
             vm_size=PLAT.vm_size, inputs=bench.default_inputs(),
-            step_hook=lambda label, cycles: hooks.append((label, cycles)),
-            predecode=predecode,
+            step_hook=(
+                (lambda label, cycles: hooks.append((label, cycles)))
+                if hooked else None
+            ),
+            compiled=compiled,
         )
-        return hooks
+        return _asdict(report), hooks
 
-    assert run(True) == run(False)
+    report, hooks = run(compiled=True)
+    assert hooks
+    assert (report, hooks) == run(compiled=False)
+    assert report == run(compiled=True, hooked=False)[0]
 
 
 def test_telemetry_bypasses_compiled_loop():
@@ -304,7 +410,7 @@ def test_crash_identity(text, inputs, match):
             interp.meter.state_dict(),
             interp.frames[-1].index if interp.frames else None,
         )
-    assert states["compiled"] == states["predecoded"] == states["undecoded"]
+    assert states["compiled"] == states["predecoded"]
 
 
 def test_max_instructions_exhaustion_identity():
@@ -317,18 +423,14 @@ def test_max_instructions_exhaustion_identity():
         for name, kw in LOOPS
     }
     assert not reports["compiled"].completed
-    assert (
-        _asdict(reports["compiled"])
-        == _asdict(reports["predecoded"])
-        == _asdict(reports["undecoded"])
-    )
+    assert _asdict(reports["compiled"]) == _asdict(reports["predecoded"])
 
 
 @pytest.mark.parametrize("mode", ["energy", "periodic", "stochastic"])
 def test_diffemu_fork_identity_under_compiled(mode):
     """Snapshot/fork resume must compose with the compiled loop: the
-    differential cell (recorded and resumed with compiled=True) must
-    reproduce the cold undecoded run bit-for-bit."""
+    differential cell (recorded and resumed on the default compiled
+    loop) must reproduce the cold pre-decoded run bit-for-bit."""
     bench = load_program("sumloop")
     comp = compile_for(
         "schematic", bench.module, PLAT,
@@ -345,16 +447,15 @@ def test_diffemu_fork_identity_under_compiled(mode):
     }
     tape = record_tape(
         comp.module, PLAT.model, comp.policy,
-        vm_size=PLAT.vm_size, inputs=inputs, compiled=True,
+        vm_size=PLAT.vm_size, inputs=inputs,
     )
     paired, _plan = run_cell(
         comp.module, PLAT.model, comp.policy, specs[mode], tape,
-        vm_size=PLAT.vm_size, inputs=inputs, compiled=True,
+        vm_size=PLAT.vm_size, inputs=inputs,
     )
     cold = run_intermittent(
         comp.module, PLAT.model, comp.policy, _powers()[mode](),
-        vm_size=PLAT.vm_size, inputs=inputs,
-        predecode=False, compiled=False,
+        vm_size=PLAT.vm_size, inputs=inputs, compiled=False,
     )
     assert _asdict(paired) == _asdict(cold)
 

@@ -176,6 +176,24 @@ def test_differential_small_grid():
     assert result.ok, result.render()
     assert not result.disagreements
 
+    # The three oracle axes on a corpus grid: 6 techniques x 2 modes,
+    # every cell non-crashed (12 loop pairs, 24 runs); MEMENTOS's
+    # voltage check cannot be taped (10 diffemu pairs); 6 feasible
+    # placements in the one TBPF column.
+    result = run_differential(
+        programs=["sumloop"], tbpf_values=[10_000],
+        modes=("energy", "periodic"),
+        diff_emulation=True, compiled_check=True, transval_check=True,
+    )
+    assert result.ok, result.render()
+    assert result.runs == 24, "one pre-decoded re-run per checked cell"
+    assert result.compiled_cells == 12
+    assert result.diffemu_cells == 10
+    assert result.transval_cells == 6
+    assert "  compiled-loop pairs: 12 (compiled/predecoded)" in (
+        result.render().splitlines()
+    )
+
 
 def test_fuzz_smoke():
     result = run_fuzz(
