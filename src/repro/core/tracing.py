@@ -91,9 +91,9 @@ def collect_profile(
     """Run the program ``runs`` times with varied inputs and collect traces.
 
     Without an input generator, a default one writes seeded random values
-    into every non-const global array/scalar whose name starts with ``in``
-    or that is listed nowhere — callers normally pass the benchmark's own
-    generator.
+    into every non-const global scalar or array that has no initializer;
+    const and initialized globals keep their declared values. Callers
+    normally pass the benchmark's own generator.
     """
     if input_generator is None:
         rng = random.Random(seed)

@@ -118,6 +118,7 @@ class Segment:
     __slots__ = (
         "start",
         "end_index",
+        "traces_entry",
         "n",
         "cycles",
         "energies",
@@ -132,11 +133,18 @@ class Segment:
         "costs",
     )
 
-    def __init__(self, start, end_index, ops, widths, costs):
+    def __init__(self, start, end_index, ops, widths, costs, traces_entry):
         self.start = start
         #: Index the frame resumes at when the segment ends without a
         #: control transfer (None when the last op set block/index itself).
         self.end_index = end_index
+        #: True when the segment ends in a generated control transfer,
+        #: which skips the interpreter's handlers: the loop must then emit
+        #: the block-entry ``trace`` event for the new top frame itself.
+        #: False for fall-through segments and for a control op that is
+        #: the interpreter's own handler (:func:`_ref_op`), which traces
+        #: itself — so each block entry emits exactly one event.
+        self.traces_entry = traces_entry
         self.ops = ops
         self.widths = widths
         self.costs = costs
@@ -556,9 +564,7 @@ def _make_ret(inst: Ret, interp):
                 frames[-1].registers[ret_target] = const
 
         return _op
-    if not isinstance(inst.value, Register):
-        return _ref_op(interp._do_ret, inst)
-    name = inst.value.name
+    name = inst.value.name  # a Register: VarRef values take _ref_op
 
     def _op(frame):
         try:
@@ -591,7 +597,7 @@ def _build_segment(start, insts, interp, frame_cls) -> Segment:
     for inst, cost, handler in insts:
         if type(inst) is Call:
             units.append(("call", inst))
-        elif type(inst) is Ret:
+        elif type(inst) is Ret and not isinstance(inst.value, VarRef):
             units.append(("ret", inst))
         elif _can_gen(inst):
             units.append(("gen", inst))
@@ -649,8 +655,9 @@ def _build_segment(start, insts, interp, frame_cls) -> Segment:
     last = insts[-1][0]
     ends_with_control = type(last) in (Jump, Branch, Call, Ret)
     end_index = None if ends_with_control else start + len(insts)
+    traces_entry = ends_with_control and units[-1][0] != "ref"
     costs = tuple(cost for _, cost, _ in insts)
-    return Segment(start, end_index, ops, widths, costs)
+    return Segment(start, end_index, ops, widths, costs, traces_entry)
 
 
 def compile_blocks(interp, frame_cls):

@@ -101,7 +101,11 @@ class InterpreterConfig:
     #: accesses left.
     default_space: MemorySpace = MemorySpace.NVM
     max_instructions: int = 200_000_000
-    #: Called as trace(function_name, block_label) on every block entry.
+    #: Called as trace(function_name, block_label) on every block entry:
+    #: the entry block at run start, a jump or branch target, a callee's
+    #: entry block, the caller's block on return, and the entry block
+    #: again on a reboot from boot. Each entry emits exactly one event,
+    #: on either loop, and tracing does not change which loop runs.
     trace: Optional[Callable[[str, str], None]] = None
     #: Called as step_hook(site_label, cycles) immediately before each
     #: atomic energy-consuming step — instructions, checkpoint saves,
@@ -119,13 +123,14 @@ class InterpreterConfig:
     #: compiled`). Semantics are bit-identical: failure points, meter
     #: totals, reports and diffemu snapshots all match the pre-decoded
     #: loop, and the interpreter falls back to per-step execution for
-    #: any run that asks for per-step observation (``step_hook``,
-    #: ``trace``, a recording power manager) and on every cold-path
-    #: event (checkpoints, predicted in-segment power failures,
-    #: instruction-budget edges, mid-segment resume points). Telemetry
-    #: and metrics are emitted only on those cold paths, so traced and
-    #: metered runs take this loop too. False selects the plain
-    #: pre-decoded loop, the compiled loop's differential reference.
+    #: any run that asks for per-step observation (``step_hook``, a
+    #: recording power manager) and on every cold-path event
+    #: (checkpoints, predicted in-segment power failures,
+    #: instruction-budget edges, mid-segment resume points). Block
+    #: ``trace`` events, telemetry and metrics come out identically on
+    #: this loop, so traced, profiled and metered runs take it too.
+    #: False selects the plain pre-decoded loop, the compiled loop's
+    #: differential reference.
     compiled: bool = True
     #: Called as commit_hook(interpreter, ckpt_id) after a checkpoint has
     #: fully committed — the save persisted *and* the wait-mode
@@ -276,9 +281,9 @@ class Interpreter:
         }
         self._code = self._decode_module()
         #: Compiled segment maps, built lazily on the first execution
-        #: that is eligible for the compiled loop (frames must exist and
-        #: most runs never need it when observation hooks force the
-        #: per-step loop). {(function, label): {index: Segment}}.
+        #: that is eligible for the compiled loop, so runs a step_hook or
+        #: a recording power manager sends to the per-step loop never
+        #: pay for compilation. {(function, label): {index: Segment}}.
         self._ccode = None
         #: Which loop the last _execute used: "compiled" or "predecoded"
         #: (introspection for tests and benchmarks).
@@ -466,18 +471,17 @@ class Interpreter:
         if (
             config.compiled
             and config.step_hook is None
-            and config.trace is None
             and self.power.record is None
         ):
             # No per-step observation requested: run the threaded-code
-            # loop. Anything that needs step granularity — the testkit
-            # sweep's step_hook, block tracing or a recording power
-            # manager — gets the per-step pre-decoded loop. Telemetry
-            # and metrics do NOT disqualify: every event and counter is
-            # emitted on a cold path (run begin/end, checkpoints,
-            # restores, power failures) that the compiled loop runs one
-            # step at a time with meter and power state reconciled, so
-            # traces and counters are identical on either loop.
+            # loop. Only what needs step granularity — the testkit
+            # sweep's step_hook or a recording power manager — gets the
+            # per-step pre-decoded loop. Block tracing, telemetry and
+            # metrics do NOT disqualify: their events come from handlers
+            # on the cold paths the compiled loop runs one step at a
+            # time with meter and power state reconciled, and the loop
+            # itself traces the blocks a generated control transfer
+            # enters, so every stream is identical on either loop.
             if self._ccode is None:
                 self._ccode = compiled_blocks.compile_blocks(self, _Frame)
             self.loop_used = "compiled"
@@ -542,6 +546,7 @@ class Interpreter:
         charge = meter.charge_compute
         charge_block = meter.charge_block
         max_instructions = self.config.max_instructions
+        trace = self.config.trace
 
         cur_frame = None
         cur_block = None
@@ -577,6 +582,12 @@ class Interpreter:
                     end = seg.end_index
                     if end is not None:
                         frame.index = end
+                    elif trace is not None and seg.traces_entry and frames:
+                        # A generated Jump/Branch/Call/Ret bypassed the
+                        # handler: emit the event _goto/_do_call/_do_ret
+                        # would have for the block just entered.
+                        top = frames[-1]
+                        trace(top.function.name, top.block)
                     continue
             # Per-step path: checkpoints, a failure predicted inside the
             # segment, the instruction-budget edge, or a resume index

@@ -10,22 +10,29 @@ contract down from every angle the batching could break:
   handler its type (and environment-input flag) selects, at its cost;
 - report identity across corpus x techniques x power modes, including
   failure placement (``failure_offsets``) and the Fig. 6/7 energy split;
-- the fallback rules: ``step_hook``, tracing and recording power
-  managers must silently select the per-step pre-decoded loop without
-  changing the report, while telemetry keeps the compiled loop and
-  records the same event stream;
-- crash identity: division by zero, reads of uninitialized registers and
-  instruction-budget exhaustion must surface at the same instruction
-  with the same accounting, even when they fire mid-segment;
+- block-trace identity: every run above is traced, and the
+  ``(function, label)`` stream must match event for event — one event
+  per block entry, whether a generated control transfer or the
+  interpreter's own handler made it;
+- the fallback rules: ``step_hook`` and recording power managers must
+  silently select the per-step pre-decoded loop without changing the
+  report, while block tracing and telemetry keep the compiled loop and
+  record the same streams;
+- crash identity: division by zero, reads of uninitialized registers,
+  a non-scalar terminator operand and instruction-budget exhaustion
+  must surface at the same instruction with the same accounting and
+  trace prefix, even when they fire mid-segment;
 - snapshot/fork (diffemu) resume on top of the compiled loop;
 - the segment-structure invariants the codegen relies on.
 """
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import pytest
 
+from repro.core import tracing
 from repro.emulator import PowerManager
 from repro.emulator.compiled import FUSE_LIMIT, Segment
 from repro.emulator.diffemu import PowerSpec, record_tape, run_cell
@@ -52,6 +59,7 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.ir.textparser import parse_ir
+from repro.programs import BENCHMARK_NAMES, get_benchmark
 from repro.testkit.corpus import compile_for, load_program
 
 PLAT = msp430fr5969_platform(eb=3000.0)
@@ -102,6 +110,12 @@ def _asdict(report):
     return dataclasses.asdict(report)
 
 
+def _recorder():
+    """A block-trace callback and the list it appends events to."""
+    events = []
+    return (lambda function, label: events.append((function, label))), events
+
+
 def _powers(eb=3000.0):
     return {
         "energy": lambda: PowerManager.energy_budget(eb),
@@ -119,14 +133,23 @@ def _powers(eb=3000.0):
     "program", ["sumloop", "warloop", "branchy", "calls", "aes"]
 )
 def test_continuous_tri_loop_identity(program):
+    """Traced runs on both loops must agree on the report and on the
+    block-trace stream, and tracing must not change the report."""
     bench = load_program(program)
-    reports = {
-        name: run_continuous(
-            bench.module, PLAT.model, inputs=bench.default_inputs(), **kw
+    runs = {}
+    for name, kw in LOOPS:
+        trace, events = _recorder()
+        report = run_continuous(
+            bench.module, PLAT.model, inputs=bench.default_inputs(),
+            trace=trace, **kw
         )
-        for name, kw in LOOPS
-    }
-    assert _asdict(reports["compiled"]) == _asdict(reports["predecoded"])
+        runs[name] = (_asdict(report), events)
+    assert runs["compiled"][1], "a run enters at least its entry block"
+    assert runs["compiled"] == runs["predecoded"]
+    untraced = run_continuous(
+        bench.module, PLAT.model, inputs=bench.default_inputs()
+    )
+    assert _asdict(untraced) == runs["compiled"][0]
 
 
 @pytest.mark.parametrize("program,technique", CASES)
@@ -135,20 +158,28 @@ def test_continuous_tri_loop_identity(program):
 def test_intermittent_tri_loop_identity(program, technique, mode):
     """Corpus x technique x power mode: the two loops must agree on the
     full report — outputs, energy categories, cycle counts, the number of
-    power failures AND where on the timeline each one landed."""
+    power failures AND where on the timeline each one landed — and on
+    the block-trace stream, which here includes the entry event a reboot
+    emits and the blocks re-entered after each rollback resume."""
     bench = load_program(program)
     comp = compile_for(
         technique, bench.module, PLAT,
         input_generator=bench.input_generator(),
     )
     assert comp.feasible
-    reports = {}
+    runs = {}
     for name, kw in LOOPS:
-        reports[name] = run_intermittent(
+        trace, events = _recorder()
+        interp = Interpreter(
             comp.module, PLAT.model, comp.policy, _powers()[mode](),
-            vm_size=PLAT.vm_size, inputs=bench.default_inputs(), **kw
+            InterpreterConfig(
+                inputs=bench.default_inputs(), vm_size=PLAT.vm_size,
+                trace=trace, **kw
+            ),
         )
-    assert _asdict(reports["compiled"]) == _asdict(reports["predecoded"])
+        runs[name] = (_asdict(interp.run()), events)
+        assert interp.loop_used == name
+    assert runs["compiled"] == runs["predecoded"]
 
 
 def test_mid_segment_failure_placement():
@@ -240,9 +271,10 @@ def test_decode_covers_every_block_and_flags_checkpoints(program, technique):
 
 
 def test_loop_selection_and_fallbacks():
-    """The compiled loop must only engage when nothing observes per-step
-    granularity; each bypass condition silently selects the pre-decoded
-    loop."""
+    """The compiled loop must engage unless something observes per-step
+    granularity; each of the two bypass conditions — a ``step_hook`` and
+    a recording power manager — silently selects the pre-decoded loop.
+    Block tracing is not one of them."""
     bench = load_program("sumloop")
     module, inputs = bench.module, bench.default_inputs()
 
@@ -254,14 +286,16 @@ def test_loop_selection_and_fallbacks():
     interp.run()
     assert interp.loop_used == "predecoded"
 
-    # Block tracing (the profiler's input) needs every block entry.
-    blocks = []
-    interp = _interp(
-        module, inputs, trace=lambda fn, label: blocks.append((fn, label))
-    )
-    interp.run()
-    assert interp.loop_used == "predecoded"
-    assert blocks, "the trace fallback must still deliver the stream"
+    # Block tracing (the profiler's input) keeps the compiled loop and
+    # delivers the stream the pre-decoded loop delivers.
+    streams = {}
+    for name, kw in LOOPS:
+        trace, streams[name] = _recorder()
+        interp = _interp(module, inputs, trace=trace, **kw)
+        interp.run()
+        assert interp.loop_used == name
+    assert streams["compiled"], "the traced run must deliver the stream"
+    assert streams["compiled"] == streams["predecoded"]
 
     hooks = []
     interp = _interp(
@@ -386,25 +420,45 @@ func @main() -> void {
 """
 
 
+#: A terminator with a by-reference operand: the code generator does not
+#: express it, so the segment ends in the interpreter's own ``_do_ret``
+#: (the ``_ref_op`` fallback), which raises before returning.
+VARREF_RET_IR = """module vr (entry @main)
+global @result:u32
+
+func @main() -> u32 {
+.entry:
+    %t1:u32 = add 1:i32, 2:i32
+    jump .body
+.body:
+    store.auto @result = %t1:u32
+    ret &result
+}
+"""
+
+
 @pytest.mark.parametrize(
     "text,inputs,match",
     [
         (DIV_ZERO_IR, {"divisor": [0]}, "division by zero"),
         (UNINIT_IR, None, "uninitialized register %t9"),
+        (VARREF_RET_IR, None, "is not a scalar value"),
     ],
-    ids=["div-zero", "uninit-register"],
+    ids=["div-zero", "uninit-register", "varref-terminator"],
 )
 def test_crash_identity(text, inputs, match):
     """Faults raised from inside a fused closure must carry the same
-    message and leave the same partially-charged accounting as the
+    message, trace prefix and partially-charged accounting as the
     per-step loops (the reconciliation replay)."""
     module = parse_ir(text)
     states = {}
     for name, kw in LOOPS:
-        interp = _interp(module, inputs, **kw)
+        trace, events = _recorder()
+        interp = _interp(module, inputs, trace=trace, **kw)
         with pytest.raises(EmulationError, match=match):
             interp.run()
         states[name] = (
+            events,
             interp.instructions_executed,
             interp.active_cycles,
             interp.meter.state_dict(),
@@ -413,17 +467,75 @@ def test_crash_identity(text, inputs, match):
     assert states["compiled"] == states["predecoded"]
 
 
+def test_handler_control_op_traces_once(monkeypatch):
+    """A segment whose control op is the interpreter's own handler (the
+    ``_ref_op`` fallback) must not have its block entry traced a second
+    time by the compiled loop. Forcing every Jump and Branch through the
+    fallback makes each handler trace a real transfer; the stream must
+    still match the pre-decoded loop's event for event."""
+    from repro.emulator import compiled as compiled_blocks
+
+    can_gen = compiled_blocks._can_gen
+    monkeypatch.setattr(
+        compiled_blocks, "_can_gen",
+        lambda inst: type(inst) not in (Jump, Branch) and can_gen(inst),
+    )
+    bench = load_program("calls")
+    streams = {}
+    for name, kw in LOOPS:
+        trace, streams[name] = _recorder()
+        interp = _interp(
+            bench.module, bench.default_inputs(), trace=trace, **kw
+        )
+        interp.run()
+        assert interp.loop_used == name
+        if name == "compiled":
+            segments = [
+                seg for seg_map in interp._ccode.values()
+                for seg in seg_map.values()
+            ]
+    assert any(
+        seg.end_index is None and not seg.traces_entry for seg in segments
+    ), "the fallback must produce handler-ended segments"
+    assert streams["compiled"] == streams["predecoded"]
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("program", BENCHMARK_NAMES)
+def test_kernel_profile_identity(program, monkeypatch):
+    """Kernel-size profiling: ``collect_profile`` on the compiled loop
+    (its default) must yield the same ``Profile`` as on the pre-decoded
+    loop, for every MiBench2 kernel with its own input generator."""
+    bench = get_benchmark(program)
+
+    def profile():
+        return tracing.collect_profile(
+            bench.module, PLAT.model,
+            input_generator=bench.input_generator(),
+        )
+
+    compiled = profile()
+    monkeypatch.setattr(
+        tracing, "run_continuous",
+        functools.partial(run_continuous, compiled=False),
+    )
+    predecoded = profile()
+    assert compiled.traces
+    assert compiled.traces == predecoded.traces
+
+
 def test_max_instructions_exhaustion_identity():
     bench = load_program("sumloop")
-    reports = {
-        name: run_continuous(
+    runs = {}
+    for name, kw in LOOPS:
+        trace, events = _recorder()
+        report = run_continuous(
             bench.module, PLAT.model, inputs=bench.default_inputs(),
-            max_instructions=137, **kw
+            max_instructions=137, trace=trace, **kw
         )
-        for name, kw in LOOPS
-    }
-    assert not reports["compiled"].completed
-    assert _asdict(reports["compiled"]) == _asdict(reports["predecoded"])
+        runs[name] = (_asdict(report), events)
+    assert not runs["compiled"][0]["completed"]
+    assert runs["compiled"] == runs["predecoded"]
 
 
 @pytest.mark.parametrize("mode", ["energy", "periodic", "stochastic"])
@@ -498,6 +610,11 @@ def test_segment_structure_invariants():
             if seg.end_index is not None:
                 # Straight-line segment: falls through to the next index.
                 assert seg.end_index == start + seg.n
+                assert not seg.traces_entry, "a fall-through enters no block"
+            else:
+                # Every control op here is generated, so the loop (not a
+                # handler) must trace the block it enters.
+                assert seg.traces_entry
         ckpt_indices = {
             i for i, (handler, _c, _i, _l) in enumerate(entries)
             if handler is None

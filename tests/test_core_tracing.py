@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import CFG, FunctionAccessSummaries, LoopNest
 from repro.analysis.callgraph import CallGraph
+from repro.core import tracing
 from repro.core.region import CostEnv, RegionBuilder
 from repro.core.tracing import (
     collect_profile,
@@ -13,11 +14,27 @@ from repro.core.tracing import (
     region_paths_from_traces,
 )
 from repro.core.summaries import LoopResult, SharedAlloc
+from repro.emulator import run_continuous
 from repro.energy import msp430fr5969_model
 from repro.frontend import compile_source
 from tests.helpers import BRANCHY_SRC, CALLS_SRC, branchy_inputs, calls_inputs
 
 MODEL = msp430fr5969_model()
+
+#: One global of each kind the default input generator distinguishes.
+DEFAULT_GEN_SRC = """
+const u16 limit = 7;
+u16 seeded = 5;
+u16 raw;
+u16 samples[4];
+u32 result;
+void main() {
+    u32 acc = 0;
+    if (limit != 7) { acc = 1; }
+    if (seeded != 5) { acc = acc + 2; }
+    result = acc + raw + samples[0];
+}
+"""
 
 
 def profile_for(source, inputs_fn, runs=3):
@@ -58,6 +75,31 @@ class TestCollectProfile:
         module, profile = profile_for(BRANCHY_SRC, branchy_inputs, runs=4)
         # selector parity differs between runs -> at least 2 distinct traces
         assert len(profile.traces["main"]) >= 2
+
+    def test_default_generator_fills_uninitialized_globals(
+        self, monkeypatch
+    ):
+        """Without a generator, every run gets seeded random values for
+        exactly the non-const globals that have no initializer, whatever
+        their names: const and initialized globals keep their values."""
+        module = compile_source(DEFAULT_GEN_SRC)
+        seen = []
+
+        def spy(module, model, inputs, **kwargs):
+            seen.append(inputs)
+            return run_continuous(module, model, inputs=inputs, **kwargs)
+
+        monkeypatch.setattr(tracing, "run_continuous", spy)
+        profile = collect_profile(module, MODEL, runs=3)
+        assert [sorted(inputs) for inputs in seen] == (
+            [["raw", "result", "samples"]] * 3
+        )
+        for inputs in seen:
+            assert len(inputs["samples"]) == 4
+            assert all(0 <= v <= 0xFFFF for v in inputs["samples"])
+        # Neither guarded branch is ever taken: one path, every run.
+        [(blocks, count)] = profile.traces["main"]
+        assert count == 3 and len(blocks) == 3
 
 
 class TestCondensation:
