@@ -31,10 +31,8 @@ from repro.emulator.interpreter import (
     run_intermittent,
 )
 from repro.emulator.diffemu import (
-    DiffEmuStats,
     PowerSpec,
     SnapshotTape,
-    TapeStore,
     plan_cell,
     record_tape,
     run_cell,
@@ -53,10 +51,8 @@ __all__ = [
     "Interpreter",
     "run_continuous",
     "run_intermittent",
-    "DiffEmuStats",
     "PowerSpec",
     "SnapshotTape",
-    "TapeStore",
     "plan_cell",
     "record_tape",
     "run_cell",

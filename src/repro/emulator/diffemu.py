@@ -1,11 +1,14 @@
 """Differential grid emulation: record a column once, fork every cell.
 
-The evaluation grid runs one (module, platform, technique) *column* under
-many power configurations — EB values, TBPF periods, power modes. All of
-those cells execute the **same deterministic instruction stream** up to
-their first power failure; they differ only in where that failure lands.
-Cold emulation replays the shared prefix for every cell. This module
-replays it **once**:
+A design-space sweep runs one (module, platform, technique) *column*
+under many power configurations — EB values, TBPF periods, power modes.
+All of those cells execute the **same deterministic instruction stream**
+up to their first power failure; they differ only in where that failure
+lands. Cold emulation replays the shared prefix for every cell. This
+module replays it **once**: call :func:`record_tape` once per column,
+then :func:`run_cell` once per :class:`PowerSpec`. A tape pays off only
+when many cells share it: the paper evaluation (``run_all``, about two
+cells per column) emulates every cell cold instead.
 
 1. :func:`record_tape` runs the column failure-free (continuous power),
    capturing a resumable :class:`~repro.emulator.interpreter.EmulatorSnapshot`
@@ -44,8 +47,8 @@ Two policy classes are excluded by construction and always run cold:
 
 Tapes carry an explicit content digest (:meth:`SnapshotTape.seal` /
 :meth:`SnapshotTape.verify`): a corrupted snapshot — even a single
-bit-flip that still unpickles — fails verification and the engine falls
-back to cold emulation instead of resuming from wrong state.
+bit-flip that still unpickles — fails verification and :func:`run_cell`
+falls back to cold emulation instead of resuming from wrong state.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ from repro.energy.model import EnergyModel
 from repro.errors import EmulationError
 from repro.ir.module import Module
 
-#: Bump when the tape layout or planning semantics change: stored tapes
-#: from older code become invalid (the cache key carries this).
+#: Bump when the tape layout or planning semantics change: tapes from
+#: older code carry the old value in :attr:`SnapshotTape.schema`.
 TAPE_SCHEMA = 1
 
 #: Snapshots kept per tape. Thinning is stride doubling: the tape always
@@ -532,85 +535,6 @@ def fork_cell(
     return interp.resume(adapted)
 
 
-@dataclass
-class DiffEmuStats:
-    """Counters for manifests and progress lines."""
-
-    tapes_recorded: int = 0
-    tape_cache_hits: int = 0
-    invalid_tapes: int = 0
-    synthesized: int = 0
-    forked: int = 0
-    cold: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "tapes_recorded": self.tapes_recorded,
-            "tape_cache_hits": self.tape_cache_hits,
-            "invalid_tapes": self.invalid_tapes,
-            "synthesized": self.synthesized,
-            "forked": self.forked,
-            "cold": self.cold,
-        }
-
-    def merge(self, other: "DiffEmuStats") -> None:
-        self.tapes_recorded += other.tapes_recorded
-        self.tape_cache_hits += other.tape_cache_hits
-        self.invalid_tapes += other.invalid_tapes
-        self.synthesized += other.synthesized
-        self.forked += other.forked
-        self.cold += other.cold
-
-
-class TapeStore:
-    """Tape memo (in-process) over the content-addressed artifact cache.
-
-    ``cache`` is a :class:`repro.runner.cache.ArtifactCache` (or None for
-    memory-only). Loaded tapes are digest-verified: a corrupt entry
-    counts as invalid and is re-recorded."""
-
-    CATEGORY = "diffemu-tape"
-
-    def __init__(self, cache=None):
-        self.cache = cache
-        self.stats = DiffEmuStats()
-        self._memo: Dict[Tuple, SnapshotTape] = {}
-
-    def get(
-        self,
-        key_parts: Tuple,
-        recorder: Callable[[], SnapshotTape],
-    ) -> SnapshotTape:
-        key = tuple(key_parts)
-        tape = self._memo.get(key)
-        if tape is not None:
-            return tape
-        cache_key = None
-        if self.cache is not None:
-            from repro.runner.cache import ArtifactCache
-
-            cache_key = ArtifactCache.key(
-                self.CATEGORY, TAPE_SCHEMA, *key_parts
-            )
-            cached = self.cache.get(self.CATEGORY, cache_key)
-            if cached is not None:
-                if (
-                    isinstance(cached, SnapshotTape)
-                    and cached.schema == TAPE_SCHEMA
-                    and cached.verify()
-                ):
-                    self.stats.tape_cache_hits += 1
-                    self._memo[key] = cached
-                    return cached
-                self.stats.invalid_tapes += 1
-        tape = recorder()
-        self.stats.tapes_recorded += 1
-        if self.cache is not None and cache_key is not None:
-            self.cache.put(self.CATEGORY, cache_key, tape)
-        self._memo[key] = tape
-        return tape
-
-
 def run_cell(
     module: Module,
     model: EnergyModel,
@@ -621,7 +545,6 @@ def run_cell(
     vm_size: int = 1 << 30,
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
-    stats: Optional[DiffEmuStats] = None,
 ) -> Tuple[ExecutionReport, ForkPlan]:
     """Run one grid cell differentially: synthesize, fork or fall back.
 
@@ -632,17 +555,12 @@ def run_cell(
     """
     if not tape.verify():
         plan = ForkPlan(kind="cold", reason="tape failed verification")
-        if stats is not None:
-            stats.invalid_tapes += 1
-            stats.cold += 1
         return _run_cold(
             module, model, policy, spec, vm_size=vm_size, inputs=inputs,
             max_instructions=max_instructions,
         ), plan
     plan = plan_cell(tape, spec)
     if plan.kind == "synthesize":
-        if stats is not None:
-            stats.synthesized += 1
         return _synthesize(tape, spec), plan
     if plan.kind == "fork":
         try:
@@ -659,18 +577,11 @@ def run_cell(
                 first_failure_window=plan.first_failure_window,
                 reason=f"snapshot rejected: {exc}",
             )
-            if stats is not None:
-                stats.invalid_tapes += 1
-                stats.cold += 1
             return _run_cold(
                 module, model, policy, spec, vm_size=vm_size, inputs=inputs,
                 max_instructions=max_instructions,
             ), plan
-        if stats is not None:
-            stats.forked += 1
         return report, plan
-    if stats is not None:
-        stats.cold += 1
     return _run_cold(
         module, model, policy, spec, vm_size=vm_size, inputs=inputs,
         max_instructions=max_instructions,

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro import telemetry
 from repro.baselines.common import compile_schematic
 from repro.core.placement import SchematicConfig
-from repro.emulator.diffemu import PowerSpec
+from repro.emulator import PowerManager, run_intermittent
 from repro.experiments.common import EvaluationContext
 
 DEFAULT_TBPF = 10_000
@@ -128,12 +128,10 @@ def compute_cell(
         with scope:
             if tm is not None:
                 ctx._emit_segment_bounds(tm, compiled, eb)
-            # Routed through the context's emulation front-end: diff
-            # emulation when enabled (ablated variants are wait-mode
-            # columns, usually synthesized), cold otherwise.
-            report = ctx._emulate(
-                f"ablation:{variant}", name, eb, compiled, platform, bench,
-                PowerSpec.energy_budget(eb), tm,
+            report = run_intermittent(
+                compiled.module, platform.model, compiled.policy,
+                PowerManager.energy_budget(eb), vm_size=platform.vm_size,
+                inputs=bench.default_inputs(),
             )
         ok = report.completed and report.outputs == ctx.reference(name).outputs
         cell = AblationCell(variant=variant, benchmark=name, completed=ok)

@@ -27,14 +27,7 @@ from repro.baselines import COMPILERS, CompiledTechnique
 from repro.core import verify
 from repro.core.tracing import Profile, collect_profile
 from repro.emulator import run_continuous, run_intermittent
-from repro.emulator.diffemu import (
-    DiffEmuStats,
-    PowerSpec,
-    SnapshotTape,
-    TapeStore,
-    record_tape,
-    run_cell as run_diffemu_cell,
-)
+from repro.emulator.diffemu import PowerSpec
 from repro.emulator.report import ExecutionReport
 from repro.energy import msp430fr5969_platform
 from repro.programs import BENCHMARK_NAMES, Benchmark, get_benchmark
@@ -108,7 +101,6 @@ class EvaluationContext:
         profile_runs: int = PROFILE_RUNS,
         failure_model: str = "energy",
         cache: Optional[ArtifactCache] = None,
-        diff_emulation: bool = True,
     ):
         """``failure_model``: ``"energy"`` (the default; a power failure
         when EB is exhausted — the metric SCHEMATIC's guarantee is stated
@@ -119,16 +111,7 @@ class EvaluationContext:
         set, references, profiles, compiled techniques and run outcomes
         are read from / written to disk, keyed by content (module text,
         platform constants, inputs, failure model), so a warm context —
-        or a worker process sharing the cache — skips the emulator.
-
-        ``diff_emulation``: emulate grid cells differentially — record a
-        failure-free snapshot tape once per (module, platform, technique)
-        column and replay only each cell's failure suffix
-        (:mod:`repro.emulator.diffemu`). Results are bit-identical to
-        cold emulation (the diffemu identity suite proves it corpus-wide);
-        ``False`` is the escape hatch forcing every cell cold. Cells that
-        cannot fork (voltage-check policies, telemetry-traced runs) fall
-        back to cold emulation automatically."""
+        or a worker process sharing the cache — skips the emulator."""
         if failure_model not in ("energy", "cycles"):
             raise ValueError(f"unknown failure model {failure_model!r}")
         self.benchmark_names = list(benchmarks or BENCHMARK_NAMES)
@@ -136,9 +119,6 @@ class EvaluationContext:
         self.failure_model = failure_model
         self.platform_proto = msp430fr5969_platform()
         self.cache = cache
-        self.diff_emulation = diff_emulation
-        self._tapes = TapeStore(cache)
-        self._transformed_fps: Dict[Tuple[str, str, float], str] = {}
         self._profiles: Dict[str, Profile] = {}
         self._references: Dict[str, ExecutionReport] = {}
         self._vm_references: Dict[str, ExecutionReport] = {}
@@ -375,82 +355,16 @@ class EvaluationContext:
         if compiled.feasible:
             if tm is not None:
                 self._emit_segment_bounds(tm, compiled, eb)
-            report = self._emulate(
-                technique, benchmark, eb, compiled, platform, bench, spec, tm
+            report = run_intermittent(
+                compiled.module, platform.model, compiled.policy,
+                spec.build(), vm_size=platform.vm_size,
+                inputs=bench.default_inputs(),
             )
             outcome.report = report
             outcome.completed = report.completed
             outcome.correct = report.outputs == self.reference(benchmark).outputs
         self._cache_put("run", parts, outcome)
         return outcome
-
-    def _emulate(
-        self, technique, benchmark, eb, compiled, platform, bench, spec, tm
-    ) -> ExecutionReport:
-        """Emulate one feasible cell: differentially when possible, cold
-        otherwise. Diff emulation requires a mode-independent prefix
-        (no voltage-check policy) and an unobserved run (no telemetry —
-        traced runs must emit their real runtime event stream)."""
-        if (
-            self.diff_emulation
-            and tm is None
-            and compiled.policy.skip_threshold is None
-        ):
-            tape = self._tape_for(technique, benchmark, eb, compiled, platform)
-            report, _plan = run_diffemu_cell(
-                compiled.module, platform.model, compiled.policy, spec, tape,
-                vm_size=platform.vm_size, inputs=bench.default_inputs(),
-                stats=self._tapes.stats,
-            )
-            return report
-        return run_intermittent(
-            compiled.module,
-            platform.model,
-            compiled.policy,
-            spec.build(),
-            vm_size=platform.vm_size,
-            inputs=bench.default_inputs(),
-        )
-
-    def _transformed_fp(self, technique: str, benchmark: str, eb: float,
-                        compiled: CompiledTechnique) -> str:
-        """Content hash of the *transformed* module text — the tape's
-        column identity. Placements that come out identical across EBs
-        (every fixed-placement baseline) alias to one tape."""
-        key = (technique, benchmark, eb)
-        if key not in self._transformed_fps:
-            from repro.ir.printer import print_module
-
-            self._transformed_fps[key] = ArtifactCache.text_fingerprint(
-                print_module(compiled.module)
-            )
-        return self._transformed_fps[key]
-
-    def _tape_for(self, technique: str, benchmark: str, eb: float,
-                  compiled: CompiledTechnique, platform) -> SnapshotTape:
-        """The column's snapshot tape (memoized, persisted via the
-        artifact cache). Keyed purely by content: transformed module,
-        policy, platform constants and inputs — never by the cell's
-        power parameters, which is exactly what makes one tape serve
-        every EB x TBPF x mode cell of the column."""
-        bench = self.benchmark(benchmark)
-        key_parts = (
-            self._transformed_fp(technique, benchmark, eb, compiled),
-            repr(compiled.policy),
-            self._platform_fp(),
-            self._inputs_fp(benchmark),
-        )
-        return self._tapes.get(
-            key_parts,
-            lambda: record_tape(
-                compiled.module, platform.model, compiled.policy,
-                vm_size=platform.vm_size, inputs=bench.default_inputs(),
-            ),
-        )
-
-    @property
-    def diffemu_stats(self) -> DiffEmuStats:
-        return self._tapes.stats
 
     def run_spec(
         self,
@@ -466,7 +380,7 @@ class EvaluationContext:
         Both the in-memory key and the persistent cache key include
         ``spec.key_parts()`` — mode, seed and schedule included — so a
         SCHEDULED and a STOCHASTIC cell with otherwise equal numbers can
-        never share a snapshot or a cached outcome
+        never share a cached outcome
         (tests/test_diffemu_planner.py pins the schema)."""
         key = ("spec", technique, benchmark, eb) + spec.key_parts()
         if key in self._runs:
@@ -492,8 +406,10 @@ class EvaluationContext:
             checkpoints=compiled.checkpoints_inserted,
         )
         if compiled.feasible:
-            report = self._emulate(
-                technique, benchmark, eb, compiled, platform, bench, spec, tm
+            report = run_intermittent(
+                compiled.module, platform.model, compiled.policy,
+                spec.build(), vm_size=platform.vm_size,
+                inputs=bench.default_inputs(),
             )
             outcome.report = report
             outcome.completed = report.completed

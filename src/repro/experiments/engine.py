@@ -33,11 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.telemetry import flight, metrics
-from repro.telemetry.rollup import (
-    publish_cache_stats,
-    publish_diffemu_stats,
-    write_sidecar,
-)
+from repro.telemetry.rollup import publish_cache_stats, write_sidecar
 from repro.experiments.common import (
     PROFILE_RUNS,
     TBPF_VALUES,
@@ -151,7 +147,6 @@ def _init_worker(
     profile_runs: int,
     failure_model: str,
     cache_root: Optional[str],
-    diff_emulation: bool = True,
     metrics_dir: Optional[str] = None,
     parent_pid: Optional[int] = None,
 ) -> None:
@@ -178,7 +173,6 @@ def _init_worker(
         profile_runs=profile_runs,
         failure_model=failure_model,
         cache=cache,
-        diff_emulation=diff_emulation,
     )
 
 
@@ -197,8 +191,6 @@ def _flush_worker_sidecar() -> None:
     ctx = _WORKER_CTX
     if ctx is not None and ctx.cache is not None:
         publish_cache_stats(snapshot, ctx.cache.stats_dict())
-    if ctx is not None:
-        publish_diffemu_stats(snapshot, ctx.diffemu_stats.as_dict())
     try:
         write_sidecar(snapshot, _WORKER_METRICS_DIR)
     except OSError:
@@ -330,7 +322,6 @@ def prefill(
         ctx.profile_runs,
         ctx.failure_model,
         str(ctx.cache.root) if ctx.cache is not None else None,
-        ctx.diff_emulation,
         metrics_dir,
         os.getpid(),
     )

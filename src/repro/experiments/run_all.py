@@ -60,7 +60,6 @@ from repro.telemetry.rollup import (
     SIDECAR_PREFIX,
     SIDECAR_SUFFIX,
     publish_cache_stats,
-    publish_diffemu_stats,
     rollup_directory,
     rollup_json,
     write_sidecar,
@@ -95,8 +94,9 @@ SECTIONS = [
 
 #: Manifest format version (the ``--json`` output). v2 renames the
 #: version key to ``schema_version`` and adds the merged cross-process
-#: ``metrics`` rollup (``null`` when metrics are off).
-MANIFEST_SCHEMA = 2
+#: ``metrics`` rollup (``null`` when metrics are off); v3 drops the
+#: differential-emulation block (every cell is emulated cold).
+MANIFEST_SCHEMA = 3
 
 
 def _csv(text: str) -> List[str]:
@@ -117,14 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the evaluation cells")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent artifact cache")
-    parser.add_argument("--diff-emulation", dest="diff_emulation",
-                        action="store_true", default=True,
-                        help="differential emulation: record one snapshot "
-                        "tape per column and replay only each cell's "
-                        "failure suffix (default; see docs/performance.md)")
-    parser.add_argument("--no-diff-emulation", dest="diff_emulation",
-                        action="store_false",
-                        help="escape hatch: cold-emulate every cell")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache directory (default "
                         ".repro-cache or $REPRO_CACHE_DIR)")
@@ -152,10 +144,7 @@ def make_context(args: argparse.Namespace) -> common.EvaluationContext:
     if benchmarks is None and args.quick:
         benchmarks = QUICK_BENCHMARKS
     cache = None if args.no_cache else ArtifactCache.default(args.cache_dir)
-    return common.EvaluationContext(
-        benchmarks=benchmarks, cache=cache,
-        diff_emulation=args.diff_emulation,
-    )
+    return common.EvaluationContext(benchmarks=benchmarks, cache=cache)
 
 
 def render_sections(
@@ -217,12 +206,6 @@ def build_manifest(
         ],
         "prefill": prefill_stats or None,
         "cache": ctx.cache.stats_dict() if ctx.cache is not None else None,
-        # Parent-process counters: workers keep their own stores, so under
-        # --jobs N most cells are counted in the workers, not here.
-        "diff_emulation": {
-            "enabled": ctx.diff_emulation,
-            **ctx.diffemu_stats.as_dict(),
-        },
         "transval": {
             "enabled": core_verify.transval_enabled(),
             **core_verify.transval_stats(),
@@ -304,23 +287,14 @@ def main(argv=None) -> None:
         from repro.runner.cache import stats_line
 
         print(stats_line(ctx.cache.stats_dict()), file=sys.stderr)
-    if ctx.diff_emulation:
-        st = ctx.diffemu_stats
-        print(
-            f"diffemu: {st.tapes_recorded} tapes recorded, "
-            f"{st.tape_cache_hits} tape hits, {st.synthesized} synthesized, "
-            f"{st.forked} forked, {st.cold} cold, "
-            f"{st.invalid_tapes} invalid", file=sys.stderr,
-        )
 
     metrics_rollup: Optional[Dict[str, Any]] = None
     if mm is not None:
         # The parent's own share of the rollup: registry counters plus
-        # its cache / differential-emulation statistics (workers publish
-        # theirs into their own sidecars).
+        # its cache statistics (workers publish theirs into their own
+        # sidecars).
         if ctx.cache is not None:
             publish_cache_stats(mm, ctx.cache.stats_dict())
-        publish_diffemu_stats(mm, ctx.diffemu_stats.as_dict())
         # Merge parent + worker sidecars BEFORE writing the parent's own
         # sidecar, so the directory never feeds a record in twice.
         merged = metrics.MetricsRegistry(meta=mm.meta)

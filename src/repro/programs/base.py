@@ -33,15 +33,15 @@ class Benchmark:
 
     @property
     def module(self) -> Module:
-        """The compiled (untransformed) IR module; compiled once, callers
-        receive a fresh clone so transformations never alias."""
+        """The compiled (untransformed) IR module, compiled once and
+        shared by every caller: read it, never mutate it. Every
+        transformer clones its input before rewriting it."""
         if self._module is None:
             self._module = compile_source(self.source, self.name)
-        return self._module.clone()
+        return self._module
 
     def _generate(self, rng: random.Random) -> Inputs:
-        module = self._module or compile_source(self.source, self.name)
-        self._module = module
+        module = self.module
         inputs: Inputs = {}
         for name, bound in self.input_vars.items():
             var = module.globals[name]
@@ -61,9 +61,7 @@ class Benchmark:
         return self._generate(random.Random(f"{seed}/{self.name}/eval"))
 
     def footprint_bytes(self) -> int:
-        module = self._module or compile_source(self.source, self.name)
-        self._module = module
-        return module.data_footprint_bytes()
+        return self.module.data_footprint_bytes()
 
 
 def format_table(values) -> str:

@@ -9,11 +9,18 @@ minor version, and stores the pickled value under::
 
     <root>/<category>/<key[:2]>/<key>.pkl
 
+Each entry is the SHA-256 digest of the pickle bytes followed by those
+bytes.
+
 Properties:
 
-- **corruption tolerant** — a read that fails for *any* reason (truncated
-  file, stale pickle, wrong schema) is treated as a miss and the bad entry
-  is deleted; a crash can never poison future runs;
+- **self-verifying** — a read checks the entry's digest before it
+  unpickles anything, so a flipped bit is a miss, never a different
+  value served as a hit;
+- **corruption tolerant** — a read that fails for *any* reason (digest
+  mismatch, truncated file, stale pickle, wrong schema) is treated as a
+  miss and the bad entry is deleted; a crash can never poison future
+  runs;
 - **atomic writes** — values are written to a temp file and ``os.replace``d
   into place, so concurrent workers racing on the same key are safe (last
   writer wins, both wrote the same bytes anyway);
@@ -36,7 +43,11 @@ from typing import Any, Dict, Optional
 
 #: Bump whenever the meaning of cached values changes (e.g. a report field
 #: is added or an emulator semantic is fixed): old entries become misses.
-SCHEMA_VERSION = 1
+#: v2 prefixes every entry with the digest of its pickle bytes.
+SCHEMA_VERSION = 2
+
+#: Bytes of the SHA-256 digest that heads every entry.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 _ENV_ROOT = "REPRO_CACHE_DIR"
 _ENV_SWITCH = "REPRO_CACHE"
@@ -112,14 +123,19 @@ class ArtifactCache:
 
     def get(self, category: str, key: str) -> Optional[Any]:
         """Load a cached value, or None on a miss. Any failure — missing
-        file, truncated pickle, incompatible class layout — is a miss; a
-        corrupt entry is deleted so it cannot fail again."""
+        file, digest mismatch, truncated pickle, incompatible class
+        layout — is a miss; a corrupt entry is deleted so it cannot fail
+        again."""
         if not self.enabled:
             return None
         path = self._path(category, key)
         try:
             with open(path, "rb") as fh:
-                value = pickle.load(fh)
+                data = fh.read()
+            digest, payload = data[:_DIGEST_BYTES], data[_DIGEST_BYTES:]
+            if hashlib.sha256(payload).digest() != digest:
+                raise ValueError("cache entry fails its digest check")
+            value = pickle.loads(payload)
         except FileNotFoundError:
             self.misses += 1
             self._bump(category, "misses")
@@ -144,9 +160,11 @@ class ArtifactCache:
         path = self._path(category, key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(hashlib.sha256(payload).digest())
+                fh.write(payload)
             os.replace(tmp, path)
         except Exception:
             try:

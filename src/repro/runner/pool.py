@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+
+from repro.errors import ReproError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -62,7 +65,9 @@ def parallel_map(
     initializer, if any, is invoked once locally, so worker functions that
     read process globals behave identically. With ``jobs > 1`` the work is
     fanned across a process pool; ``fn``, the items and the results must
-    be picklable and ``fn``/``initializer`` must be module-level.
+    be picklable and ``fn``/``initializer`` must be module-level. A
+    worker that dies (killed, ``os._exit``) raises :class:`ReproError`
+    naming the first item whose result never arrived.
     """
     items = list(items)
     workers = min(jobs, len(items)) if items else 0
@@ -70,7 +75,17 @@ def parallel_map(
         if initializer is not None:
             initializer(*initargs)
         return [fn(item) for item in items]
+    results: List[R] = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=initializer, initargs=tuple(initargs)
     ) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        try:
+            for result in pool.map(fn, items, chunksize=chunksize):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            index = len(results)
+            raise ReproError(
+                f"a worker process died before item {index} of "
+                f"{len(items)} finished: {items[index]!r}"
+            ) from exc
+    return results

@@ -156,14 +156,3 @@ def publish_cache_stats(
             if value:
                 registry.counter(f"cache.{category}.{name}").add(value)
 
-
-def publish_diffemu_stats(
-    registry: MetricsRegistry, stats: Dict[str, Any]
-) -> None:
-    """Fold a diffemu planner ``stats`` dict (cells synthesized / forked
-    / cold, tapes recorded) into ``registry`` as ``diffemu.*`` counters."""
-    for name, value in sorted(stats.items()):
-        if isinstance(value, bool) or not isinstance(value, int):
-            continue
-        if value:
-            registry.counter(f"diffemu.{name}").add(value)

@@ -127,6 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="subset of energy,periodic,stochastic")
     diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--diff-emulation", action="store_true",
+                      dest="diffemu_check",
                       help="run every cell twice — cold and via the "
                       "snapshot/fork path — and convict any report "
                       "divergence (doubles the grid)")
@@ -258,7 +259,7 @@ def _run(args: argparse.Namespace, started: float) -> int:
             seed=args.seed,
             shrink=not args.no_shrink,
             jobs=resolve_jobs(args.jobs),
-            diff_emulation=args.diff_emulation,
+            diffemu_check=args.diffemu_check,
             compiled_check=args.compiled_check,
             transval_check=args.transval_check,
         )

@@ -28,7 +28,7 @@ recharge contract: their anomalies there are recorded as
 Violations are shrunk to a minimal ``SCHEDULED`` failure list when the
 failing run replays deterministically.
 
-With ``diff_emulation=True`` every cell additionally becomes a *pair*:
+With ``diffemu_check=True`` every cell additionally becomes a *pair*:
 the cold emulation and a differential one (snapshot tape recorded once
 per technique x TBPF column, the cell resumed from the last safe
 snapshot — see :mod:`repro.emulator.diffemu`). The two full
@@ -94,7 +94,7 @@ class DiffResult:
     #: Cross-technique disagreements: human-readable descriptions.
     disagreements: List[str] = field(default_factory=list)
     runs: int = 0
-    #: Forked-vs-cold pairs checked (``diff_emulation=True``) and how the
+    #: Forked-vs-cold pairs checked (``diffemu_check=True``) and how the
     #: differential side planned each one (synthesize / fork / cold).
     diffemu_cells: int = 0
     diffemu_kinds: Dict[str, int] = field(default_factory=dict)
@@ -186,7 +186,7 @@ def run_differential(
     shrink: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
-    diff_emulation: bool = False,
+    diffemu_check: bool = False,
     compiled_check: bool = False,
     transval_check: bool = False,
 ) -> DiffResult:
@@ -197,7 +197,7 @@ def run_differential(
     merges the partial results in program order, so the combined result
     is identical to a serial run.
 
-    ``diff_emulation=True`` runs every cell twice — cold and through the
+    ``diffemu_check=True`` runs every cell twice — cold and through the
     snapshot/fork path — and convicts any report divergence.
 
     ``compiled_check=True`` re-runs every non-crashed cell on the
@@ -221,7 +221,7 @@ def run_differential(
             _diff_one_program, programs, jobs,
             initializer=_init_diff_worker,
             initargs=(list(techniques), list(tbpf_values), list(modes),
-                      seed, max_instructions, shrink, diff_emulation,
+                      seed, max_instructions, shrink, diffemu_check,
                       compiled_check, transval_check),
         )
     else:
@@ -229,7 +229,7 @@ def run_differential(
             _run_program(
                 program, techniques, tbpf_values, modes, seed,
                 max_instructions, shrink, progress,
-                diff_emulation=diff_emulation,
+                diffemu_check=diffemu_check,
                 compiled_check=compiled_check,
                 transval_check=transval_check,
             )
@@ -260,19 +260,19 @@ _DIFF_STATE: Optional[Tuple] = None
 
 def _init_diff_worker(
     techniques, tbpf_values, modes, seed, max_instructions, shrink,
-    diff_emulation=False, compiled_check=False, transval_check=False,
+    diffemu_check=False, compiled_check=False, transval_check=False,
 ) -> None:
     global _DIFF_STATE
     _DIFF_STATE = (techniques, tbpf_values, modes, seed, max_instructions,
-                   shrink, diff_emulation, compiled_check, transval_check)
+                   shrink, diffemu_check, compiled_check, transval_check)
 
 
 def _diff_one_program(program: str) -> DiffResult:
     (techniques, tbpf_values, modes, seed, max_instructions, shrink,
-     diff_emulation, compiled_check, transval_check) = _DIFF_STATE
+     diffemu_check, compiled_check, transval_check) = _DIFF_STATE
     return _run_program(
         program, techniques, tbpf_values, modes, seed, max_instructions,
-        shrink, progress=None, diff_emulation=diff_emulation,
+        shrink, progress=None, diffemu_check=diffemu_check,
         compiled_check=compiled_check, transval_check=transval_check,
     )
 
@@ -286,7 +286,7 @@ def _run_program(
     max_instructions: int,
     shrink: bool,
     progress: Optional[Callable[[str], None]],
-    diff_emulation: bool = False,
+    diffemu_check: bool = False,
     compiled_check: bool = False,
     transval_check: bool = False,
 ) -> DiffResult:
@@ -395,7 +395,7 @@ def _run_program(
                         )
                     result.compiled_cells += 1
                 if (
-                    diff_emulation
+                    diffemu_check
                     and comp.policy.skip_threshold is None
                     and not run.crashed
                 ):

@@ -1,20 +1,17 @@
 """Differential-emulation identity suite: forked == cold, bit for bit.
 
-The contract :mod:`repro.emulator.diffemu` makes — and the experiment
-engine relies on — is that a differentially emulated cell is
+The contract :mod:`repro.emulator.diffemu` makes — and design-space
+sweeps rely on — is that a differentially emulated cell is
 *indistinguishable* from a cold one: the full
 :class:`~repro.emulator.report.ExecutionReport` (outputs, energy
-breakdown, counters, failure offsets), the power failure log, the
-``step_hook`` stream suffix and, for the engine's telemetry-instrumented
-paths, the runtime event stream. This file pins that contract:
+breakdown, counters, failure offsets), the power failure log and the
+``step_hook`` stream suffix. This file pins that contract:
 
 - column identity over corpus programs x techniques x power modes
   (synthesize, fork and cold plans all exercised);
 - a hypothesis property: *every* snapshot on a densely recorded tape
   resumes into the recording's exact report;
-- forked ``step_hook`` streams are suffixes of the cold stream;
-- instrumented (telemetry) runs take the cold path, so observation
-  streams cannot diverge by construction.
+- forked ``step_hook`` streams are suffixes of the cold stream.
 
 The default grid keeps tier-1 fast; ``-m sweep`` widens it to every
 benchmark x technique x mode (see ``make sweep``).
@@ -26,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.emulator import run_continuous, run_intermittent
 from repro.emulator.diffemu import (
     PowerSpec,
@@ -35,7 +31,6 @@ from repro.emulator.diffemu import (
     run_cell,
 )
 from repro.energy import msp430fr5969_platform
-from repro.experiments.common import EvaluationContext
 from repro.programs import BENCHMARK_NAMES
 from repro.testkit.corpus import compile_for, load_program
 
@@ -200,36 +195,3 @@ def test_forked_step_hook_stream_is_a_cold_suffix():
     assert len(fork_stream) < len(cold_stream)
     assert cold_stream[-len(fork_stream):] == fork_stream
 
-
-# -- observation streams ------------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def _no_global_leak():
-    yield
-    assert telemetry.get() is None, "test leaked an enabled telemetry handle"
-    telemetry.disable()
-
-
-def test_telemetry_event_stream_identical_with_diff_emulation():
-    """Instrumented cells take the cold path (diffemu would elide the
-    prefix's runtime events), so the recorded stream is bit-identical
-    whether differential emulation is enabled or not."""
-
-    def runtime_events(diff: bool):
-        ctx = EvaluationContext(benchmarks=["crc"], diff_emulation=diff)
-        with telemetry.enabled() as tm:
-            ctx.run("schematic", "crc", ctx.eb_for_tbpf("crc", TBPF))
-        stream = [
-            e for e in tm.events
-            if e.get("track") == telemetry.TRACK_RUNTIME
-        ]
-        return stream, ctx
-
-    cold_stream, _ = runtime_events(False)
-    diff_stream, ctx = runtime_events(True)
-    assert cold_stream, "no runtime events recorded"
-    assert diff_stream == cold_stream
-    assert ctx.diffemu_stats.tapes_recorded == 0, (
-        "telemetry-instrumented cells must not use the tape path"
-    )

@@ -1,4 +1,4 @@
-"""Unit tests for differential-emulation planning, caching and fallback.
+"""Unit tests for differential-emulation planning and fallback.
 
 Covers the parts of :mod:`repro.emulator.diffemu` the identity suite
 exercises only end-to-end:
@@ -8,25 +8,16 @@ exercises only end-to-end:
 - column sharing: one tape serves every mode of its column;
 - cache-key discipline: :meth:`PowerSpec.key_parts` is a pinned schema
   (mode, seed and schedule always included — a SCHEDULED and a
-  STOCHASTIC cell must never share), and tape keys are stable across
-  processes;
-- sabotage: a corrupted stored snapshot fails digest verification and
-  the engine falls back to cold emulation with the correct report.
+  STOCHASTIC cell must never share);
+- sabotage: a corrupted snapshot fails digest verification and
+  :func:`run_cell` falls back to cold emulation with the correct report.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.emulator import run_continuous, run_intermittent
 from repro.emulator.diffemu import (
-    TAPE_SCHEMA,
-    DiffEmuStats,
     PowerSpec,
-    SnapshotTape,
-    TapeStore,
     plan_cell,
     record_tape,
     run_cell,
@@ -153,9 +144,9 @@ def test_one_tape_serves_every_mode_of_its_column(column):
 
 
 def test_power_spec_key_parts_schema_is_pinned():
-    """The snapshot/run cache identity. Changing this tuple silently
-    invalidates (or worse, aliases) stored artifacts — bump TAPE_SCHEMA
-    alongside any edit here."""
+    """The run-spec cache identity. Changing this tuple silently
+    invalidates (or worse, aliases) stored run outcomes — bump the
+    artifact cache's SCHEMA_VERSION alongside any edit here."""
     assert PowerSpec.stochastic(5000.0, seed=7, eb=123.0).key_parts() == (
         "power-spec", "stochastic", "123.0", 0, "5000.0", 7, (),
     )
@@ -203,83 +194,6 @@ def test_run_spec_keys_scheduled_and_stochastic_apart():
     assert sched.report.power_mode != stoch.report.power_mode
 
 
-def test_tape_cache_key_is_stable_across_processes():
-    """Tape keys must survive process boundaries (parallel prefill
-    workers share the artifact-cache directory)."""
-    parts = PowerSpec.stochastic(5000.0, seed=7, eb=123.0).key_parts()
-    here = ArtifactCache.key(TapeStore.CATEGORY, TAPE_SCHEMA, *parts)
-    code = (
-        "from repro.emulator.diffemu import PowerSpec, TapeStore, "
-        "TAPE_SCHEMA\n"
-        "from repro.runner.cache import ArtifactCache\n"
-        "parts = PowerSpec.stochastic(5000.0, seed=7, eb=123.0).key_parts()\n"
-        "print(ArtifactCache.key(TapeStore.CATEGORY, TAPE_SCHEMA, *parts))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ), check=True,
-    )
-    assert out.stdout.strip() == here
-
-
-# -- tape store ---------------------------------------------------------------
-
-
-def test_tape_store_memoizes_and_hits_disk(tmp_path, column):
-    plat, bench, compiled, _, _ = column
-
-    def recorder():
-        return record_tape(
-            compiled.module, plat.model, compiled.policy,
-            vm_size=plat.vm_size, inputs=bench.default_inputs(),
-        )
-
-    key = ("tape-test", "warloop", "schematic")
-    store1 = TapeStore(ArtifactCache(tmp_path / "cache"))
-    t1 = store1.get(key, recorder)
-    assert store1.stats.tapes_recorded == 1
-    assert store1.get(key, recorder) is t1  # in-process memo
-    assert store1.stats.tapes_recorded == 1
-
-    store2 = TapeStore(ArtifactCache(tmp_path / "cache"))
-    t2 = store2.get(key, recorder)
-    assert store2.stats.tape_cache_hits == 1
-    assert store2.stats.tapes_recorded == 0
-    assert t2.digest == t1.digest
-
-
-def test_tape_store_rejects_corrupt_stored_tape(tmp_path, column):
-    """A stored tape with a flipped value unpickles fine but fails the
-    digest check: the store counts it invalid and re-records."""
-    plat, bench, compiled, _, _ = column
-
-    def recorder():
-        return record_tape(
-            compiled.module, plat.model, compiled.policy,
-            vm_size=plat.vm_size, inputs=bench.default_inputs(),
-        )
-
-    key = ("tape-test", "warloop", "schematic")
-    cache = ArtifactCache(tmp_path / "cache")
-    store = TapeStore(cache)
-    tape = store.get(key, recorder)
-
-    # Corrupt one NVM word inside a stored snapshot and re-store.
-    evil = recorder()
-    images = evil.entries[-1].snapshot.images
-    name = sorted(images["nvm"])[0]
-    images["nvm"][name][0] ^= 1
-    cache_key = ArtifactCache.key(TapeStore.CATEGORY, TAPE_SCHEMA, *key)
-    cache.put(TapeStore.CATEGORY, cache_key, evil)
-
-    fresh = TapeStore(ArtifactCache(tmp_path / "cache"))
-    recovered = fresh.get(key, recorder)
-    assert fresh.stats.invalid_tapes == 1
-    assert fresh.stats.tapes_recorded == 1
-    assert recovered.verify()
-    assert recovered.digest == tape.digest
-
-
 # -- sabotage: corrupted snapshots fall back cold -----------------------------
 
 
@@ -296,14 +210,12 @@ def test_corrupt_snapshot_falls_back_to_cold(column):
     assert not tape.verify()
 
     spec = PowerSpec.energy_budget(eb)
-    stats = DiffEmuStats()
     got, plan = run_cell(
         compiled.module, plat.model, compiled.policy, spec, tape,
-        vm_size=plat.vm_size, inputs=inputs, stats=stats,
+        vm_size=plat.vm_size, inputs=inputs,
     )
     assert plan.kind == "cold"
     assert "verification" in plan.reason
-    assert stats.invalid_tapes == 1 and stats.cold == 1
     cold = run_intermittent(
         compiled.module, plat.model, compiled.policy, spec.build(),
         vm_size=plat.vm_size, inputs=inputs,
@@ -335,10 +247,9 @@ def test_cross_module_snapshot_is_rejected_not_miscomputed(column):
         max(c for c, _, _ in spans[:target]) + 1e-9
     )
     assert plan_cell(foreign, spec).kind == "fork"
-    stats = DiffEmuStats()
     got, plan = run_cell(
         compiled.module, plat.model, compiled.policy, spec, foreign,
-        vm_size=plat.vm_size, inputs=bench.default_inputs(), stats=stats,
+        vm_size=plat.vm_size, inputs=bench.default_inputs(),
     )
     assert plan.kind == "cold"
     assert "snapshot rejected" in plan.reason
@@ -348,12 +259,3 @@ def test_cross_module_snapshot_is_rejected_not_miscomputed(column):
     )
     assert repr(got) == repr(cold)
 
-
-def test_diffemu_stats_merge_and_dict():
-    a = DiffEmuStats(tapes_recorded=1, synthesized=2, forked=3)
-    b = DiffEmuStats(tape_cache_hits=4, invalid_tapes=5, cold=6)
-    a.merge(b)
-    assert a.as_dict() == {
-        "tapes_recorded": 1, "tape_cache_hits": 4, "invalid_tapes": 5,
-        "synthesized": 2, "forked": 3, "cold": 6,
-    }

@@ -1,6 +1,6 @@
 """Sidecars and the cross-process rollup: write/read roundtrip, the
-interleaved multi-process merge, malformed-sidecar rejection, the stats
-bridges (cache / diffemu), and the ``python -m repro.telemetry`` CLI
+interleaved multi-process merge, malformed-sidecar rejection, the cache
+stats bridge, and the ``python -m repro.telemetry`` CLI
 surface (``metrics``, ``postmortem``) including its exit codes on
 malformed and empty inputs.
 """
@@ -15,7 +15,6 @@ from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.metrics import MetricsError, MetricsRegistry
 from repro.telemetry.rollup import (
     publish_cache_stats,
-    publish_diffemu_stats,
     read_sidecar,
     rollup_directory,
     rollup_json,
@@ -136,15 +135,6 @@ def test_publish_cache_stats_emits_trace_compatible_names():
         "cache.hits": 2, "cache.misses": 1, "cache.stores": 1,
         "cache.run.hits": 2, "cache.run.misses": 1, "cache.run.stores": 1,
     }
-
-
-def test_publish_diffemu_stats_skips_zeros_and_non_ints():
-    reg = MetricsRegistry()
-    publish_diffemu_stats(reg, {
-        "synthesized": 4, "forked": 0, "note": "text", "flag": True,
-    })
-    counters = {r["name"]: r["value"] for r in reg.snapshot()}
-    assert counters == {"diffemu.synthesized": 4}
 
 
 # -- the CLI ------------------------------------------------------------------

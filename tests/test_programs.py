@@ -323,3 +323,43 @@ class TestRandmathOracle:
             assert outputs["out"][i] == expected
             total += expected
         assert outputs["total"][0] == total & mask
+
+
+#: The staticcheck/testkit corpus plus two kernels: every technique and
+#: certifier in the make-check path runs over these.
+CHECK_PROGRAMS = ("sumloop", "warloop", "branchy", "calls", "crc", "randmath")
+
+
+@pytest.mark.parametrize("program", CHECK_PROGRAMS)
+def test_pipeline_never_mutates_the_shared_module(program):
+    """``Benchmark.module`` is compiled once and shared process-wide
+    (``get_benchmark`` caches benchmarks), so no pass may rewrite it in
+    place: compile every technique, certify, validate, profile, run and
+    bound it, and the module text must not change."""
+    from repro.analysis.ranges import infer_module_bounds
+    from repro.baselines import COMPILERS
+    from repro.core.tracing import collect_profile
+    from repro.core.verify import validate_placement
+    from repro.energy import msp430fr5969_platform
+    from repro.ir.printer import print_module
+    from repro.staticcheck.checker import check_compiled
+    from repro.staticcheck.transval import check_translation
+    from repro.testkit.corpus import compile_for, load_program
+
+    bench = load_program(program)
+    assert bench.module is bench.module
+    before = print_module(bench.module)
+    platform = msp430fr5969_platform(eb=3000.0)
+    for technique in sorted(COMPILERS):
+        compiled = compile_for(technique, bench.module, platform,
+                               input_generator=bench.input_generator())
+        if not compiled.feasible:
+            continue
+        check_compiled(compiled, platform, consistency=True)
+        check_translation(bench.module, compiled.module, technique=technique)
+        validate_placement(bench.module, compiled.module)
+    collect_profile(bench.module, platform.model,
+                    input_generator=bench.input_generator(), runs=2)
+    run_continuous(bench.module, MODEL, inputs=bench.default_inputs())
+    infer_module_bounds(bench.module)
+    assert print_module(bench.module) == before

@@ -56,7 +56,14 @@ def test_json_manifest_without_tracing(tmp_path, capfd):
     assert "manifest:" in out.err
 
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA
+    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA == 3
+    # v3: every cell is emulated cold, so no emulation-mode block.
+    assert set(manifest) == {
+        "schema_version", "tool", "python", "jobs", "failure_model",
+        "profile_runs", "benchmarks", "fingerprints", "sections",
+        "prefill", "cache", "transval", "trace", "metrics",
+        "total_seconds",
+    }
     assert manifest["tool"] == "repro.experiments.run_all"
     assert manifest["benchmarks"] == ["crc"]
     assert manifest["jobs"] == 1
@@ -130,3 +137,13 @@ def test_cache_counters_are_mirrored_into_the_trace(tmp_path):
     assert metrics["cache.hits"] == 1
     assert metrics["cache.misses"] == 1
     assert metrics["cache.stores"] == 1
+
+
+def test_emulation_mode_flags_are_gone(capfd):
+    """Every cell runs cold: the old differential-emulation switch is an
+    unknown flag, not a silently accepted no-op."""
+    for flag in ("--diff-emulation", "--no-diff-emulation"):
+        with pytest.raises(SystemExit) as exc:
+            run_all.main(["--benchmarks", "crc", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capfd.readouterr().err

@@ -6,6 +6,8 @@
 - serial and ``--jobs 2`` runs merge to the same rollup values for the
   deterministic counters (checkpoint traffic is a property of the cell
   grid, not of worker scheduling);
+- a ``--trace`` run emulates exactly what an untraced run emulates:
+  same stdout, same checkpoint/failure counters, same compiled-loop runs;
 - the ``--json`` manifest embeds the merged rollup under ``metrics``;
 - a crashing section leaves a postmortem bundle behind.
 
@@ -26,8 +28,8 @@ from repro.telemetry import flight, metrics
 #: Counters whose values are a deterministic property of the evaluated
 #: cell grid. Explicitly NOT in this set: ``interp.runs`` and
 #: ``interp.loop.*`` (workers redundantly recompute shared references),
-#: ``engine.heartbeat_us`` (wall clock), ``diffemu.*`` (tape recording
-#: races) and ``engine.cells_per_worker`` (scheduling).
+#: ``engine.heartbeat_us`` (wall clock) and ``engine.cells_per_worker``
+#: (scheduling).
 DETERMINISTIC_COUNTERS = (
     "interp.ckpt_saves",
     "interp.ckpt_restores",
@@ -35,6 +37,16 @@ DETERMINISTIC_COUNTERS = (
     "interp.power_failures",
     "interp.reboots",
     "interp.migrates",
+)
+
+#: Counters a serial ``--trace`` run must share with an untraced serial
+#: run: tracing observes the emulation, it never changes which path runs.
+TRACE_INVARIANT_COUNTERS = (
+    "interp.ckpt_saves",
+    "interp.ckpt_restores",
+    "interp.ckpt_skips",
+    "interp.power_failures",
+    "interp.loop.compiled",
 )
 
 
@@ -159,15 +171,17 @@ def test_crash_leaves_a_postmortem_bundle(tmp_path, capfd, monkeypatch):
 def test_serial_and_parallel_rollups_agree_on_deterministic_counters(
     tmp_path, capfd
 ):
-    """The real single-benchmark evaluation, three ways: plain serial,
+    """The real single-benchmark evaluation, three ways: traced serial,
     metered serial, metered parallel. One run_all invocation each —
     this is the expensive acceptance test (~1 min)."""
-    base_args = [
-        "--benchmarks", "crc", "--no-cache", "--no-diff-emulation",
-    ]
+    base_args = ["--benchmarks", "crc", "--no-cache"]
 
-    run_all.main(base_args)
-    plain_out = capfd.readouterr().out
+    traced_dir = tmp_path / "traced"
+    traced_manifest = traced_dir / "manifest.json"
+    run_all.main(base_args + [
+        "--trace-dir", str(traced_dir), "--json", str(traced_manifest),
+    ])
+    traced_out = capfd.readouterr().out
 
     serial_dir = tmp_path / "serial"
     serial_manifest = serial_dir / "manifest.json"
@@ -186,12 +200,17 @@ def test_serial_and_parallel_rollups_agree_on_deterministic_counters(
     ])
     parallel_out = capfd.readouterr().out
 
-    # Enabling metrics, and fanning out, must not change the results.
-    assert _normalize(serial_out) == _normalize(plain_out)
-    assert _normalize(parallel_out) == _normalize(plain_out)
+    # Tracing, and fanning out, must not change the results.
+    assert _normalize(traced_out) == _normalize(serial_out)
+    assert _normalize(parallel_out) == _normalize(serial_out)
 
+    traced = _counters(traced_manifest)
     serial = _counters(serial_manifest)
     parallel = _counters(parallel_manifest)
+    for name in TRACE_INVARIANT_COUNTERS:
+        assert traced.get(name) == serial.get(name), (
+            name, traced.get(name), serial.get(name),
+        )
     for name in DETERMINISTIC_COUNTERS:
         assert serial.get(name) == parallel.get(name), (
             name, serial.get(name), parallel.get(name),

@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from repro.errors import ReproError
 from repro.runner.cache import ArtifactCache, stats_line
 from repro.runner.pool import parallel_map, resolve_jobs
 
@@ -73,6 +74,71 @@ def test_truncated_pickle_is_a_miss(tmp_path):
     path = cache._path("cat", key)
     path.write_bytes(path.read_bytes()[:10])
     assert cache.get("cat", key) is None
+
+
+@pytest.fixture(scope="module")
+def small_entries():
+    """One real, small value per evaluation cache category."""
+    from repro.core.tracing import collect_profile
+    from repro.emulator import PowerManager, run_continuous, run_intermittent
+    from repro.energy import msp430fr5969_platform
+    from repro.experiments.ablations import AblationCell
+    from repro.experiments.common import RunOutcome
+    from repro.testkit.corpus import compile_for, load_program
+
+    bench = load_program("sumloop")
+    plat = msp430fr5969_platform(eb=3000.0)
+    inputs = bench.default_inputs()
+    compiled = compile_for("allnvm", bench.module, plat,
+                           input_generator=bench.input_generator())
+    report = run_intermittent(
+        compiled.module, plat.model, compiled.policy,
+        PowerManager.energy_budget(3000.0), vm_size=plat.vm_size,
+        inputs=inputs,
+    )
+    return {
+        "reference": run_continuous(bench.module, plat.model, inputs=inputs),
+        "profile": collect_profile(bench.module, plat.model,
+                                   input_generator=bench.input_generator(),
+                                   runs=2),
+        "compiled": compiled,
+        "run": RunOutcome("allnvm", "sumloop", 3000.0, True, True, True,
+                          report, compiled.checkpoints_inserted),
+        "ablation": AblationCell(variant="full", benchmark="sumloop",
+                                 completed=True, total=1.5),
+    }
+
+
+@pytest.mark.parametrize(
+    "category", ["reference", "profile", "compiled", "run", "ablation"]
+)
+def test_every_single_bit_flip_is_a_miss_or_the_same_value(
+    tmp_path, small_entries, category
+):
+    """Exhaustive single-bit corruption of one stored entry: the cache
+    must never serve a different value as a hit."""
+    cache = ArtifactCache(tmp_path / "c")
+    key = ArtifactCache.key(category)
+    value = small_entries[category]
+    assert cache.put(category, key, value)
+    path = cache._path(category, key)
+    good = path.read_bytes()
+    expected = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    served = 0
+    for bit in range(len(good) * 8):
+        flipped = bytearray(good)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        got = cache.get(category, key)
+        if got is not None:
+            served += 1
+            assert pickle.dumps(
+                got, protocol=pickle.HIGHEST_PROTOCOL
+            ) == expected, f"bit {bit} served a different value"
+        else:
+            assert not path.exists(), "a corrupt entry must be unlinked"
+    assert cache.hits == served
+    assert cache.misses == len(good) * 8 - served
 
 
 def test_unpicklable_value_degrades_gracefully(tmp_path):
@@ -235,3 +301,19 @@ def test_parallel_map_empty_and_single():
                         initargs=("s",)) == []
     assert parallel_map(_pool_fn, [5], jobs=4, initializer=_pool_init,
                         initargs=("s",)) == [(25, "s")]
+
+
+def _die_on_two(x):
+    if x == 2:
+        os._exit(1)
+    return x
+
+
+def test_parallel_map_names_the_item_a_killed_worker_left_unfinished():
+    """The dying item comes first, so it is the first unfinished one
+    whatever the other worker manages before the pool breaks."""
+    with pytest.raises(ReproError) as exc:
+        parallel_map(_die_on_two, [2, 1], jobs=2)
+    message = str(exc.value)
+    assert "worker process died" in message
+    assert "item 0 of 2" in message and message.endswith(": 2")

@@ -183,7 +183,7 @@ def test_differential_small_grid():
     result = run_differential(
         programs=["sumloop"], tbpf_values=[10_000],
         modes=("energy", "periodic"),
-        diff_emulation=True, compiled_check=True, transval_check=True,
+        diffemu_check=True, compiled_check=True, transval_check=True,
     )
     assert result.ok, result.render()
     assert result.runs == 24, "one pre-decoded re-run per checked cell"

@@ -328,8 +328,8 @@ class TestDefaultOnValidation:
 
     def test_validate_placement_counts_and_memoizes(self):
         bench, compiled = compile_cell("sumloop", "schematic")
-        # Benchmark.module clones on every access; the memo is keyed on
-        # object identity, so hold one source module across both calls.
+        # The memo is keyed on object identity: hold one source module
+        # across both calls.
         source = bench.module
         assert verify.validate_placement(source, compiled.module)
         stats = verify.transval_stats()
