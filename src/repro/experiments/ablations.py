@@ -16,14 +16,12 @@ variant compared against full SCHEMATIC at TBPF = 10k:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import telemetry
 from repro.baselines.common import compile_schematic
 from repro.core.placement import SchematicConfig
-from repro.emulator import PowerManager, run_intermittent
+from repro.emulator.diffemu import PowerSpec
 from repro.experiments.common import EvaluationContext
 
 DEFAULT_TBPF = 10_000
@@ -101,49 +99,40 @@ def compute_cell(
     when the context has a persistent cache) so parallel prefills and warm
     re-runs skip it."""
     mem_key = (variant, name, tbpf)
-    cached = ctx._ablations.get(mem_key)
-    if cached is not None:
-        return cached
-    config = VARIANTS[variant]
-    parts = (
-        "ablation", variant, name, ctx._module_fp(name), ctx._platform_fp(),
-        tbpf, repr(config), ctx._inputs_fp(name), ctx.profile_runs,
-    )
-    tm = telemetry.get()
-    cell = ctx._cache_get("ablation", parts) if tm is None else None
-    if cell is None:
-        bench = ctx.benchmark(name)
-        eb = ctx.eb_for_tbpf(name, tbpf)
-        platform = ctx.platform_proto.with_eb(eb)
-        compiled = compile_schematic(
-            bench.module, platform, profile=ctx.profile(name), config=config
+    if mem_key not in ctx._ablations:
+        config = VARIANTS[variant]
+        parts = (
+            "ablation", variant, name, ctx._module_fp(name),
+            ctx._platform_fp(), tbpf, repr(config), ctx._inputs_fp(name),
+            ctx.profile_runs,
         )
-        if tm is not None:
-            scope = tm.scope(
-                benchmark=name, technique=f"ablation:{variant}",
-                eb=round(eb, 3), tbpf=tbpf,
+        eb = ctx.eb_for_tbpf(name, tbpf)
+
+        def compute() -> AblationCell:
+            compiled = compile_schematic(
+                ctx.benchmark(name).module, ctx.platform_proto.with_eb(eb),
+                profile=ctx.profile(name), config=config,
             )
-        else:
-            scope = nullcontext()
-        with scope:
-            if tm is not None:
-                ctx._emit_segment_bounds(tm, compiled, eb)
-            report = run_intermittent(
-                compiled.module, platform.model, compiled.policy,
-                PowerManager.energy_budget(eb), vm_size=platform.vm_size,
-                inputs=bench.default_inputs(),
+            report = ctx.emulate(
+                compiled, name, eb, PowerSpec.energy_budget(eb)
             )
-        ok = report.completed and report.outputs == ctx.reference(name).outputs
-        cell = AblationCell(variant=variant, benchmark=name, completed=ok)
-        if ok:
-            cell.total = report.energy.total
-            cell.computation = report.energy.computation
-            cell.save = report.energy.save
-            cell.restore = report.energy.restore
-            cell.vm_accesses = report.vm_accesses
-        ctx._cache_put("ablation", parts, cell)
-    ctx._ablations[mem_key] = cell
-    return cell
+            ok = (
+                report.completed
+                and report.outputs == ctx.reference(name).outputs
+            )
+            cell = AblationCell(variant=variant, benchmark=name, completed=ok)
+            if ok:
+                cell.total = report.energy.total
+                cell.computation = report.energy.computation
+                cell.save = report.energy.save
+                cell.restore = report.energy.restore
+                cell.vm_accesses = report.vm_accesses
+            return cell
+
+        ctx._ablations[mem_key] = ctx._cell(
+            "ablation", parts, f"ablation:{variant}", name, eb, compute
+        )
+    return ctx._ablations[mem_key]
 
 
 def run(

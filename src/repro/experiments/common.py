@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.baselines import COMPILERS, CompiledTechnique
@@ -99,24 +99,15 @@ class EvaluationContext:
         self,
         benchmarks: Optional[List[str]] = None,
         profile_runs: int = PROFILE_RUNS,
-        failure_model: str = "energy",
         cache: Optional[ArtifactCache] = None,
     ):
-        """``failure_model``: ``"energy"`` (the default; a power failure
-        when EB is exhausted — the metric SCHEMATIC's guarantee is stated
-        in) or ``"cycles"`` (strictly periodic failures every TBPF active
-        cycles, the SCEPTIC emulator's literal methodology).
-
-        ``cache``: an optional persistent :class:`ArtifactCache`; when
+        """``cache``: an optional persistent :class:`ArtifactCache`; when
         set, references, profiles, compiled techniques and run outcomes
         are read from / written to disk, keyed by content (module text,
-        platform constants, inputs, failure model), so a warm context —
-        or a worker process sharing the cache — skips the emulator."""
-        if failure_model not in ("energy", "cycles"):
-            raise ValueError(f"unknown failure model {failure_model!r}")
+        platform constants, inputs, power spec), so a warm context — or a
+        worker process sharing the cache — skips the emulator."""
         self.benchmark_names = list(benchmarks or BENCHMARK_NAMES)
         self.profile_runs = profile_runs
-        self.failure_model = failure_model
         self.platform_proto = msp430fr5969_platform()
         self.cache = cache
         self._profiles: Dict[str, Profile] = {}
@@ -160,18 +151,15 @@ class EvaluationContext:
         if self.cache is not None:
             self.cache.put(category, ArtifactCache.key(*parts), value)
 
+    @staticmethod
     def _run_key(
-        self, technique: str, benchmark: str, eb: float, tbpf: Optional[int]
+        technique: str, benchmark: str, eb: float, spec: PowerSpec
     ) -> Tuple:
-        """In-memory key of one emulation. The failure model is part of
-        the key, and under the periodic-cycles model so is the TBPF — two
-        runs with the same EB but different periods are different cells
-        (regression: the key used to be (technique, benchmark, eb) only,
-        returning stale outcomes). Under the energy model the TBPF is
-        normalized away: it does not influence the run."""
-        if self.failure_model == "cycles":
-            return (technique, benchmark, eb, self.failure_model, tbpf)
-        return (technique, benchmark, eb, self.failure_model, None)
+        """In-memory key of one emulation: the whole power spec is part of
+        it, so two cells with the same EB under different power models or
+        periods never alias (regression: the key used to be (technique,
+        benchmark, eb) only, returning stale outcomes)."""
+        return (technique, benchmark, eb) + spec.key_parts()
 
     # ------------------------------------------------------------- pieces
 
@@ -284,62 +272,34 @@ class EvaluationContext:
         technique: str,
         benchmark: str,
         eb: float,
-        tbpf: Optional[int] = None,
+        spec: Optional[PowerSpec] = None,
     ) -> RunOutcome:
-        """Compile (cached) and emulate one configuration. ``tbpf`` is
-        required when the context uses the periodic-cycles failure model."""
-        if self.failure_model == "cycles" and tbpf is None:
-            raise ValueError(
-                "the periodic-cycles failure model needs a TBPF; use "
-                "run_tbpf()"
-            )
-        key = self._run_key(technique, benchmark, eb, tbpf)
-        if key in self._runs:
-            return self._runs[key]
-        parts = (
-            "run", technique, benchmark, self._module_fp(benchmark),
-            self._platform_fp(), eb, self.failure_model,
-            tbpf if self.failure_model == "cycles" else None,
-            self._inputs_fp(benchmark), self.profile_runs,
-        )
-        tm = telemetry.get()
-        if tm is not None:
-            # Grid coordinates for every span/event of this cell.
-            attrs = {
-                "benchmark": benchmark, "technique": technique,
-                "eb": round(eb, 3),
-            }
-            if tbpf is not None:
-                attrs["tbpf"] = tbpf
-            with tm.scope(**attrs):
-                outcome = self._run_impl(
-                    technique, benchmark, eb, tbpf, parts, tm
-                )
-        else:
-            outcome = self._run_impl(
-                technique, benchmark, eb, tbpf, parts, None
-            )
-        self._runs[key] = outcome
-        return outcome
+        """Compile (cached) and emulate one cell under ``spec`` — by
+        default the energy-budget model at ``eb``, the metric SCHEMATIC's
+        guarantee is stated in. The SCEPTIC emulator's literal periodic
+        methodology is ``run(t, b, eb, PowerSpec.periodic(tbpf, eb))``.
 
-    def _run_impl(
-        self,
-        technique: str,
-        benchmark: str,
-        eb: float,
-        tbpf: Optional[int],
-        parts: Tuple,
-        tm,
+        Both the in-memory key and the persistent cache key include
+        ``spec.key_parts()`` — mode, seed and schedule included — so two
+        specs with otherwise equal numbers never share a cached outcome
+        (tests/test_diffemu_planner.py pins the schema)."""
+        spec = spec or PowerSpec.energy_budget(eb)
+        key = self._run_key(technique, benchmark, eb, spec)
+        if key not in self._runs:
+            parts = (
+                "run", technique, benchmark, self._module_fp(benchmark),
+                self._platform_fp(), eb, self._inputs_fp(benchmark),
+                self.profile_runs,
+            ) + spec.key_parts()
+            self._runs[key] = self._cell(
+                "run", parts, technique, benchmark, eb,
+                lambda: self._run_cell(technique, benchmark, eb, spec),
+            )
+        return self._runs[key]
+
+    def _run_cell(
+        self, technique: str, benchmark: str, eb: float, spec: PowerSpec
     ) -> RunOutcome:
-        # When tracing, skip the persistent-cache read so the emulation
-        # actually happens and the trace carries its runtime events; the
-        # outcome is deterministic, so the results are unchanged (the
-        # re-computed value is re-stored over the identical entry).
-        cached = self._cache_get("run", parts) if tm is None else None
-        if cached is not None:
-            return cached
-        bench = self.benchmark(benchmark)
-        platform = self.platform_proto.with_eb(eb)
         compiled = self.compile(technique, benchmark, eb)
         outcome = RunOutcome(
             technique=technique,
@@ -348,86 +308,63 @@ class EvaluationContext:
             feasible=compiled.feasible,
             checkpoints=compiled.checkpoints_inserted,
         )
-        if self.failure_model == "cycles":
-            spec = PowerSpec.periodic(tbpf=tbpf, eb=eb)
-        else:
-            spec = PowerSpec.energy_budget(eb)
         if compiled.feasible:
-            if tm is not None:
-                self._emit_segment_bounds(tm, compiled, eb)
-            report = run_intermittent(
-                compiled.module, platform.model, compiled.policy,
-                spec.build(), vm_size=platform.vm_size,
-                inputs=bench.default_inputs(),
-            )
+            report = self.emulate(compiled, benchmark, eb, spec)
             outcome.report = report
             outcome.completed = report.completed
             outcome.correct = report.outputs == self.reference(benchmark).outputs
-        self._cache_put("run", parts, outcome)
         return outcome
 
-    def run_spec(
+    def _cell(
         self,
+        category: str,
+        parts: Tuple,
         technique: str,
         benchmark: str,
         eb: float,
-        spec: PowerSpec,
-    ) -> RunOutcome:
-        """Compile (cached) and emulate one cell under an explicit
-        :class:`PowerSpec` — the generic entry point for SCHEDULED and
-        STOCHASTIC cells.
+        compute: Callable[[], object],
+    ):
+        """One cached evaluation cell (a run or an ablation variant).
 
-        Both the in-memory key and the persistent cache key include
-        ``spec.key_parts()`` — mode, seed and schedule included — so a
-        SCHEDULED and a STOCHASTIC cell with otherwise equal numbers can
-        never share a cached outcome
-        (tests/test_diffemu_planner.py pins the schema)."""
-        key = ("spec", technique, benchmark, eb) + spec.key_parts()
-        if key in self._runs:
-            return self._runs[key]
-        parts = (
-            "run-spec", technique, benchmark, self._module_fp(benchmark),
-            self._platform_fp(), eb, self._inputs_fp(benchmark),
-            self.profile_runs,
-        ) + spec.key_parts()
+        Untraced, a persistent-cache hit is returned as is. Traced, the
+        read is skipped so the cell actually runs and the trace carries
+        its runtime events; ``compute()`` — compile plus emulation — runs
+        inside a scope carrying the grid coordinates. The outcome is
+        deterministic, so the results are unchanged (a recomputed value
+        is re-stored over the identical entry)."""
         tm = telemetry.get()
-        cached = self._cache_get("run", parts) if tm is None else None
-        if cached is not None:
-            self._runs[key] = cached
-            return cached
-        bench = self.benchmark(benchmark)
-        platform = self.platform_proto.with_eb(eb)
-        compiled = self.compile(technique, benchmark, eb)
-        outcome = RunOutcome(
-            technique=technique,
-            benchmark=benchmark,
-            eb=eb,
-            feasible=compiled.feasible,
-            checkpoints=compiled.checkpoints_inserted,
-        )
-        if compiled.feasible:
-            report = run_intermittent(
-                compiled.module, platform.model, compiled.policy,
-                spec.build(), vm_size=platform.vm_size,
-                inputs=bench.default_inputs(),
-            )
-            outcome.report = report
-            outcome.completed = report.completed
-            outcome.correct = (
-                report.outputs == self.reference(benchmark).outputs
-            )
-        self._cache_put("run", parts, outcome)
-        self._runs[key] = outcome
-        return outcome
+        if tm is None:
+            value = self._cache_get(category, parts)
+            if value is not None:
+                return value
+            value = compute()
+        else:
+            with tm.scope(benchmark=benchmark, technique=technique,
+                          eb=round(eb, 3)):
+                value = compute()
+        self._cache_put(category, parts, value)
+        return value
 
-    def _emit_segment_bounds(self, tm, compiled: CompiledTechnique,
-                             eb: float) -> None:
-        emit_segment_bounds(tm, compiled, self.platform_proto.model, eb)
+    def emulate(
+        self,
+        compiled: CompiledTechnique,
+        benchmark: str,
+        eb: float,
+        spec: PowerSpec,
+    ) -> ExecutionReport:
+        """Emulate a compiled placement on the benchmark's evaluation
+        inputs; when tracing, the certifier's segment bounds go first."""
+        tm = telemetry.get()
+        if tm is not None:
+            emit_segment_bounds(tm, compiled, self.platform_proto.model, eb)
+        return run_intermittent(
+            compiled.module, self.platform_proto.model, compiled.policy,
+            spec.build(), vm_size=self.platform_proto.vm_size,
+            inputs=self.benchmark(benchmark).default_inputs(),
+        )
 
     def run_tbpf(self, technique: str, benchmark: str, tbpf: int) -> RunOutcome:
-        return self.run(
-            technique, benchmark, self.eb_for_tbpf(benchmark, tbpf), tbpf=tbpf
-        )
+        return self.run(technique, benchmark, self.eb_for_tbpf(benchmark, tbpf))
 
 
 #: Shared context behind the module-level conveniences. Creating a fresh

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.emulator.diffemu import PowerSpec
 from repro.telemetry import flight, metrics
 from repro.telemetry.rollup import publish_cache_stats, write_sidecar
 from repro.experiments.common import (
@@ -51,7 +52,7 @@ class Cell:
     benchmark: str
     technique: str = ""  # run cells
     eb: float = 0.0  # run / ablation cells
-    tbpf: Optional[int] = None  # run (periodic model) / ablation cells
+    tbpf: Optional[int] = None  # ablation cells
     variant: str = ""  # ablation cells
 
 
@@ -92,37 +93,28 @@ def plan_run_all_cells(
             seen.add(cell)
             cells.append(cell)
 
-    def run_cell(technique: str, name: str, eb: float,
-                 tbpf: Optional[int]) -> Cell:
-        # Mirror EvaluationContext._run_key: under the energy model the
-        # TBPF does not influence the run, so it is normalized away.
-        if ctx.failure_model != "cycles":
-            tbpf = None
-        return Cell("run", name, technique=technique, eb=eb, tbpf=tbpf)
+    def run_cell(technique: str, name: str, eb: float) -> Cell:
+        return Cell("run", name, technique=technique, eb=eb)
 
     # Table I: feasibility at a comfortable budget.
     for technique in TECHNIQUE_ORDER:
         for name in ctx.benchmark_names:
-            add(run_cell(technique, name, FEASIBILITY_EB, None))
+            add(run_cell(technique, name, FEASIBILITY_EB))
     # Table III (all TBPFs) / Figure 6 (TBPF=10k, included above).
     for technique in TECHNIQUE_ORDER:
         for tbpf in tbpf_values:
             for name in ctx.benchmark_names:
-                add(run_cell(
-                    technique, name, ctx.eb_for_tbpf(name, tbpf), tbpf
-                ))
+                add(run_cell(technique, name, ctx.eb_for_tbpf(name, tbpf)))
     # Figure 7: All-NVM vs SCHEMATIC at the figure TBPF.
     for name in ctx.benchmark_names:
-        add(run_cell(
-            "allnvm", name, ctx.eb_for_tbpf(name, figure_tbpf), figure_tbpf
-        ))
+        add(run_cell("allnvm", name, ctx.eb_for_tbpf(name, figure_tbpf)))
     # Figure 8: every technique on one benchmark over all TBPFs (a no-op
     # when that benchmark is already in the sweep above).
     for technique in TECHNIQUE_ORDER:
         for tbpf in tbpf_values:
             add(run_cell(
                 technique, figure8_benchmark,
-                ctx.eb_for_tbpf(figure8_benchmark, tbpf), tbpf,
+                ctx.eb_for_tbpf(figure8_benchmark, tbpf),
             ))
     # Ablations at the figure TBPF.
     for name in ctx.benchmark_names:
@@ -145,7 +137,6 @@ _WORKER_METRICS_DIR: Optional[str] = None
 def _init_worker(
     benchmarks: List[str],
     profile_runs: int,
-    failure_model: str,
     cache_root: Optional[str],
     metrics_dir: Optional[str] = None,
     parent_pid: Optional[int] = None,
@@ -171,7 +162,6 @@ def _init_worker(
     _WORKER_CTX = EvaluationContext(
         benchmarks=benchmarks,
         profile_runs=profile_runs,
-        failure_model=failure_model,
         cache=cache,
     )
 
@@ -248,9 +238,7 @@ def _evaluate_cell(ctx: EvaluationContext, cell: Cell) -> object:
     if cell.kind == "profile":
         return ctx.profile(cell.benchmark)
     if cell.kind == "run":
-        return ctx.run(
-            cell.technique, cell.benchmark, cell.eb, tbpf=cell.tbpf
-        )
+        return ctx.run(cell.technique, cell.benchmark, cell.eb)
     if cell.kind == "ablation":
         from repro.experiments.ablations import compute_cell
 
@@ -278,7 +266,7 @@ def merge_results(
             ctx._profiles[cell.benchmark] = value
         elif cell.kind == "run":
             key = ctx._run_key(cell.technique, cell.benchmark, cell.eb,
-                               cell.tbpf)
+                               PowerSpec.energy_budget(cell.eb))
             ctx._runs[key] = value
         elif cell.kind == "ablation":
             ctx._ablations[(cell.variant, cell.benchmark, cell.tbpf)] = value
@@ -312,15 +300,9 @@ def prefill(
     jobs = resolve_jobs(jobs)
     if jobs <= 1:
         return 0
-    if ctx.failure_model != "energy":
-        raise ValueError(
-            "prefill() plans the run_all grid, which uses the energy "
-            "failure model; parallelize cycles-model sweeps cell by cell"
-        )
     initargs = (
         list(ctx.benchmark_names),
         ctx.profile_runs,
-        ctx.failure_model,
         str(ctx.cache.root) if ctx.cache is not None else None,
         metrics_dir,
         os.getpid(),

@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
+from repro.telemetry import flags as telemetry_flags
 from repro.telemetry import flight, metrics
 from repro.telemetry.rollup import (
     SIDECAR_PREFIX,
@@ -95,8 +96,9 @@ SECTIONS = [
 #: Manifest format version (the ``--json`` output). v2 renames the
 #: version key to ``schema_version`` and adds the merged cross-process
 #: ``metrics`` rollup (``null`` when metrics are off); v3 drops the
-#: differential-emulation block (every cell is emulated cold).
-MANIFEST_SCHEMA = 3
+#: differential-emulation block (every cell is emulated cold); v4 drops
+#: the failure-model key (a cell's power model is part of its run key).
+MANIFEST_SCHEMA = 4
 
 
 def _csv(text: str) -> List[str]:
@@ -108,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.experiments.run_all",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        parents=[telemetry_flags.flag_parser()],
     )
     parser.add_argument("--quick", action="store_true",
                         help="four fastest benchmarks only")
@@ -120,22 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache directory (default "
                         ".repro-cache or $REPRO_CACHE_DIR)")
-    parser.add_argument("--trace", action="store_true",
-                        help="record a telemetry trace (JSONL + Chrome "
-                        "trace JSON)")
-    parser.add_argument("--trace-dir", default=None, metavar="DIR",
-                        help="trace output directory (default traces/; "
-                        "implies --trace)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write a machine-readable run manifest")
-    parser.add_argument("--metrics", action="store_true",
-                        help="record aggregated metrics (engine/interpreter/"
-                        "cache counters) without full tracing; workers "
-                        "write per-process JSONL sidecars that merge into "
-                        "the --json manifest (tracing implies this)")
-    parser.add_argument("--metrics-dir", default=None, metavar="DIR",
-                        help="metrics sidecar directory (default: the trace "
-                        "directory; implies --metrics)")
     return parser
 
 
@@ -188,7 +177,6 @@ def build_manifest(
         "tool": "repro.experiments.run_all",
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         "jobs": jobs,
-        "failure_model": ctx.failure_model,
         "profile_runs": ctx.profile_runs,
         "benchmarks": list(ctx.benchmark_names),
         "fingerprints": {
@@ -235,23 +223,14 @@ def _clear_sidecars(directory: Path) -> None:
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
-    tracing = args.trace or args.trace_dir is not None
-    want_metrics = args.metrics or args.metrics_dir is not None
-    meta = {
+    tm, mm = telemetry_flags.enable_from_args(args, meta={
         "tool": "repro.experiments.run_all",
         "argv": list(argv) if argv is not None else sys.argv[1:],
-    }
-    tm = None
-    mm = None
-    if tracing:
-        tm = telemetry.enable(meta=meta)
-        mm = tm.metrics  # tracing implies metrics (one shared registry)
-    elif want_metrics:
-        mm = metrics.enable(meta=meta)
+    })
     metrics_out: Optional[Path] = None
     fr = None
     if mm is not None:
-        metrics_out = Path(args.metrics_dir or args.trace_dir or "traces")
+        metrics_out = Path(telemetry_flags.metrics_dir(args))
         _clear_sidecars(metrics_out)
         fr = flight.enable()
         fr.record("run-start", jobs=args.jobs, quick=args.quick)
@@ -310,19 +289,7 @@ def main(argv=None) -> None:
             )
         metrics_rollup = rollup_json(merged)
 
-    trace_paths: Optional[Dict[str, Path]] = None
-    if tm is not None:
-        telemetry.disable()
-        from repro.telemetry import exporters
-
-        trace_paths = exporters.export(
-            tm, args.trace_dir or "traces", prefix="run_all"
-        )
-        print(f"trace (events):       {trace_paths['jsonl']}", file=sys.stderr)
-        print(f"trace (chrome/perfetto): {trace_paths['chrome']}",
-              file=sys.stderr)
-    elif mm is not None:
-        metrics.disable()
+    trace_paths = telemetry_flags.finish(tm, mm, args, prefix="run_all")
     if fr is not None:
         flight.disable()
 

@@ -63,6 +63,9 @@ _CONDCKPT_RE = re.compile(
     r"vm_after=\[(?P<vm>[^\]]*)\] nvm_after=\[(?P<nvm>[^\]]*)\]$"
 )
 
+#: Prefix of every parse error: "IR text line N: ...".
+_LOCATION = "IR text line"
+
 _BINOPS = {op.value: op for op in Opcode}
 _UNOPS = {op.value: op for op in UnaryOpcode}
 
@@ -101,7 +104,7 @@ class _IRTextParser:
     # ------------------------------------------------------------ helpers
 
     def error(self, message: str) -> IRError:
-        return IRError(f"IR text line {self.pos + 1}: {message}")
+        return IRError(f"{_LOCATION} {self.pos + 1}: {message}")
 
     def _current(self) -> Optional[str]:
         while self.pos < len(self.lines) and not self.lines[self.pos].strip():
@@ -143,6 +146,20 @@ class _IRTextParser:
     # ------------------------------------------------------------ top level
 
     def parse(self) -> Module:
+        """Parse the whole text. A malformed line that gets past the
+        patterns — an unknown type name, a bad literal, an init list of
+        the wrong length, an instruction after a terminator — fails in
+        the IR constructors; that error is re-raised naming the line."""
+        try:
+            return self._parse_module()
+        except ValueError as exc:
+            raise self.error(str(exc)) from exc
+        except IRError as exc:
+            if str(exc).startswith(_LOCATION):
+                raise
+            raise self.error(str(exc)) from exc
+
+    def _parse_module(self) -> Module:
         header = self._current()
         if header is None:
             raise self.error("empty IR text")

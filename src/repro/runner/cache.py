@@ -2,7 +2,7 @@
 
 Evaluation artifacts (compiled techniques, profiles, reference runs,
 emulation outcomes) are deterministic functions of their inputs: the
-module text, the platform constants, the technique, the failure model and
+module text, the platform constants, the technique, the power spec and
 the inputs. The cache keys each artifact by a SHA-256 over a canonical
 JSON rendering of those inputs plus a schema version and the Python
 minor version, and stores the pickled value under::

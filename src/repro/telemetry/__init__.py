@@ -11,7 +11,8 @@ Instrumentation sites use the tiny module-level surface::
         ...
 
 Drivers opt in with :func:`enable` (or ``--trace`` on
-``repro.experiments.run_all`` / ``repro.testkit``) and export via
+``repro.experiments.run_all`` / ``repro.testkit``, whose shared flag
+group is :mod:`repro.telemetry.flags`) and export via
 :mod:`repro.telemetry.exporters`; metrics-only runs use
 ``metrics.enable`` (or ``--metrics``) and flush per-process JSONL
 sidecars (:mod:`repro.telemetry.rollup`) that merge deterministically

@@ -32,7 +32,8 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from repro import telemetry
-from repro.telemetry import metrics, rollup
+from repro.telemetry import flags as telemetry_flags
+from repro.telemetry import rollup
 from repro.testkit.corpus import available_programs
 from repro.testkit.differential import (
     DEFAULT_MODES,
@@ -69,23 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Telemetry options shared by every subcommand (see
-    # docs/observability.md); a given --trace-dir implies --trace and a
-    # given --metrics-dir implies --metrics.
-    tracing = argparse.ArgumentParser(add_help=False)
-    tracing.add_argument("--trace", action="store_true",
-                         help="record a telemetry trace (JSONL + Chrome "
-                         "trace JSON)")
-    tracing.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="trace output directory (default traces/; "
-                         "implies --trace)")
-    tracing.add_argument("--metrics", action="store_true",
-                         help="record aggregated metrics (sweep/diff/fuzz "
-                         "progress, interpreter cold-path counters) and "
-                         "write a JSONL sidecar; tracing implies this")
-    tracing.add_argument("--metrics-dir", default=None, metavar="DIR",
-                         help="metrics sidecar directory (default: the "
-                         "trace directory; implies --metrics)")
+    # Telemetry options shared by every subcommand.
+    tracing = telemetry_flags.flag_parser()
 
     sweep = sub.add_parser(
         "sweep", parents=[tracing],
@@ -168,18 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.time()
-    tm = None
-    mm = None
-    meta = {
+    tm, mm = telemetry_flags.enable_from_args(args, meta={
         "tool": f"repro.testkit.{args.command}",
         "argv": list(argv) if argv is not None else sys.argv[1:],
-    }
-    want_metrics = args.metrics or args.metrics_dir is not None
-    if args.trace or args.trace_dir is not None:
-        tm = telemetry.enable(meta=meta)
-        mm = tm.metrics  # tracing implies metrics (one shared registry)
-    elif want_metrics:
-        mm = metrics.enable(meta=meta)
+    })
     try:
         return _run(args, started)
     except (KeyError, ValueError) as exc:
@@ -187,23 +165,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     finally:
-        if tm is not None:
-            telemetry.disable()
-            from repro.telemetry import exporters
-
-            paths = exporters.export(
-                tm, args.trace_dir or "traces",
-                prefix=f"testkit_{args.command}",
-            )
-            print(f"trace (events):       {paths['jsonl']}", file=sys.stderr)
-            print(f"trace (chrome/perfetto): {paths['chrome']}",
-                  file=sys.stderr)
-        elif mm is not None:
-            metrics.disable()
-        if mm is not None and want_metrics:
-            sidecar = rollup.write_sidecar(
-                mm, args.metrics_dir or args.trace_dir or "traces"
-            )
+        telemetry_flags.finish(tm, mm, args, prefix=f"testkit_{args.command}")
+        if mm is not None and telemetry_flags.metrics_requested(args):
+            sidecar = rollup.write_sidecar(mm, telemetry_flags.metrics_dir(args))
             print(f"metrics sidecar:      {sidecar}", file=sys.stderr)
 
 

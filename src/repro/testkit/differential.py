@@ -54,7 +54,7 @@ from repro import telemetry
 from repro.telemetry import metrics
 from repro.baselines import CompiledTechnique
 from repro.core.verify import run_against_reference
-from repro.emulator import PowerManager, run_continuous
+from repro.emulator import run_continuous
 from repro.emulator.diffemu import PowerSpec, record_tape, run_cell
 from repro.emulator.report import ExecutionReport
 from repro.energy import msp430fr5969_platform
@@ -155,18 +155,8 @@ class DiffResult:
         return "\n".join(lines)
 
 
-def _power_for(mode: str, tbpf: int, eb: float, seed: int) -> PowerManager:
-    if mode == "energy":
-        return PowerManager.energy_budget(eb)
-    if mode == "periodic":
-        return PowerManager.periodic(tbpf=tbpf, eb=eb)
-    if mode == "stochastic":
-        return PowerManager.stochastic(mean_cycles=tbpf, seed=seed, eb=eb)
-    raise ValueError(f"unknown power mode {mode!r}")
-
-
 def _spec_for(mode: str, tbpf: int, eb: float, seed: int) -> PowerSpec:
-    """The :class:`PowerSpec` equivalent of :func:`_power_for`."""
+    """The power configuration of one ``mode`` cell of the grid."""
     if mode == "energy":
         return PowerSpec.energy_budget(eb)
     if mode == "periodic":
@@ -353,7 +343,7 @@ def _run_program(
                         detail=comp.infeasible_reason,
                     ))
                     continue
-                power = _power_for(mode, tbpf, eb, seed)
+                spec = _spec_for(mode, tbpf, eb, seed)
                 tm = telemetry.get()
                 scope = (
                     tm.scope(benchmark=program, technique=technique,
@@ -370,7 +360,7 @@ def _run_program(
                         emit_segment_bounds(tm, comp, plat.model, eb)
                     run = run_against_reference(
                         comp.module, bench.module, plat.model, comp.policy,
-                        power, vm_size=plat.vm_size, inputs=inputs,
+                        spec.build(), vm_size=plat.vm_size, inputs=inputs,
                         max_instructions=max_instructions,
                         reference_report=reference,
                     )
@@ -381,7 +371,7 @@ def _run_program(
                     # PowerManager — a consumed manager is not reusable).
                     alt = run_against_reference(
                         comp.module, bench.module, plat.model,
-                        comp.policy, _power_for(mode, tbpf, eb, seed),
+                        comp.policy, spec.build(),
                         vm_size=plat.vm_size, inputs=inputs,
                         max_instructions=max_instructions,
                         reference_report=reference, compiled=False,
@@ -408,7 +398,7 @@ def _run_program(
                         )
                     paired, plan = run_cell(
                         comp.module, plat.model, comp.policy,
-                        _spec_for(mode, tbpf, eb, seed), tape,
+                        spec, tape,
                         vm_size=plat.vm_size, inputs=inputs,
                         max_instructions=max_instructions,
                     )

@@ -178,18 +178,17 @@ def test_scheduled_and_stochastic_never_share():
 
 
 def test_run_spec_keys_scheduled_and_stochastic_apart():
-    """EvaluationContext.run_spec memoizes the two modes independently
-    even when their numeric parameters coincide."""
+    """EvaluationContext.run memoizes the two modes independently even
+    when their numeric parameters coincide."""
     ctx = EvaluationContext(benchmarks=["crc"])
     eb = ctx.eb_for_tbpf("crc", TBPF)
-    sched = ctx.run_spec(
-        "schematic", "crc", eb, PowerSpec.scheduled((5000,), eb=eb)
+    sched = ctx.run(
+        "schematic", "crc", eb, spec=PowerSpec.scheduled((5000,), eb=eb)
     )
-    stoch = ctx.run_spec(
-        "schematic", "crc", eb, PowerSpec.stochastic(5000.0, seed=0, eb=eb)
+    stoch = ctx.run(
+        "schematic", "crc", eb, spec=PowerSpec.stochastic(5000.0, seed=0, eb=eb)
     )
-    spec_keys = [k for k in ctx._runs if k and k[0] == "spec"]
-    assert len(spec_keys) == 2
+    assert len(ctx._runs) == 2
     assert sched.report is not None and stoch.report is not None
     assert sched.report.power_mode != stoch.report.power_mode
 

@@ -23,15 +23,9 @@ def test_cell_planning_dedupes_and_normalizes():
     ctx = EvaluationContext(benchmarks=[BENCH])
     cells = engine.plan_run_all_cells(ctx, figure8_benchmark=BENCH)
     assert len(cells) == len(set(cells)), "planner must not emit duplicates"
-    # Under the energy model no run cell may carry a TBPF (mirrors
-    # EvaluationContext._run_key's normalization).
+    # Run cells are energy-budget cells keyed by EB alone: a TBPF that
+    # maps to an already planned EB is the same cell.
     assert all(c.tbpf is None for c in cells if c.kind == "run")
-
-
-def test_prefill_rejects_cycles_model():
-    ctx = EvaluationContext(benchmarks=[BENCH], failure_model="cycles")
-    with pytest.raises(ValueError, match="energy"):
-        engine.prefill(ctx, jobs=2)
 
 
 def test_prefill_serial_is_noop():

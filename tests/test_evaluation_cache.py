@@ -3,10 +3,10 @@ cache integration.
 
 Two historical bugs are pinned down here:
 
-1. **Stale run keys** — the in-memory ``_runs`` key omitted the failure
-   model and TBPF, so under ``failure_model="cycles"`` two runs with the
-   same EB but different periods aliased and the second returned the
-   first's outcome.
+1. **Stale run keys** — the in-memory ``_runs`` key omitted the power
+   model and TBPF, so under periodic failures two runs with the same EB
+   but different periods aliased and the second returned the first's
+   outcome.
 2. **Hidden re-emulation** — the module-level ``eb_for_tbpf()`` built a
    throwaway ``EvaluationContext`` per call, silently re-running the full
    continuous reference every time.
@@ -16,6 +16,7 @@ import dataclasses
 
 import pytest
 
+from repro.emulator.diffemu import PowerSpec
 from repro.experiments import common
 from repro.experiments.common import EvaluationContext, eb_for_tbpf
 from repro.runner.cache import ArtifactCache
@@ -29,42 +30,35 @@ def fresh_shared_ctx(monkeypatch):
     monkeypatch.setattr(common, "_SHARED_CTX", None)
 
 
-# -- bug 1: stale run keys under the cycles model -----------------------------
+# -- bug 1: stale run keys under periodic failures ----------------------------
 
 
 def test_run_key_includes_failure_model_and_tbpf():
-    ctx = EvaluationContext(benchmarks=[BENCH], failure_model="cycles")
-    k1 = ctx._run_key("schematic", BENCH, 100.0, 1_000)
-    k2 = ctx._run_key("schematic", BENCH, 100.0, 100_000)
-    assert k1 != k2, "same EB, different period must be different cells"
-
-
-def test_run_key_energy_model_normalizes_tbpf():
-    # Under the energy model the TBPF does not influence the emulation,
-    # so all TBPFs share one cell (this is what makes engine cell
-    # planning and direct run() calls agree).
-    ctx = EvaluationContext(benchmarks=[BENCH])
-    assert ctx._run_key("schematic", BENCH, 100.0, 1_000) == ctx._run_key(
-        "schematic", BENCH, 100.0, None
+    key = EvaluationContext._run_key
+    eb = 100.0
+    periodic_1k = key("schematic", BENCH, eb, PowerSpec.periodic(1_000, eb))
+    periodic_100k = key(
+        "schematic", BENCH, eb, PowerSpec.periodic(100_000, eb)
+    )
+    energy = key("schematic", BENCH, eb, PowerSpec.energy_budget(eb))
+    assert periodic_1k != periodic_100k, (
+        "same EB, different period must be different cells"
+    )
+    assert energy not in (periodic_1k, periodic_100k), (
+        "same EB, different power model must be different cells"
     )
 
 
 def test_cycles_model_distinct_outcomes_per_tbpf():
     """The original symptom: same EB, different TBPF returned the stale
     first outcome. The two periods must now emulate independently."""
-    ctx = EvaluationContext(benchmarks=[BENCH], failure_model="cycles")
+    ctx = EvaluationContext(benchmarks=[BENCH])
     eb = ctx.eb_for_tbpf(BENCH, 100_000)  # generous budget for both
-    short = ctx.run("schematic", BENCH, eb, tbpf=1_000)
-    long = ctx.run("schematic", BENCH, eb, tbpf=100_000)
+    short = ctx.run("schematic", BENCH, eb, PowerSpec.periodic(1_000, eb))
+    long = ctx.run("schematic", BENCH, eb, PowerSpec.periodic(100_000, eb))
     assert short is not long
     assert short.report is not None and long.report is not None
     assert short.report.power_failures != long.report.power_failures
-
-
-def test_cycles_model_requires_tbpf():
-    ctx = EvaluationContext(benchmarks=[BENCH], failure_model="cycles")
-    with pytest.raises(ValueError, match="TBPF"):
-        ctx.run("schematic", BENCH, 1000.0)
 
 
 # -- bug 2: eb_for_tbpf hidden re-emulation -----------------------------------

@@ -3,7 +3,9 @@ claims must hold on a fast benchmark subset."""
 
 import pytest
 
+from repro.emulator.diffemu import PowerSpec
 from repro.experiments import EvaluationContext
+from repro.experiments.common import TBPF_VALUES
 from repro.experiments import (
     analysis_cost,
     figure6_energy_breakdown,
@@ -171,30 +173,18 @@ class TestAblations:
 
 class TestPeriodicFailureModel:
     def test_cycles_model_preserves_table3_shape(self):
-        from repro.experiments import table3_forward_progress
-
-        ctx = EvaluationContext(
-            benchmarks=["crc", "randmath"],
-            profile_runs=2,
-            failure_model="cycles",
-        )
-        result = table3_forward_progress.run(ctx)
+        """Under the SCEPTIC emulator's literal methodology — a failure
+        every TBPF active cycles — the wait-mode techniques still
+        complete every benchmark at every TBPF, as in Table III."""
+        ctx = EvaluationContext(benchmarks=["crc", "randmath"])
         for technique in ("rockclimb", "schematic"):
-            for tbpf in (1_000, 10_000, 100_000):
-                assert all(result.cells[technique][tbpf].values()), (
-                    technique, tbpf,
-                )
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError, match="failure model"):
-            EvaluationContext(failure_model="quantum")
-
-    def test_cycles_model_requires_tbpf(self):
-        ctx = EvaluationContext(
-            benchmarks=["randmath"], failure_model="cycles"
-        )
-        with pytest.raises(ValueError, match="TBPF"):
-            ctx.run("ratchet", "randmath", 5_000.0)
+            for tbpf in TBPF_VALUES:
+                for name in ctx.benchmark_names:
+                    eb = ctx.eb_for_tbpf(name, tbpf)
+                    spec = PowerSpec.periodic(tbpf, eb)
+                    outcome = ctx.run(technique, name, eb, spec)
+                    assert outcome.succeeded, (technique, name, tbpf)
+                    assert outcome.report.power_mode == spec.mode
 
 
 class TestFigure6TimeReduction:

@@ -1,5 +1,8 @@
 """Round-trip tests for the textual IR printer/parser pair."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from repro.emulator import run_continuous
@@ -174,3 +177,63 @@ class TestParserDiagnostics:
         )
         with pytest.raises(IRError):
             parse_ir(text)
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("module m (entry @main)\nglobal @g:u2", 2, "unknown type name"),
+            ("module m (entry @main)\nglobal @g:i32[2] = {1, 2, 3}", 2,
+             "init has 3 values"),
+            ("module m (entry @main)\n\nfunc @main() -> void {\n.entry:\n"
+             "    ret\n    ret\n}", 6, "already terminated"),
+        ],
+        ids=["type-name", "init-length", "after-terminator"],
+    )
+    def test_constructor_errors_name_the_line(self, text, line, message):
+        from repro.errors import IRError
+
+        with pytest.raises(IRError, match=f"IR text line {line}: .*{message}"):
+            parse_ir(text)
+
+
+CORPUS_BAD = sorted(
+    (Path(__file__).parent / "corpus_bad").glob("*.ir"), key=lambda p: p.name
+)
+MUTATION_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789%@.:,[]{}()=#&-_ \n"
+
+
+def _mutate(text, rng):
+    """1-3 seeded single-character deletions, insertions or swaps."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(3)
+        i = min(rng.randrange(len(chars) + 1), len(chars) - 1)
+        if op == 0:
+            del chars[i]
+        elif op == 1:
+            chars.insert(i, rng.choice(MUTATION_ALPHABET))
+        else:
+            chars[i] = rng.choice(MUTATION_ALPHABET)
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("path", CORPUS_BAD, ids=lambda p: p.stem)
+def test_mutated_ir_ends_in_a_located_diagnosis(path):
+    """Malformed IR never escapes as a bare library exception: every
+    mutant either parses (and validates or is rejected as a ReproError)
+    or fails with an IRError naming its line."""
+    from repro.errors import IRError, ReproError
+
+    text = path.read_text()
+    rng = random.Random(path.name)
+    for _ in range(200):
+        mutant = _mutate(text, rng)
+        try:
+            module = parse_ir(mutant)
+        except IRError as exc:
+            assert str(exc).startswith("IR text line "), (mutant, exc)
+            continue
+        try:
+            validate_module(module)
+        except ReproError:
+            pass

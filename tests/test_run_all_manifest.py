@@ -56,18 +56,17 @@ def test_json_manifest_without_tracing(tmp_path, capfd):
     assert "manifest:" in out.err
 
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA == 3
-    # v3: every cell is emulated cold, so no emulation-mode block.
+    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA == 4
+    # v3: every cell is emulated cold, so no emulation-mode block; v4:
+    # the power model is part of each run key, so no failure-model key.
     assert set(manifest) == {
-        "schema_version", "tool", "python", "jobs", "failure_model",
-        "profile_runs", "benchmarks", "fingerprints", "sections",
+        "schema_version", "tool", "python", "jobs", "profile_runs", "benchmarks", "fingerprints", "sections",
         "prefill", "cache", "transval", "trace", "metrics",
         "total_seconds",
     }
     assert manifest["tool"] == "repro.experiments.run_all"
     assert manifest["benchmarks"] == ["crc"]
     assert manifest["jobs"] == 1
-    assert manifest["failure_model"] == "energy"
     assert manifest["trace"] is None
     assert manifest["metrics"] is None, "no metrics rollup without --metrics"
 

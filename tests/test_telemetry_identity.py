@@ -17,8 +17,9 @@ import pytest
 
 from repro import telemetry
 from repro.emulator import PowerManager, run_intermittent
+from repro.emulator.diffemu import PowerSpec
 from repro.energy import msp430fr5969_platform
-from repro.experiments.common import emit_segment_bounds
+from repro.experiments.common import EvaluationContext, emit_segment_bounds
 from repro.telemetry.exporters import trace_records
 from repro.telemetry.report import HEADROOM_TOL, analyze, headroom_violations
 from repro.testkit.corpus import compile_for, load_program
@@ -145,3 +146,25 @@ def test_bound_is_tight_on_straightline_corpus():
         "no segment achieved its certified bound — the static and "
         "dynamic energy accounting have drifted apart"
     )
+
+
+def test_traced_spec_cell_carries_grid_coordinates_and_bounds():
+    """A traced evaluation cell under an explicit power spec is traced
+    like any other cell: the certifier's segment bounds are emitted, and
+    every runtime checkpoint event carries the cell's grid coordinates,
+    so the headroom report can join them."""
+    ctx = EvaluationContext(benchmarks=["crc"])
+    eb = ctx.eb_for_tbpf("crc", 10_000)
+    spec = PowerSpec.stochastic(5000.0, seed=0, eb=eb)
+    with telemetry.enabled() as tm:
+        outcome = ctx.run("schematic", "crc", eb, spec)
+    assert outcome.report.power_mode == spec.mode
+    events = [r for r in tm.events if r["kind"] == "event"]
+    assert any(r["name"] == "segment-bound" for r in events)
+    saves = [r for r in events if r["name"] == "ckpt-save"]
+    assert saves, "the traced cell recorded no checkpoint saves"
+    for record in saves:
+        attrs = record["attrs"]
+        assert attrs["benchmark"] == "crc"
+        assert attrs["technique"] == "schematic"
+        assert attrs["eb"] == round(eb, 3)

@@ -213,6 +213,27 @@ def test_cli_sweep_smoke(capsys):
     assert "zero oracle violations" in out
 
 
+def test_cli_telemetry_flags_write_what_they_ask_for(tmp_path, capsys):
+    """--trace-dir exports the trace there and writes no metrics
+    sidecar; --metrics-dir alone writes only the sidecar."""
+    from repro import telemetry
+    from repro.telemetry import metrics
+    from repro.testkit.__main__ import main
+
+    argv = ["sweep", "--program", "sumloop", "--technique", "schematic"]
+    traced, metered = tmp_path / "traced", tmp_path / "metered"
+    assert main(argv + ["--trace-dir", str(traced)]) == 0
+    assert sorted(p.name for p in traced.iterdir()) == [
+        "testkit_sweep.chrome.json", "testkit_sweep.jsonl",
+    ]
+    assert main(argv + ["--metrics-dir", str(metered)]) == 0
+    [sidecar] = metered.iterdir()
+    assert sidecar.name.startswith("metrics-")
+    assert telemetry.get() is None and metrics.get() is None
+    err = capsys.readouterr().err
+    assert "trace (events):" in err and "metrics sidecar:" in err
+
+
 def test_cli_sabotage_exit_codes(capsys):
     from repro.testkit.__main__ import main
 
