@@ -18,8 +18,8 @@ execution, so the memory-consistency certifier
   caller needs to extend a post-restore hazard window through a call.
 
 The pass is a forward may-dataflow over each function's CFG (the same
-:func:`repro.analysis.dataflow.solve_forward` worklist the WAR analyzer
-uses), run callee-first so every call site folds in a
+:func:`repro.analysis.dataflow.solve_forward` worklist the residency
+analyzer uses), run callee-first so every call site folds in a
 :class:`RegionSummary` with the callee's by-reference formals
 substituted by the caller's actuals. It produces *events* and
 *summaries*, not findings: rule ids, severities and technique semantics

@@ -2,8 +2,6 @@
 
 Certifies a transformed module *without executing it*:
 
-- :mod:`repro.staticcheck.war` — WAR/idempotency analysis: replay
-  regions that re-execute non-idempotently after a power failure;
 - :mod:`repro.staticcheck.energy` — static energy certification: every
   checkpoint-to-checkpoint segment fits the capacitor budget EB;
 - :mod:`repro.staticcheck.alloc` — VM-residency consistency between
@@ -17,7 +15,9 @@ Certifies a transformed module *without executing it*:
   memory-consistency certification (the CONS rule family): the
   Surbatovich-style correctness conditions checked against each
   technique's semantic model (:mod:`.techmodel`), with per-region proof
-  certificates;
+  certificates. Its WAR/idempotency rule, CONS001 (replay regions that
+  re-execute non-idempotently after a power failure), runs in every
+  configuration;
 - :mod:`repro.staticcheck.transval` — translation validation (the TV
   rule family): every placed module is certified as a refinement of its
   source via an inferred simulation relation
@@ -60,7 +60,6 @@ from repro.staticcheck.techmodel import (
     model_for,
     register_model,
 )
-from repro.staticcheck.war import WarSummary, analyze_war
 from repro.staticcheck.alloc import ResidencySummary, analyze_residency
 from repro.staticcheck.bounds import analyze_bounds
 from repro.staticcheck.energy import EnergyCertifier, StepEffect, certify_energy
@@ -84,8 +83,6 @@ __all__ = [
     "available_models",
     "model_for",
     "register_model",
-    "WarSummary",
-    "analyze_war",
     "ResidencySummary",
     "analyze_residency",
     "EnergyCertifier",

@@ -16,11 +16,12 @@ Examples::
     # placement pass; what `make check-bounds` runs):
     python -m repro.staticcheck --bounds --programs all
 
-    # Machine-check the memory-consistency conditions too, as SARIF:
+    # Add the remaining memory-consistency rules (CONS002-CONS004) and
+    # the proof certificate, as SARIF:
     python -m repro.staticcheck --consistency --format sarif
 
-    # Every rule family (WAR, energy, bounds, consistency, translation
-    # validation) in one invocation, one merged SARIF report:
+    # Every rule family (idempotency, energy, bounds, consistency,
+    # translation validation) in one invocation, one merged SARIF report:
     python -m repro.staticcheck --all --format sarif
 
     # Validate one transformed IR file as a refinement of its source
@@ -36,17 +37,17 @@ flagged), 1 otherwise, 2 on usage errors (unknown program, technique,
 rule or severity — the message lists the valid choices).
 
 Wait-mode techniques (:data:`repro.testkit.corpus.WAIT_MODE_TECHNIQUES`)
-get their WAR rules — and with ``--consistency`` the replay-semantics
-CONS rules CONS001/CONS002 — downgraded to *info*: under the
-compile-time budget the runtime was built for, a wait-mode system never
-loses power mid-segment (the §II-B guarantee — which is exactly what
-the energy certifier proves here), so replay regions are never
-re-executed in-contract and WAR exposure is informational. CONS003 and
-CONS004 keep their severity even in wait mode: the wake-path restore
-runs on *every* recharge, squarely inside the contract. Roll-back
-techniques replay as their *normal* recovery path, so for them every
-replay rule keeps its default severity — it is the contract RATCHET
-exists to discharge.
+get the replay-semantics rules CONS001 (WAR/idempotency, run in every
+configuration) and CONS002 (added by ``--consistency``) downgraded to
+*info*: under the compile-time budget the runtime was built for, a
+wait-mode system never loses power mid-segment (the §II-B guarantee —
+which is exactly what the energy certifier proves here), so replay
+regions are never re-executed in-contract and WAR exposure is
+informational. CONS003 and CONS004 keep their severity even in wait
+mode: the wake-path restore runs on *every* recharge, squarely inside
+the contract. Roll-back techniques replay as their *normal* recovery
+path, so for them every replay rule keeps its default severity — it is
+the contract RATCHET exists to discharge.
 
 Reports are cached content-addressed (category ``staticcheck``, keyed
 on the printed module, the rule-schema version, platform and rule
@@ -59,7 +60,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import List, Optional, Tuple
 
 from repro.baselines import COMPILERS
 from repro.energy import msp430fr5969_platform
@@ -73,7 +75,7 @@ from repro.staticcheck.findings import (
     merge_findings,
     sarif_document,
 )
-from repro.staticcheck.rules import RuleConfig, get_rule, render_catalog
+from repro.staticcheck.rules import RuleConfig, render_catalog
 from repro.staticcheck.transval import check_translation
 from repro.testkit.corpus import (
     WAIT_MODE_TECHNIQUES,
@@ -128,13 +130,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="alias for --format json")
     parser.add_argument("--consistency", action="store_true",
-                        help="also machine-check the memory-consistency "
-                        "conditions (CONS rules) against each technique's "
-                        "semantic model and attach the proof certificate")
+                        help="also machine-check the remaining "
+                        "memory-consistency conditions (CONS002-CONS004) "
+                        "against each technique's semantic model and "
+                        "attach the proof certificate (CONS001 always "
+                        "runs)")
     parser.add_argument("--all", action="store_true", dest="all_families",
-                        help="run every rule family (WAR, energy, bounds, "
-                        "consistency, translation validation) in one "
-                        "invocation with one merged, stably-ordered report")
+                        help="run every rule family (idempotency, energy, "
+                        "bounds, consistency, translation validation) in "
+                        "one invocation with one merged, stably-ordered "
+                        "report")
     parser.add_argument("--transval", nargs=2, metavar=("SRC", "XFORMED"),
                         default=None,
                         help="validate the transformed IR file XFORMED as a "
@@ -163,29 +168,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure(
-    technique: str, suppress: List[str], consistency: bool = False
-) -> RuleConfig:
-    overrides: Dict[str, Severity] = {}
-    if technique in WAIT_MODE_TECHNIQUES:
-        overrides = {"WAR001": Severity.INFO, "WAR002": Severity.INFO}
-        if consistency:
-            # The replay-semantics rules share WAR's contract argument;
-            # the wake-path restore rules (CONS003/CONS004) do not —
-            # restores run on every recharge, inside the contract.
-            overrides["CONS001"] = Severity.INFO
-            overrides["CONS002"] = Severity.INFO
-    for rule_id in suppress:
-        get_rule(rule_id)  # raises with the valid choices
-    return RuleConfig(
-        suppressed=frozenset(suppress), severity_overrides=overrides
-    )
+def _configure(technique: str, suppression: RuleConfig) -> RuleConfig:
+    if technique not in WAIT_MODE_TECHNIQUES:
+        return suppression
+    # Only the replay-semantics rules are out of contract in wait mode;
+    # the wake-path restore rules (CONS003/CONS004) are not — restores
+    # run on every recharge, inside the contract.
+    return replace(suppression, severity_overrides={
+        "CONS001": Severity.INFO, "CONS002": Severity.INFO,
+    })
 
 
 def _check_pair(
     program: str,
     technique: str,
     args: argparse.Namespace,
+    suppression: RuleConfig,
     cache: Optional[ArtifactCache] = None,
 ) -> Optional[CheckReport]:
     """Compile and certify one (program, technique) pair; None when the
@@ -206,7 +204,7 @@ def _check_pair(
         broken, site = strip_checkpoint(compiled.module)
         compiled.module = broken
         compiled.extra["sabotaged_checkpoint"] = site
-    config = _configure(technique, args.suppress, args.consistency)
+    config = _configure(technique, suppression)
     report = check_compiled(
         compiled,
         platform,
@@ -244,14 +242,12 @@ def _check_pair(
 def _run_transval(
     args: argparse.Namespace,
     threshold: Severity,
+    config: RuleConfig,
     cache: Optional[ArtifactCache],
 ) -> int:
     """--transval SRC XFORMED mode: certify one module pair from disk."""
     from repro.ir.textparser import parse_ir
 
-    for rule_id in args.suppress:
-        get_rule(rule_id)  # raises with the valid choices
-    config = RuleConfig(suppressed=frozenset(args.suppress))
     src_path, xformed_path = args.transval
     with open(src_path, "r", encoding="utf-8") as handle:
         source = parse_ir(handle.read())
@@ -286,11 +282,10 @@ def _run_transval(
     return 1 if gated else 0
 
 
-def _run_bounds(args: argparse.Namespace, threshold: Severity) -> int:
+def _run_bounds(
+    args: argparse.Namespace, threshold: Severity, config: RuleConfig
+) -> int:
     """--bounds mode: annotation verification on untransformed modules."""
-    for rule_id in args.suppress:
-        get_rule(rule_id)  # raises with the valid choices
-    config = RuleConfig(suppressed=frozenset(args.suppress))
     failures = 0
     documents = []
     for program in _expand_programs(args.programs):
@@ -329,10 +324,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.consistency = True
     try:
         threshold = Severity.parse(args.fail_on)
+        # Raises on an unknown id, listing the valid ones, before any
+        # program is compiled.
+        suppression = RuleConfig(suppressed=frozenset(args.suppress))
         if args.transval is not None:
-            return _run_transval(args, threshold, cache)
+            return _run_transval(args, threshold, suppression, cache)
         if args.bounds:
-            return _run_bounds(args, threshold)
+            return _run_bounds(args, threshold, suppression)
         programs = _expand_programs(args.programs)
         techniques = _expand_techniques(args.techniques)
         failures = 0
@@ -340,7 +338,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         triples: List[Tuple[str, str, Finding]] = []
         for program in programs:
             for technique in techniques:
-                report = _check_pair(program, technique, args, cache)
+                report = _check_pair(
+                    program, technique, args, suppression, cache
+                )
                 header = f"check {program}/{technique} (eb={args.eb:g} nJ)"
                 if report is None:
                     if args.json:

@@ -4,7 +4,9 @@
 (``python -m repro.staticcheck``) and the cross-validation tests both go
 through it. It decides which analyses apply from the runtime policy:
 
-- WAR/idempotency and residency consistency apply to every technique;
+- WAR/idempotency (CONS001, on the region facts pass of
+  :mod:`repro.analysis.regions`) and residency consistency apply to
+  every technique;
 - loop-bound verification (BOUND/DEAD/OOB, on the value-range analysis)
   applies to every technique — annotations are wrong or right regardless
   of the runtime;
@@ -13,12 +15,11 @@ through it. It decides which analyses apply from the runtime policy:
   obligation to certify. The certifier consumes *proven* bounds from the
   range analysis for loops without an ``@maxiter``, so inferable loops
   no longer draw ENER002.
-- memory-consistency certification (the CONS rule family, opt-in via
-  ``consistency=True``) machine-checks the Surbatovich-style conditions
-  per technique semantic model and attaches the proof certificate to
-  the report. Where a CONS001 finding lands on the same write as a
-  WAR001/WAR002 finding, the coarser WAR duplicate is dropped — CONS001
-  carries the element-sensitive evidence and the certificate entry.
+- full memory-consistency certification (opt-in via
+  ``consistency=True``) adds CONS002–CONS004 under each technique's
+  semantic model and attaches the proof certificate to the report.
+  CONS001 is the same finding either way: both configurations derive it
+  from one run of the region facts pass.
 
 Raw findings from the analyzers pass through the :class:`RuleConfig`
 (suppression, severity overrides) and come back sorted most-severe
@@ -41,6 +42,7 @@ from repro.energy.platform import Platform
 from repro.ir.module import Module
 from repro.ir.values import MemorySpace
 from repro.analysis.ranges import infer_module_bounds
+from repro.analysis.regions import analyze_regions
 from repro.staticcheck.alloc import analyze_residency, check_checkpoint_metadata
 from repro.staticcheck.bounds import analyze_bounds
 from repro.staticcheck.common import (
@@ -49,12 +51,14 @@ from repro.staticcheck.common import (
     iter_instructions,
 )
 from repro.runner.cache import ArtifactCache
-from repro.staticcheck.consistency import certify_consistency
+from repro.staticcheck.consistency import (
+    certify_consistency,
+    certify_idempotency,
+)
 from repro.staticcheck.energy import certify_energy
 from repro.staticcheck.findings import Finding, Severity, merge_findings
 from repro.staticcheck.rules import RULE_SCHEMA_VERSION, RuleConfig
 from repro.staticcheck.techmodel import model_for
-from repro.staticcheck.war import analyze_war
 
 
 @contextmanager
@@ -118,25 +122,6 @@ class CheckReport:
         }
 
 
-def _subsume_war(findings: List[Finding]) -> List[Finding]:
-    """Drop WAR001/WAR002 findings whose (location, variable) a CONS001
-    finding also covers: same hazard, but the CONS001 carries the
-    element-sensitive evidence and the certificate obligation."""
-    covered = {
-        (f.location, f.details.get("variable"))
-        for f in findings
-        if f.rule_id == "CONS001"
-    }
-    if not covered:
-        return findings
-    return [
-        f
-        for f in findings
-        if f.rule_id not in ("WAR001", "WAR002")
-        or (f.location, f.details.get("variable")) not in covered
-    ]
-
-
 def check_module(
     module: Module,
     model: Optional[EnergyModel] = None,
@@ -155,8 +140,9 @@ def check_module(
     under (wait mode vs roll-back, skippable checkpoints); without one,
     checkpoints are assumed always-taken and energy is not certified.
     ``model`` + ``eb`` enable the energy certifier (wait mode only).
-    ``consistency=True`` adds the memory-consistency certifier (CONS
-    rules) under the semantic model of ``technique`` (resolved through
+    CONS001 (idempotency) always runs; ``consistency=True`` adds the
+    rest of the memory-consistency certifier (CONS002–CONS004) under
+    the semantic model of ``technique`` (resolved through
     :func:`repro.staticcheck.techmodel.model_for`, falling back to the
     policy); its proof certificate lands in ``stats["certificate"]``.
     """
@@ -174,11 +160,15 @@ def check_module(
 
     with _family("metadata"):
         check_checkpoint_metadata(module, sink, vm_size=vm_size)
-    with _family("war"):
-        analyze_war(
-            module, sink,
-            policy_may_skip=policy_may_skip, default_space=default_space,
-        )
+    if not consistency:
+        # With ``consistency`` the full certifier below emits CONS001.
+        with _family("idempotency"):
+            facts = analyze_regions(
+                module,
+                policy_may_skip=policy_may_skip,
+                default_space=default_space,
+            )
+            certify_idempotency(module, facts, sink)
     with _family("residency"):
         analyze_residency(
             module, sink,
@@ -190,7 +180,9 @@ def check_module(
     stats: Dict[str, object] = {
         "functions": len(module.functions),
         "checkpoints": checkpoints,
-        "analyses": ["metadata", "war", "residency", "bounds"],
+        "analyses": ["metadata"]
+        + ([] if consistency else ["idempotency"])
+        + ["residency", "bounds"],
     }
     if consistency:
         with _family("consistency"):
@@ -214,8 +206,7 @@ def check_module(
         stats["worst_window_nj"] = round(certifier.worst_window, 3)
         stats["eb_nj"] = eb
 
-    raw = _subsume_war(sink.findings) if consistency else sink.findings
-    findings = merge_findings([raw], config)
+    findings = merge_findings([sink.findings], config)
     return CheckReport(findings=findings, stats=stats)
 
 

@@ -1,6 +1,6 @@
 """Shared plumbing of the static checkers.
 
-All three analyzers (WAR, residency, energy) walk the same structures:
+The analyzers (residency, energy, consistency) walk the same structures:
 instructions with resolved memory spaces, checkpoints with clearing
 semantics that depend on the runtime policy, and call sites whose
 by-reference formals must be substituted with the caller's actuals.

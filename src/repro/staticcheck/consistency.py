@@ -5,12 +5,12 @@ correctness conditions for intermittent execution, specialized per
 technique through :mod:`repro.staticcheck.techmodel`:
 
 - **CONS001** — a re-executed region observes a value it already
-  overwrote. The generalization of the WAR analyzer: interprocedural
+  overwrote: the checker's one WAR/idempotency rule. Interprocedural
   first-read/first-write ordering from the region facts pass
   (:mod:`repro.analysis.regions`), element-sensitive for constant array
-  indices. Where a CONS001 finding lands on the same write as a
-  WAR001/WAR002 finding, the checker facade keeps the CONS001 and drops
-  the coarser WAR duplicate.
+  indices. It is the only CONS rule the checker runs in every
+  configuration (:func:`certify_idempotency`); the others, and the
+  certificate, need ``consistency=True``.
 - **CONS002** — a volatile environment input
   (:attr:`repro.ir.values.Variable.volatile_input`) is sampled inside a
   re-executable region; the replay re-samples and may diverge. The
@@ -195,7 +195,7 @@ def certify_consistency(
     cert = Certificate(technique=model.name, module=module.name)
     variables = variable_map(module)
 
-    _certify_idempotency(module, facts, cert, sink)
+    certify_idempotency(module, facts, sink, cert)
     _certify_input_reads(module, facts, cert, sink)
     _certify_restores(
         module, model, facts, cert, sink,
@@ -209,12 +209,16 @@ def _emit(sink: Optional[FindingSink], finding: Finding) -> None:
         sink.add(finding)
 
 
-def _certify_idempotency(
+def certify_idempotency(
     module: Module,
     facts: RegionFacts,
-    cert: Certificate,
     sink: Optional[FindingSink],
+    cert: Optional[Certificate] = None,
 ) -> None:
+    """CONS001 over precomputed region facts: one finding per write that
+    may overwrite an exposed read of the same storage, an error when
+    the write provably hits the storage the read observed and a warning
+    otherwise. With ``cert``, also one obligation per function."""
     rule = RULES["CONS001"]
     events_by_function: Dict[str, List] = {name: [] for name in module.functions}
     for event in facts.events:
@@ -246,9 +250,10 @@ def _certify_idempotency(
                 "via": event.via,
                 "definite": event.definite,
                 "element": event.element,
-                "subsumes": "WAR001" if event.definite else "WAR002",
             },
         ))
+    if cert is None:
+        return
     for name, summary in facts.summaries.items():
         events = events_by_function.get(name, [])
         cert.add(

@@ -1,7 +1,7 @@
 """The rule catalog: ids, default severities, suppression.
 
 Every diagnostic the checker can emit is declared here with a stable id,
-so findings are suppressible (``--suppress WAR002``) and re-classifiable
+so findings are suppressible (``--suppress ALLOC002``) and re-classifiable
 (severity overrides) without touching analysis code. The analyzers emit
 *candidate* findings at the rule's default severity; a
 :class:`RuleConfig` then drops suppressed rules and rewrites severities
@@ -29,25 +29,6 @@ class Rule:
 
 
 _RULES: List[Rule] = [
-    Rule(
-        "WAR001",
-        "scalar NVM write-after-read",
-        Severity.ERROR,
-        "A scalar NVM variable is read and later written within one "
-        "replay region (no taken checkpoint between the accesses). A "
-        "power failure after the write replays the region with the "
-        "updated value — the re-execution is not idempotent and the "
-        "final memory state can differ from a continuous-power run.",
-    ),
-    Rule(
-        "WAR002",
-        "array NVM write-after-read",
-        Severity.WARNING,
-        "An NVM array is read and later written within one replay "
-        "region. The analysis is element-insensitive: the read and the "
-        "write may target different elements, so this is a may-alias "
-        "warning rather than a definite violation.",
-    ),
     Rule(
         "ENER001",
         "energy window exceeds the budget",
@@ -238,7 +219,7 @@ RULES: Dict[str, Rule] = {rule.rule_id: rule for rule in _RULES}
 #: changing a rule invalidates cached reports, and stamped into SARIF
 #: output. Bump whenever a rule's semantics, id set, message format or
 #: the certificate layout changes.
-RULE_SCHEMA_VERSION = 3
+RULE_SCHEMA_VERSION = 4
 
 
 def get_rule(rule_id: str) -> Rule:

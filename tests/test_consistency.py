@@ -9,7 +9,8 @@ Three layers:
   ``vm_entry_reads``);
 - the CONS rules (:mod:`repro.staticcheck.consistency`) on miniature
   modules with known verdicts, including the certificate artifact and
-  the checker facade (WAR subsumption, suppression, overrides);
+  the checker facade (suppression, overrides, and one CONS001 verdict
+  whether or not the full certifier runs);
 - the full corpus × technique matrix held against the dynamic oracle:
   every cell certifies clean under its contract configuration, and the
   strict ``restore_fidelity="metadata"`` emulation agrees.
@@ -35,6 +36,7 @@ from repro.staticcheck import (
     check_compiled,
     check_module,
     model_for,
+    sarif_document,
 )
 from repro.staticcheck.checker import CheckReport
 from repro.staticcheck.rules import RuleConfig
@@ -44,6 +46,7 @@ from repro.testkit.corpus import (
     compile_for,
     load_program,
 )
+from repro.testkit.sabotage import strip_checkpoint
 
 EB = 3000.0
 TECHNIQUES = sorted(available_models())
@@ -59,10 +62,9 @@ def cell(program, technique, eb=EB):
 
 
 def contract_config(technique):
-    """The CLI's --consistency configuration for ``technique``."""
+    """The CLI's configuration for ``technique``."""
     if technique in WAIT_MODE_TECHNIQUES:
         return RuleConfig(severity_overrides={
-            "WAR001": Severity.INFO, "WAR002": Severity.INFO,
             "CONS001": Severity.INFO, "CONS002": Severity.INFO,
         })
     return RuleConfig()
@@ -297,8 +299,9 @@ func @main() -> void {
         assert len(cons1) == 1
         assert cons1[0].details["definite"]
         assert cons1[0].severity is Severity.ERROR
-        # WAR001 on the same write is subsumed by the CONS001 finding.
-        assert "WAR001" not in rules_of(report)
+        # The default configuration reports the very same finding.
+        default = check_module(module, technique="ratchet")
+        assert [f for f in default.findings if f.rule_id == "CONS001"] == cons1
 
     def test_cons002_env_read_in_replay_region(self):
         module = parse_ir("""
@@ -382,8 +385,8 @@ class TestFacade:
         assert not report.ok(Severity.INFO)
 
     def test_mixed_families_gate_independently(self):
-        # Suppressing the CONS family must not resurrect the WAR
-        # findings its CONS001 subsumed, nor mask other families.
+        # Suppressing CONS001 drops the idempotency finding in both
+        # configurations, without dropping its certificate obligation.
         module = parse_ir("""
 module m (entry @main)
 global @x:u32
@@ -397,12 +400,13 @@ func @main() -> void {
 }
 """)
         config = RuleConfig(suppressed=frozenset({"CONS001"}))
-        report = check_module(module, consistency=True, technique="ratchet",
-                              config=config)
-        assert "CONS001" not in rules_of(report)
-        assert "WAR001" not in rules_of(report)  # subsumption is pre-config
+        for consistency in (False, True):
+            report = check_module(module, consistency=consistency,
+                                  technique="ratchet", config=config)
+            assert "CONS001" not in rules_of(report)
+        assert report.stats["certificate"]["summary"]["violated"] == 1
         baseline = check_module(module, technique="ratchet")
-        assert "WAR001" in rules_of(baseline)  # no consistency -> intact
+        assert rules_of(baseline) == ["CONS001"]
 
     def test_consistency_off_reports_unchanged(self):
         module = self._violating_module()
@@ -454,8 +458,30 @@ class TestReportCache:
                        config=contract_config("schematic"))
         assert cache.hits == 0 and cache.misses == 2
 
-    def test_schema_version_is_mixed_in(self):
-        assert RULE_SCHEMA_VERSION >= 2  # CONS rules landed in v2
+    def test_schema_version_is_mixed_in(self, tmp_path, monkeypatch):
+        # A bump must invalidate every cached report and restamp SARIF.
+        from repro.staticcheck import checker, rules
+
+        _, plat, compiled = cell("warloop", "schematic")
+        config = RuleConfig()
+        cache = ArtifactCache(tmp_path)
+        old_key = checker._report_cache_key(compiled, plat, config, False)
+        check_compiled(compiled, plat, config, cache=cache)
+        bumped = RULE_SCHEMA_VERSION + 1
+        # checker.py binds the version at import; sarif_document reads
+        # it from rules.py at call time.
+        monkeypatch.setattr(checker, "RULE_SCHEMA_VERSION", bumped)
+        monkeypatch.setattr(rules, "RULE_SCHEMA_VERSION", bumped)
+        assert checker._report_cache_key(compiled, plat, config, False) \
+            != old_key
+        report = check_compiled(compiled, plat, config, cache=cache)
+        assert cache.hits == 0 and cache.misses == 2
+        doc = sarif_document(
+            [("warloop", "schematic", f) for f in report.findings]
+        )
+        assert doc["runs"][0]["tool"]["driver"]["version"] == (
+            f"rules-v{bumped}"
+        )
 
     @pytest.mark.parametrize("technique", ["ratchet", "schematic"])
     def test_compiled_module_text_is_hash_seed_stable(self, technique):
@@ -523,24 +549,45 @@ class TestCorpusCertification:
     )
     def test_parity_with_baseline_verdict(self, program, technique):
         # Turning the certifier on never flips a cell's verdict under
-        # its contract configuration: CONS001 subsumes WAR findings at
-        # the same severity, and the new rules add no false positives.
+        # its contract configuration: CONS001 is the same finding either
+        # way, and the other CONS rules add no false positives.
         _, plat, compiled = cell(program, technique)
         if not compiled.feasible:
             pytest.skip("technique declares the program infeasible")
-        base_cfg = (
-            RuleConfig(severity_overrides={
-                "WAR001": Severity.INFO, "WAR002": Severity.INFO,
-            })
-            if technique in WAIT_MODE_TECHNIQUES else RuleConfig()
+        baseline = check_compiled(
+            compiled, plat, config=contract_config(technique)
         )
-        baseline = check_compiled(compiled, plat, config=base_cfg)
         certified = check_compiled(
             compiled, plat, config=contract_config(technique),
             consistency=True,
         )
         assert baseline.ok() == certified.ok()
         assert baseline.ok(Severity.INFO) == certified.ok(Severity.INFO)
+
+    @pytest.mark.parametrize(
+        "program,technique", CELLS,
+        ids=[f"{p}-{t}" for p, t in CELLS],
+    )
+    def test_one_idempotency_verdict_in_both_configurations(
+        self, program, technique
+    ):
+        # CONS001 is one analysis: the default configuration and the full
+        # certifier report the same findings, on the placed module and
+        # on the same module with a load-bearing checkpoint stripped.
+        _, plat, compiled = cell(program, technique)
+        if not compiled.feasible:
+            pytest.skip("technique declares the program infeasible")
+
+        def cons001(consistency):
+            report = check_compiled(compiled, plat, consistency=consistency)
+            return [
+                (f.rule_id, f.location, f.severity, f.details)
+                for f in report.findings if f.rule_id == "CONS001"
+            ]
+
+        assert cons001(False) == cons001(True)
+        compiled.module, _ = strip_checkpoint(compiled.module)
+        assert cons001(False) == cons001(True)
 
     DYNAMIC_CELLS = [
         ("warloop", "schematic"),

@@ -47,7 +47,6 @@ ENTRIES = MANIFEST["modules"]
 EB = MANIFEST["eb"]
 
 CONTRACT_CONFIG = RuleConfig(severity_overrides={
-    "WAR001": Severity.INFO, "WAR002": Severity.INFO,
     "CONS001": Severity.INFO, "CONS002": Severity.INFO,
 })
 

@@ -26,9 +26,9 @@ def _finding(rule_id, severity, function, block, index, message, **details):
     )
 
 
-WAR = _finding(
-    "WAR001", Severity.INFO, "main", "for_body2", 3,
-    "NVM scalar @total written after read in the same region",
+IDEM = _finding(
+    "CONS001", Severity.INFO, "main", "for_body2", 3,
+    "write to @total after a read of the storage in the same region",
     variable="total",
 )
 CONS = _finding(
@@ -41,7 +41,7 @@ CONS = _finding(
 class TestSarifGolden:
     def test_document_matches_golden(self):
         doc = sarif_document(
-            [("warloop", "allnvm", WAR), ("mini", "schematic", CONS)],
+            [("warloop", "allnvm", IDEM), ("mini", "schematic", CONS)],
             tool_version="test",
         )
         expected = {
@@ -53,6 +53,33 @@ class TestSarifGolden:
                         "name": "repro-staticcheck",
                         "version": "test",
                         "rules": [
+                            {
+                                "id": "CONS001",
+                                "name": "non-idempotent region observes "
+                                        "its own overwrite",
+                                "shortDescription": {
+                                    "text": "non-idempotent region "
+                                            "observes its own overwrite",
+                                },
+                                "fullDescription": {
+                                    "text":
+                                    "A re-executed region reads a "
+                                    "non-volatile value it already "
+                                    "overwrote: the first-access ordering "
+                                    "has a read of some storage before a "
+                                    "write of the same storage with no "
+                                    "taken checkpoint in between "
+                                    "(Surbatovich et al.'s WAR/idempotency "
+                                    "condition, element-sensitive for "
+                                    "constant array indices and "
+                                    "interprocedural through callee-first "
+                                    "summaries). The second execution "
+                                    "observes the first execution's "
+                                    "output, so the final memory state can "
+                                    "differ from a continuous-power run.",
+                                },
+                                "defaultConfiguration": {"level": "error"},
+                            },
                             {
                                 "id": "CONS003",
                                 "name": "post-restore read of unrestored "
@@ -71,26 +98,6 @@ class TestSarifGolden:
                                     "volatile memory from the checkpoint "
                                     "metadata only, so the read observes "
                                     "unrestored (stale or undefined) state.",
-                                },
-                                "defaultConfiguration": {"level": "error"},
-                            },
-                            {
-                                "id": "WAR001",
-                                "name": "scalar NVM write-after-read",
-                                "shortDescription": {
-                                    "text": "scalar NVM write-after-read",
-                                },
-                                "fullDescription": {
-                                    "text":
-                                    "A scalar NVM variable is read and "
-                                    "later written within one replay region "
-                                    "(no taken checkpoint between the "
-                                    "accesses). A power failure after the "
-                                    "write replays the region with the "
-                                    "updated value — the re-execution is "
-                                    "not idempotent and the final memory "
-                                    "state can differ from a "
-                                    "continuous-power run.",
                                 },
                                 "defaultConfiguration": {"level": "error"},
                             },
@@ -120,14 +127,14 @@ class TestSarifGolden:
                             "index": 1,
                             "details": {"variable": "x", "checkpoint": 1},
                         },
-                        "ruleIndex": 0,
+                        "ruleIndex": 1,
                     },
                     {
-                        "ruleId": "WAR001",
+                        "ruleId": "CONS001",
                         "level": "note",
                         "message": {
-                            "text": "NVM scalar @total written after "
-                                    "read in the same region",
+                            "text": "write to @total after a read of "
+                                    "the storage in the same region",
                         },
                         "locations": [{
                             "logicalLocations": [{
@@ -144,7 +151,7 @@ class TestSarifGolden:
                             "index": 3,
                             "details": {"variable": "total"},
                         },
-                        "ruleIndex": 1,
+                        "ruleIndex": 0,
                     },
                 ],
             }],
@@ -175,13 +182,13 @@ class TestSarifProperties:
         assert fqns == ["p1/t:@main/.entry[1]", "p2/t:@main/.entry[1]"]
 
     def test_input_order_does_not_matter(self):
-        forward = [("a", "t", WAR), ("b", "t", CONS), ("a", "t", CONS)]
+        forward = [("a", "t", IDEM), ("b", "t", CONS), ("a", "t", CONS)]
         assert sarif_document(forward) == sarif_document(forward[::-1])
 
     def test_rules_array_covers_exactly_the_fired_rules(self):
-        doc = sarif_document([("p", "t", WAR)])
+        doc = sarif_document([("p", "t", IDEM)])
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["WAR001"]
+        assert [r["id"] for r in rules] == ["CONS001"]
         (result,) = doc["runs"][0]["results"]
         assert result["ruleIndex"] == 0
 
@@ -202,7 +209,7 @@ class TestSarifCli:
         doc = json.loads(out)
         assert doc["version"] == "2.1.0"
         results = doc["runs"][0]["results"]
-        assert results, "warloop/allnvm exposes WAR findings"
+        assert results, "warloop/allnvm exposes CONS001 findings"
         assert all(r["level"] == "note" for r in results)
         # Rerun: byte-identical document (the golden-file property).
         assert main([
@@ -219,9 +226,7 @@ class TestSarifCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         rule_ids = {r["ruleId"] for r in doc["runs"][0]["results"]}
-        # The certifier subsumes the coarse WAR duplicates.
         assert "CONS001" in rule_ids
-        assert "WAR001" not in rule_ids
 
     def test_cache_stats_line_lands_on_stderr(self, capsys, tmp_path,
                                               monkeypatch):

@@ -1,18 +1,21 @@
 """Unit tests for the compile-time intermittent-safety checker.
 
-Each analyzer is exercised on purpose-built miniature modules: the WAR
-dataflow (exposure, definite-write shadowing, checkpoint clearing,
-interprocedural hazards), the VM-residency analysis, the checkpoint
-metadata checks, the energy certifier, and the findings/rules plumbing
-(severities, suppression, deduplication, report rendering).
+Each analyzer is exercised on purpose-built miniature modules: the
+WAR/idempotency rule CONS001 in the checker's default configuration
+(exposure, definite-write shadowing, checkpoint clearing, element
+sensitivity, interprocedural hazards), the VM-residency analysis, the
+checkpoint metadata checks, the energy certifier, and the findings/rules
+plumbing (severities, suppression, deduplication, report rendering).
 """
 
 import json
 
 import pytest
 
+from repro.analysis.regions import analyze_regions
 from repro.baselines.common import set_all_spaces
 from repro.baselines.ratchet import compile_ratchet
+from repro.emulator.runtime import CheckpointPolicy
 from repro.frontend import compile_source
 from repro.ir.instructions import Checkpoint, CondCheckpoint, Load, Store
 from repro.ir.values import MemorySpace
@@ -22,7 +25,6 @@ from repro.staticcheck import (
     RuleConfig,
     Severity,
     analyze_residency,
-    analyze_war,
     certify_energy,
     check_module,
     get_rule,
@@ -35,10 +37,15 @@ from repro.staticcheck.rules import render_catalog
 from tests.helpers import MODEL, platform
 
 
-def war_findings(module, **kwargs):
-    sink = FindingSink()
-    analyze_war(module, sink, **kwargs)
-    return sink.findings
+def war_findings(module, policy=None):
+    """The idempotency (CONS001) findings of ``check_module``'s default
+    configuration."""
+    report = check_module(module, policy=policy)
+    return [f for f in report.findings if f.rule_id == "CONS001"]
+
+
+#: A roll-back policy with a MEMENTOS-style skip heuristic.
+SKIP_POLICY = CheckpointPolicy.rollback_mode("skip", skip_threshold=0.5)
 
 
 def find_instruction(func, kind, var_name):
@@ -63,7 +70,7 @@ class TestWarAnalysis:
     def test_scalar_write_after_read_flagged(self):
         module = compile_source(WAR_SRC, "war")
         findings = war_findings(module)
-        assert [f.rule_id for f in findings] == ["WAR001"]
+        assert [f.rule_id for f in findings] == ["CONS001"]
         assert findings[0].details["variable"] == "x"
         assert findings[0].severity is Severity.ERROR
 
@@ -83,11 +90,11 @@ class TestWarAnalysis:
         func.blocks[label].instructions.insert(
             i, Checkpoint(ckpt_id=1, skippable=True)
         )
-        assert war_findings(module, policy_may_skip=False) == []
+        assert war_findings(module) == []
         # Under a MEMENTOS-style skip heuristic the checkpoint may be
         # elided, so the region is not reliably ended.
-        flagged = war_findings(module, policy_may_skip=True)
-        assert [f.rule_id for f in flagged] == ["WAR001"]
+        flagged = war_findings(module, policy=SKIP_POLICY)
+        assert [f.rule_id for f in flagged] == ["CONS001"]
 
     def test_conditional_checkpoint_never_clears(self):
         module = compile_source(WAR_SRC, "war")
@@ -96,7 +103,7 @@ class TestWarAnalysis:
         func.blocks[label].instructions.insert(
             i, CondCheckpoint(ckpt_id=1, every=4)
         )
-        assert [f.rule_id for f in war_findings(module)] == ["WAR001"]
+        assert [f.rule_id for f in war_findings(module)] == ["CONS001"]
 
     def test_write_read_write_is_idempotent(self):
         module = compile_source(
@@ -115,19 +122,29 @@ class TestWarAnalysis:
         # always observes the same value (Ratchet's first-access rule).
         assert war_findings(module) == []
 
-    def test_array_write_after_read_is_a_warning(self):
+    @pytest.mark.parametrize(
+        "statement,expected",
+        [
+            # Different constant elements: the replay is idempotent.
+            ("a[0] = a[1] + 1;", None),
+            # The write provably hits the element the read observed.
+            ("a[1] = a[1] + 1;", Severity.ERROR),
+            # A symbolic index may hit it.
+            ("a[k] = a[1] + 1;", Severity.WARNING),
+        ],
+    )
+    def test_array_element_write_after_read(self, statement, expected):
         module = compile_source(
-            """
-            i32 a[4];
-            void main() {
-                a[0] = a[1] + 1;
-            }
-            """,
-            "arr",
+            f"i32 a[4];\ni32 k;\nvoid main() {{ {statement} }}", "arr"
         )
-        findings = war_findings(module)
-        assert [f.rule_id for f in findings] == ["WAR002"]
-        assert findings[0].severity is Severity.WARNING
+        findings = check_module(module).findings
+        if expected is None:
+            assert findings == []
+        else:
+            assert [(f.rule_id, f.severity) for f in findings] == [
+                ("CONS001", expected)
+            ]
+            assert findings[0].details["variable"] == "a"
 
     def test_vm_accesses_are_not_hazards(self):
         module = compile_source(WAR_SRC, "war")
@@ -147,13 +164,12 @@ void main() { h = peek(); poke(); }
 class TestInterproceduralWar:
     def test_exposed_read_meets_later_callee_write(self):
         module = compile_source(CROSS_SRC, "cross")
-        sink = FindingSink()
-        summaries = analyze_war(module, sink)
-        assert summaries["peek"].exposed_at_exit == {"g"}
-        assert summaries["poke"].writes_before_clear == {"g"}
+        summaries = analyze_regions(module).summaries
+        assert summaries["peek"].exposed_at_exit == {("g", None)}
+        assert summaries["poke"].writes_before_clear == {("g", None)}
         assert not summaries["poke"].always_clears
-        findings = sink.findings
-        assert [f.rule_id for f in findings] == ["WAR001"]
+        findings = war_findings(module)
+        assert [f.rule_id for f in findings] == ["CONS001"]
         assert findings[0].location.function == "main"
         assert findings[0].details["via"] == "poke"
 
@@ -163,10 +179,8 @@ class TestInterproceduralWar:
         poke.entry.instructions.insert(
             0, Checkpoint(ckpt_id=1, skippable=False)
         )
-        sink = FindingSink()
-        summaries = analyze_war(module, sink)
-        assert summaries["poke"].always_clears
-        assert sink.findings == []
+        assert analyze_regions(module).summaries["poke"].always_clears
+        assert war_findings(module) == []
 
     def test_ratchet_breaks_cross_call_war_through_callee_locals(self):
         """Regression: a callee's statically allocated locals alias the
@@ -468,7 +482,7 @@ class TestFindingsAndRules:
             Severity.parse("fatal")
 
     def test_get_rule_lists_choices(self):
-        with pytest.raises(KeyError, match="WAR001"):
+        with pytest.raises(KeyError, match="CONS001"):
             get_rule("NOPE999")
 
     def test_catalog_covers_every_rule(self):
@@ -484,24 +498,24 @@ class TestFindingsAndRules:
 
     def test_rule_config_suppresses_and_overrides(self):
         finding = Finding(
-            rule_id="WAR001",
+            rule_id="CONS001",
             severity=Severity.ERROR,
             location=Location("main", "entry", 0),
             message="m",
         )
-        assert RuleConfig(suppressed=frozenset({"WAR001"})).apply(finding) is None
+        assert RuleConfig(suppressed=frozenset({"CONS001"})).apply(finding) is None
         demoted = RuleConfig(
-            severity_overrides={"WAR001": Severity.INFO}
+            severity_overrides={"CONS001": Severity.INFO}
         ).apply(finding)
         assert demoted.severity is Severity.INFO
-        assert demoted.rule_id == "WAR001"
+        assert demoted.rule_id == "CONS001"
         untouched = RuleConfig().apply(finding)
         assert untouched is finding
 
     def test_finding_sink_deduplicates(self):
         sink = FindingSink()
         finding = Finding(
-            rule_id="WAR001",
+            rule_id="CONS001",
             severity=Severity.ERROR,
             location=Location("main", "entry", 0),
             message="m",
@@ -514,16 +528,16 @@ class TestFindingsAndRules:
         location = Location("main", "body", 3)
         assert str(location) == "@main/.body[3]"
         finding = Finding(
-            rule_id="WAR001",
+            rule_id="CONS001",
             severity=Severity.ERROR,
             location=location,
             message="boom",
         )
-        assert finding.render() == "WAR001 error @main/.body[3]: boom"
+        assert finding.render() == "CONS001 error @main/.body[3]: boom"
 
     def test_findings_sort_most_severe_first(self):
-        info = Finding("WAR002", Severity.INFO, Location("a"), "i")
-        error = Finding("WAR001", Severity.ERROR, Location("z"), "e")
+        info = Finding("ALLOC002", Severity.INFO, Location("a"), "i")
+        error = Finding("CONS001", Severity.ERROR, Location("z"), "e")
         ordered = sorted([info, error], key=Finding.sort_key)
         assert ordered[0] is error
 
@@ -537,7 +551,7 @@ class TestCheckModule:
         assert report.max_severity() is Severity.ERROR
         demoted = check_module(
             module,
-            config=RuleConfig(severity_overrides={"WAR001": Severity.INFO}),
+            config=RuleConfig(severity_overrides={"CONS001": Severity.INFO}),
         )
         assert demoted.ok()
         assert not demoted.ok(Severity.INFO)
@@ -569,10 +583,10 @@ class TestCheckModule:
         module = compile_source(WAR_SRC, "war")
         report = check_module(module)
         text = report.render()
-        assert "WAR001" in text
+        assert "CONS001" in text
         assert "1 error" in text
         doc = json.loads(json.dumps(report.to_json()))
-        assert doc["findings"][0]["rule"] == "WAR001"
+        assert doc["findings"][0]["rule"] == "CONS001"
         assert doc["stats"]["functions"] == 1
 
     def test_clean_module_report(self):
@@ -602,36 +616,36 @@ class TestMergeFindings:
         from repro.staticcheck import merge_findings
 
         config = RuleConfig(
-            suppressed=frozenset({"WAR001"}),
-            severity_overrides={"WAR001": Severity.INFO},
+            suppressed=frozenset({"CONS001"}),
+            severity_overrides={"CONS001": Severity.INFO},
         )
         groups = [
-            [self._finding("WAR001", Severity.ERROR)],
-            [self._finding("WAR001", Severity.ERROR, function="g")],
+            [self._finding("CONS001", Severity.ERROR)],
+            [self._finding("CONS001", Severity.ERROR, function="g")],
         ]
         assert merge_findings(groups, config) == []
 
     def test_merge_applies_overrides_and_sorts_severity_major(self):
         from repro.staticcheck import merge_findings
 
-        config = RuleConfig(severity_overrides={"WAR002": Severity.ERROR})
+        config = RuleConfig(severity_overrides={"ALLOC002": Severity.ERROR})
         merged = merge_findings(
             [
                 [self._finding("ENER002", Severity.INFO, function="b")],
-                [self._finding("WAR002", Severity.WARNING, function="a")],
+                [self._finding("ALLOC002", Severity.WARNING, function="a")],
             ],
             config,
         )
-        # The override promotes WAR002 above the info finding, and the
+        # The override promotes ALLOC002 above the info finding, and the
         # result is sorted most-severe first regardless of group order.
         assert [(f.rule_id, f.severity) for f in merged] == [
-            ("WAR002", Severity.ERROR),
+            ("ALLOC002", Severity.ERROR),
             ("ENER002", Severity.INFO),
         ]
 
     def test_merge_without_config_only_sorts(self):
         from repro.staticcheck import merge_findings
 
-        one = self._finding("WAR001", Severity.ERROR)
-        two = self._finding("WAR002", Severity.WARNING)
+        one = self._finding("CONS001", Severity.ERROR)
+        two = self._finding("ALLOC002", Severity.WARNING)
         assert merge_findings([[two], [one]]) == [one, two]

@@ -11,8 +11,8 @@ the same compiled modules:
   for): the static wait-mode verdict must match the dynamic guarantee
   run;
 - *out-of-contract* (failures injected at arbitrary boundaries): the
-  static WAR analysis at default severity must flag exactly the modules
-  whose injection sweep reports memory anomalies.
+  static WAR/idempotency rule CONS001 at default severity must flag
+  exactly the modules whose injection sweep reports memory anomalies.
 """
 
 import json
@@ -41,14 +41,14 @@ from repro.testkit.sweep import (
 
 
 def wait_mode_config(technique):
-    """The CLI's per-technique configuration: WAR findings are
+    """The CLI's per-technique configuration: replay findings are
     informational for wait-mode runtimes (in-contract replays never
     happen under the certified budget)."""
     if technique in WAIT_MODE_TECHNIQUES:
         return RuleConfig(
             severity_overrides={
-                "WAR001": Severity.INFO,
-                "WAR002": Severity.INFO,
+                "CONS001": Severity.INFO,
+                "CONS002": Severity.INFO,
             }
         )
     return RuleConfig()
@@ -58,7 +58,7 @@ class TestCliExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "WAR001" in out and "ENER001" in out
+        assert "CONS001" in out and "ENER001" in out
 
     def test_unknown_program_lists_choices(self, capsys):
         assert main(["--programs", "nosuch"]) == 2
@@ -73,7 +73,26 @@ class TestCliExitCodes:
 
     def test_unknown_suppress_rule(self, capsys):
         assert main(["--programs", "sumloop", "--suppress", "NOPE999"]) == 2
-        assert "WAR001" in capsys.readouterr().err
+        assert "CONS001" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", [1, 2])
+    def test_stale_suppress_rule_rejected_before_compiling(
+        self, capsys, monkeypatch, number
+    ):
+        # An id outside the catalog, such as a retired WAR rule, must
+        # be rejected before the matrix compiles its first cell.
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before validating --suppress")
+
+        monkeypatch.setattr(
+            "repro.staticcheck.__main__.compile_for", no_compile
+        )
+        stale = f"WAR{number:03d}"
+        argv = ["--programs", "aes", "--techniques", "schematic",
+                "--suppress", stale]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert stale in err and "CONS001" in err
 
     def test_unknown_fail_on_severity(self, capsys):
         assert main(["--programs", "sumloop", "--fail-on", "fatal"]) == 2
@@ -123,7 +142,7 @@ class TestCliCertification:
         # excludes mid-segment failures) but gates at --fail-on info.
         argv = ["--programs", "warloop", "--techniques", "allnvm"]
         assert main(argv) == 0
-        assert "WAR001 info" in capsys.readouterr().out
+        assert "CONS001 info" in capsys.readouterr().out
         assert main(argv + ["--fail-on", "info"]) == 1
         assert "FAILED" in capsys.readouterr().out
 
@@ -169,7 +188,7 @@ class TestCrossValidation:
         *in-contract* verdicts agree on 'safe': the static wait-mode
         report stays clean and the guarantee-schedule run sees zero
         failures. The *out-of-contract* verdicts agree on 'broken': the
-        static WAR analysis flags the exposed scalars at default
+        static idempotency rule flags the exposed scalars at default
         severity, and injecting failures at the swept boundaries
         produces memory anomalies."""
         eb = 150.0
@@ -184,7 +203,7 @@ class TestCrossValidation:
         broken, site = strip_checkpoint(compiled.module)
         compiled.module = broken
 
-        # Static, in-contract (wait-mode WAR downgrade): still certified.
+        # Static, in-contract (wait-mode replay downgrade): certified.
         in_contract = check_module(
             broken,
             plat.model,
@@ -196,7 +215,7 @@ class TestCrossValidation:
         assert in_contract.ok(), in_contract.render()
         assert in_contract.stats["worst_window_nj"] <= eb
 
-        # Static, out-of-contract (default severities): WAR001 exposure.
+        # Static, out-of-contract (default severities): CONS001 exposure.
         out_of_contract = check_module(
             broken,
             plat.model,
@@ -205,7 +224,7 @@ class TestCrossValidation:
             vm_size=plat.vm_size,
         )
         assert not out_of_contract.ok()
-        assert "WAR001" in {f.rule_id for f in out_of_contract.findings}
+        assert "CONS001" in {f.rule_id for f in out_of_contract.findings}
 
         inputs = bench.default_inputs()
 

@@ -244,8 +244,8 @@ def test_metrics_do_not_change_interpreter_results_or_loop():
 
 def test_prom_name_sanitizes():
     assert prom_name("cache.hits") == "repro_cache_hits"
-    assert prom_name("staticcheck.family_us.war") == (
-        "repro_staticcheck_family_us_war"
+    assert prom_name("staticcheck.family_us.idempotency") == (
+        "repro_staticcheck_family_us_idempotency"
     )
     assert prom_name("weird-name!x") == "repro_weird_name_x"
 
