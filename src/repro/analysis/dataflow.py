@@ -29,7 +29,9 @@ analysis in :mod:`repro.analysis.ranges` uses both):
 - ``widen(old_in, new_in) -> state`` accelerates convergence for
   infinite-height domains. It is applied at the labels in ``widen_at``
   (loop headers) whenever a block's in-state grows; the caller must
-  guarantee that iterated widening stabilizes in finitely many steps.
+  guarantee that iterated widening stabilizes in finitely many steps,
+  and that ``widen(w, j) == w`` whenever ``j`` is below ``w`` (widening
+  an in-state by something it already covers leaves it as it is).
 
 Blocks unreachable from the entry receive no state: they are absent from
 the returned maps, and ``transfer`` is never called for them.
@@ -69,6 +71,17 @@ def solve_forward(
     Reverse postorder visits every block after its forward predecessors,
     so acyclic regions settle in one sweep and loops need one extra sweep
     per nesting level — the classic bound for reducible CFGs.
+
+    A sweep revisits a block only when some predecessor's out-state
+    changed since the block's last visit (every block is visited in the
+    first sweep). This is exact: a block whose predecessors are unchanged
+    would re-join the very in-state it joined last time, ``J``, which is
+    either its stored in-state or, at a widening point, below the stored
+    ``widen(old, J)``; both cases leave the block as it is (the second by
+    the ``widen`` contract above). So the ``transfer`` calls, their order,
+    the resulting states and ``passes`` are those of re-joining every
+    block on every sweep, at a cost proportional to the changes instead of
+    to ``passes`` times the CFG.
     """
     order = cfg.reverse_postorder()
     block_in: Dict[str, S] = {}
@@ -82,6 +95,9 @@ def solve_forward(
     # climb through its (finite) threshold ladder.
     max_passes = 2 * len(order) + 8 + 8 * len(widen_labels)
 
+    # Labels with a predecessor whose out-state changed since their last
+    # visit; every label starts out dirty.
+    dirty = set(order)
     passes = 0
     changed = True
     while changed:
@@ -93,6 +109,9 @@ def solve_forward(
             )
         changed = False
         for label in order:
+            if label not in dirty:
+                continue
+            dirty.discard(label)
             state: S | None = entry_state if label == cfg.entry else None
             for pred in cfg.preds[label]:
                 out = block_out.get(pred)
@@ -116,5 +135,6 @@ def solve_forward(
             out_state = transfer(label, state)
             if label not in block_out or out_state != block_out[label]:
                 block_out[label] = out_state
+                dirty.update(cfg.succs[label])
                 changed = True
     return ForwardSolution(block_in=block_in, block_out=block_out, passes=passes)

@@ -519,6 +519,9 @@ class FunctionRanges:
             ivb = b.get(key)
             if ivb is None:
                 continue
+            if ivb == iva:
+                out[key] = iva  # stored entries are already normalized
+                continue
             joined = self._norm(key, iva.join(ivb))
             if joined is not None:
                 out[key] = joined

@@ -20,10 +20,10 @@ written (clean) or dead after the segment pays no save.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.accesses import AccessCounts
-from repro.core.region import Atom
+from repro.core.region import Atom, energy_under_alloc
 from repro.energy.model import EnergyModel
 from repro.ir.values import MemorySpace, Variable
 
@@ -79,46 +79,79 @@ class SegmentContext:
     gain_amortization: float = 1.0
 
 
-def aggregate_counts(atoms: Sequence[Atom]) -> AccessCounts:
-    """Sequential aggregation of the atoms' allocatable access counts.
+class SegmentFold:
+    """The atoms of one segment, ``atoms[i:j]``, folded left to right.
 
-    Plain inner atoms (collapsed loops/callees) contribute their restore
-    requirements as first-access *reads*, so that a variable read inside a
-    loop is not mistaken for write-first by a later store in the segment.
+    :meth:`extend` appends the next atom and updates every aggregate
+    :func:`plan_segment` reads, so a caller that grows ``j`` for a fixed
+    ``i`` pays for each atom once instead of re-aggregating the prefix on
+    every call:
+
+    - ``counts``: the sequential access counts. Plain inner atoms
+      (collapsed loops/callees) contribute their restore requirements as
+      first-access *reads* first, so that a variable read inside a loop is
+      not mistaken for write-first by a later store in the segment.
+    - ``forced``: the union of the placements plain inner atoms impose;
+      ``None`` once two of them conflict (the segment is infeasible and
+      needs a checkpoint between the conflicting atoms), and for every
+      longer segment from then on.
+    - ``private_reserve``: the largest transient VM reserve of any atom.
+    - ``shared_restore``: inner restore requirements that no earlier part
+      of the segment voids by a full overwrite. A variable's first access
+      is fixed once it has one, so the test is exact when the atom is
+      added.
+    - ``shared_dirty``: the inner atoms' dirty VM variables.
+    - ``terms``: each atom's ``(base_energy, access totals)``, the inputs
+      of its :func:`~repro.core.region.energy_under_alloc` fold.
     """
-    total = AccessCounts()
-    for atom in atoms:
-        if atom.shared is not None:
-            for name in atom.shared.restore_names:
-                total.first_access.setdefault(name, "r")
-        total.merge_sequential(atom.counts)
-    return total
 
+    def __init__(self, atoms: Iterable[Atom] = ()) -> None:
+        self.counts = AccessCounts()
+        self.forced: Optional[Dict[str, MemorySpace]] = {}
+        self.private_reserve = 0
+        self.shared_restore: Set[str] = set()
+        self.shared_dirty: Set[str] = set()
+        self.terms: List[Tuple[float, Tuple[Tuple[str, int], ...]]] = []
+        for atom in atoms:
+            self.extend(atom)
 
-def merge_forced(atoms: Sequence[Atom]) -> Optional[Dict[str, MemorySpace]]:
-    """Union of the placements imposed by plain inner atoms; None on
-    conflict (the segment is infeasible and needs a checkpoint between the
-    conflicting atoms)."""
-    forced: Dict[str, MemorySpace] = {}
-    for atom in atoms:
-        if atom.shared is None:
-            continue
-        for name, space in atom.shared.forced.items():
-            if forced.get(name, space) is not space:
-                return None
-            forced[name] = space
-    return forced
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def extend(self, atom: Atom) -> None:
+        """Fold ``atom`` in as the segment's new last atom."""
+        shared = atom.shared
+        if shared is not None:
+            first_access = self.counts.first_access
+            for name in shared.restore_names:
+                first_access.setdefault(name, "r")
+            self.shared_restore.update(
+                n for n in shared.restore_names if first_access[n] != "w"
+            )
+            self.shared_dirty.update(shared.dirty_names)
+            self.private_reserve = max(
+                self.private_reserve, shared.private_reserve
+            )
+            forced = self.forced
+            if forced is not None:
+                for name, space in shared.forced.items():
+                    if forced.get(name, space) is not space:
+                        self.forced = None
+                        break
+                    forced[name] = space
+        self.counts.merge_sequential(atom.counts)
+        self.terms.append((atom.base_energy, atom.access_totals()))
 
 
 def plan_segment(
     ctx: SegmentContext,
-    atoms: Sequence[Atom],
+    fold: SegmentFold,
     live_at_end: Set[str],
     has_start_ckpt: bool,
     has_end_ckpt: bool,
     allow_packing: bool = True,
 ) -> Optional[SegmentPlan]:
-    """Choose the energy-optimal allocation for a segment.
+    """Choose the energy-optimal allocation for the segment ``fold``.
 
     ``has_start_ckpt``/``has_end_ckpt`` control whether restore/save sets
     are computed (and billed by the caller). ``allow_packing=False`` freezes
@@ -131,22 +164,15 @@ def plan_segment(
     placement contradicts the inherited one.
     """
     model = ctx.model
-    forced = merge_forced(atoms)
+    forced = fold.forced
     if forced is None:
         return None
     for name, space in ctx.inherited.items():
         if forced.get(name, space) is not space:
             return None
 
-    counts = aggregate_counts(atoms)
-    private_reserve = max(
-        (
-            atom.shared.private_reserve
-            for atom in atoms
-            if atom.shared is not None
-        ),
-        default=0,
-    )
+    counts = fold.counts
+    private_reserve = fold.private_reserve
 
     # Resident sets that are not up for packing.
     resident: Dict[str, MemorySpace] = {}
@@ -199,15 +225,9 @@ def plan_segment(
         for name in vm_names:
             if not ctx.trim_with_liveness or counts.first_access.get(name) == "r":
                 restore.add(name)
-        for atom in atoms:
-            if atom.shared is not None:
-                # An inner structure's restore requirement is void when an
-                # earlier part of this segment fully overwrites the variable.
-                restore.update(
-                    n
-                    for n in atom.shared.restore_names
-                    if counts.first_access.get(n) != "w"
-                )
+        # Inner structures' restore requirements (those an earlier part of
+        # this segment does not fully overwrite).
+        restore.update(fold.shared_restore)
 
     # Save set at the ending checkpoint: dirty VM variables still live.
     save: Set[str] = set()
@@ -227,13 +247,14 @@ def plan_segment(
                 dirty = True
             if dirty and name in live_at_end:
                 save.add(name)
-        for atom in atoms:
-            if atom.shared is not None:
-                for name in atom.shared.dirty_names:
-                    if name in live_at_end:
-                        save.add(name)
+        save.update(n for n in fold.shared_dirty if n in live_at_end)
 
-    exec_energy = sum(atom.energy_under(model, alloc) for atom in atoms)
+    vm_cost = model.access_cost_in_space(MemorySpace.VM)
+    nvm_cost = model.access_cost_in_space(MemorySpace.NVM)
+    exec_energy = sum(
+        energy_under_alloc(base_energy, totals, alloc, vm_cost, nvm_cost)
+        for base_energy, totals in fold.terms
+    )
     restore_bytes = sum(ctx.variables[n].size_bytes for n in restore)
     save_bytes = sum(ctx.variables[n].size_bytes for n in save)
 

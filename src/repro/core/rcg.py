@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
-from repro.core.allocation import SegmentContext, SegmentPlan, plan_segment
+from repro.core.allocation import (
+    SegmentContext,
+    SegmentFold,
+    SegmentPlan,
+    plan_segment,
+)
 from repro.core.region import Atom
 from repro.ir.values import MemorySpace
 
@@ -183,14 +188,18 @@ class RCG:
 
     def _plan(
         self,
+        fold: SegmentFold,
         start_pos: int,
         end_pos: int,
         has_start_ckpt: bool,
         has_end_ckpt: bool,
         exact: Optional[Dict[str, MemorySpace]] = None,
     ) -> Optional[SegmentPlan]:
+        """Plan the segment ``atoms[start_pos:end_pos]``, first extending
+        ``fold`` (the atoms from ``start_pos`` planned so far) to it."""
         self.stat_plans += 1
-        atoms = self.atoms[start_pos:end_pos]
+        for atom in self.atoms[start_pos + len(fold):end_pos]:
+            fold.extend(atom)
         live_at_end = self.live_at_position(end_pos)
         ctx = self.ctx
         if exact is not None:
@@ -204,22 +213,10 @@ class RCG:
             )
             # Fully constrained allocation: no packing of new VM variables.
             return plan_segment(
-                ctx, atoms, live_at_end, has_start_ckpt, has_end_ckpt,
+                ctx, fold, live_at_end, has_start_ckpt, has_end_ckpt,
                 allow_packing=False,
             )
-        return plan_segment(ctx, atoms, live_at_end, has_start_ckpt, has_end_ckpt)
-
-    def _segment_lower_bound(self, start_pos: int, end_pos: int) -> float:
-        """Cheapest conceivable execution energy (everything in VM,
-        capacity ignored); monotone in ``end_pos``, used to prune."""
-        vm_cost = self.model.access_cost_in_space(MemorySpace.VM)
-        total = 0.0
-        for atom in self.atoms[start_pos:end_pos]:
-            accesses = sum(atom.counts.reads.values()) + sum(
-                atom.counts.writes.values()
-            )
-            total += atom.base_energy + accesses * vm_cost
-        return total
+        return plan_segment(ctx, fold, live_at_end, has_start_ckpt, has_end_ckpt)
 
     def _left_exact(self) -> Optional[Dict[str, MemorySpace]]:
         """Exact allocation constraint for segments flowing from the left
@@ -233,6 +230,20 @@ class RCG:
     def build(self) -> None:
         model = self.model
         positions = self._positions()
+        # Every position in 1..m-1 is a candidate, so the end positions
+        # past a start are the consecutive run up to the last candidate.
+        last_position = positions[-1] if positions else 0
+        # Each atom's cheapest conceivable execution energy (everything in
+        # VM, capacity ignored). Summed left to right from the segment's
+        # first atom, they bound a segment's energy from below; the bound
+        # is monotone in the end position, so it prunes the j loops.
+        vm_cost = model.access_cost_in_space(MemorySpace.VM)
+        lower_terms = [
+            atom.base_energy
+            + (sum(atom.counts.reads.values())
+               + sum(atom.counts.writes.values())) * vm_cost
+            for atom in self.atoms
+        ]
 
         # ---- S -> c_0: checkpoint on the boundary edge itself ---------------
         if self.left.has_edge:
@@ -261,15 +272,16 @@ class RCG:
         prefix_limit = first_barrier if first_barrier is not None else self.m
         fresh_left = self.left.kind == "fresh"
         left_exact = self._left_exact()
-        for j in positions:
+        fold = SegmentFold()
+        lower_bound = 0.0
+        for j in range(1, min(prefix_limit, last_position) + 1):
             if left_mandatory:
                 break
-            if j < 1 or j > prefix_limit:
-                continue
-            if self._segment_lower_bound(0, j) > self.left.energy:
+            lower_bound += lower_terms[j - 1]
+            if lower_bound > self.left.energy:
                 break
             plan = self._plan(
-                0, j,
+                fold, 0, j,
                 has_start_ckpt=fresh_left and left_exact is None,
                 has_end_ckpt=True,
                 exact=left_exact if not fresh_left else left_exact,
@@ -288,13 +300,13 @@ class RCG:
             else:
                 self.stat_edges_rejected_eb += 1
         if first_barrier is not None and not left_mandatory:
-            self._edge_into_barrier("S", 0, first_barrier)
+            self._edge_into_barrier("S", fold, 0, first_barrier)
         if (
             first_barrier is None
             and not self.right.mandatory_ckpt
             and not left_mandatory
         ):
-            self._edge_to_end("S", 0)
+            self._edge_to_end("S", fold, 0)
 
         # ---- interior segments c_i -> {c_j, B, T} -----------------------------
         for i in positions:
@@ -302,17 +314,20 @@ class RCG:
                 continue
             barrier = self._next_barrier(i)
             limit = barrier if barrier is not None else self.m
-            for j in positions:
-                if j <= i or j > limit:
-                    continue
+            fold = SegmentFold()
+            lower_bound = 0.0
+            for j in range(i + 1, min(limit, last_position) + 1):
+                lower_bound += lower_terms[j - 1]
                 lower = (
                     model.restore_energy(0)
-                    + self._segment_lower_bound(i, j)
+                    + lower_bound
                     + model.save_energy(0)
                 )
                 if lower > self.eb:
                     break
-                plan = self._plan(i, j, has_start_ckpt=True, has_end_ckpt=True)
+                plan = self._plan(
+                    fold, i, j, has_start_ckpt=True, has_end_ckpt=True
+                )
                 if plan is None:
                     continue
                 cost = (
@@ -325,9 +340,9 @@ class RCG:
                 else:
                     self.stat_edges_rejected_eb += 1
             if barrier is not None:
-                self._edge_into_barrier(("c", i), i, barrier)
+                self._edge_into_barrier(("c", i), fold, i, barrier)
             if barrier is None and not self.right.mandatory_ckpt:
-                self._edge_to_end(("c", i), i)
+                self._edge_to_end(("c", i), fold, i)
 
         # ---- barrier exits ------------------------------------------------------
         for b in self.barrier_positions:
@@ -368,10 +383,13 @@ class RCG:
         ):
             self._add_edge(("c", self.m), "T", _EdgeInfo(0.0))
 
-    def _edge_into_barrier(self, src: object, start_pos: int, b: int) -> None:
+    def _edge_into_barrier(
+        self, src: object, fold: SegmentFold, start_pos: int, b: int
+    ) -> None:
         """Edge ``src -> B_b``: the segment ending at the barrier's entry
         checkpoint, the entry save, and the entry restore of the barrier's
-        VM set."""
+        VM set. ``fold`` holds the atoms from ``start_pos`` planned so
+        far."""
         model = self.model
         atom = self.atoms[b]
         assert atom.ckpt is not None
@@ -398,7 +416,7 @@ class RCG:
                     )
                 return
             plan = self._plan(
-                start_pos, b,
+                fold, start_pos, b,
                 has_start_ckpt=fresh and exact is None,
                 has_end_ckpt=True,
                 exact=exact,
@@ -415,7 +433,9 @@ class RCG:
                     model.restore_energy(entry_restore_bytes)
                 ))
                 return
-            plan = self._plan(pos, b, has_start_ckpt=True, has_end_ckpt=True)
+            plan = self._plan(
+                fold, pos, b, has_start_ckpt=True, has_end_ckpt=True
+            )
             if plan is None:
                 return
             budget = self.eb
@@ -430,9 +450,12 @@ class RCG:
         total = cost + model.restore_energy(entry_restore_bytes)
         self._add_edge(src, ("b", b), _EdgeInfo(total, plan=plan))
 
-    def _edge_to_end(self, src: object, start_pos: int) -> None:
+    def _edge_to_end(
+        self, src: object, fold: SegmentFold, start_pos: int
+    ) -> None:
         """Edge ``src -> T``: the suffix segment flowing into the right
-        boundary without a checkpoint at the boundary."""
+        boundary without a checkpoint at the boundary. ``fold`` holds the
+        atoms from ``start_pos`` planned so far."""
         model = self.model
         right = self.right
         fresh_left_seg = src == "S" and self.left.kind == "fresh"
@@ -452,7 +475,7 @@ class RCG:
                     return
                 merged[name] = space
             plan = self._plan(
-                start_pos, self.m,
+                fold, start_pos, self.m,
                 has_start_ckpt=(src != "S"),
                 has_end_ckpt=False,
                 exact=merged,
@@ -476,7 +499,7 @@ class RCG:
             # the exit dirty set (the *enclosing* analysis pays that save);
             # the cost here excludes it.
             plan = self._plan(
-                start_pos, self.m,
+                fold, start_pos, self.m,
                 has_start_ckpt=(src != "S") or (fresh_left_seg and exact is None),
                 has_end_ckpt=True,
                 exact=exact if src == "S" else (right.alloc or None),

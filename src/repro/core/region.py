@@ -67,6 +67,24 @@ class InsertPoint:
         return cls(kind="edge", src=src, dst=dst)
 
 
+def energy_under_alloc(
+    base_energy: float,
+    totals: Sequence[Tuple[str, int]],
+    alloc: Dict[str, MemorySpace],
+    vm_cost: float,
+    nvm_cost: float,
+) -> float:
+    """One atom's energy with each of its ``totals`` accesses priced per
+    ``alloc`` (absent entries default to NVM), folded left to right from
+    ``base_energy``. The single definition behind
+    :meth:`Atom.energy_under` and segment execution energies."""
+    energy = base_energy
+    for name, count in totals:
+        space = alloc.get(name, MemorySpace.NVM)
+        energy += count * (vm_cost if space is MemorySpace.VM else nvm_cost)
+    return energy
+
+
 @dataclass
 class Atom:
     """One region node. See module docstring for the three kinds."""
@@ -102,19 +120,24 @@ class Atom:
         )
         return self.base_energy + accesses * nvm_cost
 
+    def access_totals(self) -> Tuple[Tuple[str, int], ...]:
+        """``(name, reads + writes)`` per counted variable, in name order
+        — the order :func:`energy_under_alloc` folds them in."""
+        counts = self.counts
+        return tuple((name, counts.total(name)) for name in counts.variables())
+
     def energy_under(
         self, model: EnergyModel, alloc: Dict[str, MemorySpace]
     ) -> float:
         """Energy with each counted variable placed per ``alloc`` (absent
         entries default to NVM)."""
-        vm_cost = model.access_cost_in_space(MemorySpace.VM)
-        nvm_cost = model.access_cost_in_space(MemorySpace.NVM)
-        energy = self.base_energy
-        for name in self.counts.variables():
-            count = self.counts.total(name)
-            space = alloc.get(name, MemorySpace.NVM)
-            energy += count * (vm_cost if space is MemorySpace.VM else nvm_cost)
-        return energy
+        return energy_under_alloc(
+            self.base_energy,
+            self.access_totals(),
+            alloc,
+            model.access_cost_in_space(MemorySpace.VM),
+            model.access_cost_in_space(MemorySpace.NVM),
+        )
 
     def __repr__(self) -> str:
         if self.kind is AtomKind.SLICE:

@@ -20,7 +20,9 @@ Examples::
     python -m repro.testkit fuzz --seeds 20 --mean 500,2000
 
 Exit status is 0 when the oracles hold (for ``--sabotage``: when the
-planted bug *is* caught) and 1 otherwise.
+planted bug *is* caught), 1 otherwise, and 2 with a one-line ``error:``
+diagnosis when the inputs are unusable (an unknown program, or an energy
+budget no placement can meet).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from repro import telemetry
+from repro.errors import ReproError
 from repro.telemetry import flags as telemetry_flags
 from repro.telemetry import rollup
 from repro.testkit.corpus import available_programs
@@ -163,6 +166,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except ReproError as exc:
+        # An infeasible budget or a malformed input: one diagnosis line,
+        # as repro.staticcheck prints, instead of a traceback.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         telemetry_flags.finish(tm, mm, args, prefix=f"testkit_{args.command}")

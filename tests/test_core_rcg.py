@@ -194,3 +194,60 @@ class TestBarriers:
         )
         with pytest.raises(RCGInfeasibleError):
             solve([atom], eb=1_000.0)
+
+
+class TestIncrementalFoldIdentity:
+    """``build`` extends one :class:`SegmentFold` per start position; every
+    plan it makes must equal the plan of a fold built from scratch over
+    the same ``atoms[i:j]`` — floats, dict contents and order included."""
+
+    @pytest.mark.parametrize("program", ["crc", "randmath", "synthetic8"])
+    def test_incremental_plans_equal_scratch_plans(self, monkeypatch, program):
+        from repro.baselines import compile_schematic
+        from repro.core import rcg as rcg_module
+        from repro.core.allocation import SegmentFold, plan_segment
+        from repro.core.placement import SchematicConfig
+        from repro.energy import msp430fr5969_platform
+        from repro.experiments.analysis_cost import synthetic_program
+        from repro.frontend import compile_source
+        from repro.programs import get_benchmark
+
+        if program.startswith("synthetic"):
+            module = compile_source(synthetic_program(8), program)
+            inputs = None
+        else:
+            bench = get_benchmark(program)
+            module, inputs = bench.module, bench.input_generator()
+        segment = {}
+        plan_in_rcg = RCG._plan
+
+        def spy_plan(self, fold, start_pos, end_pos, *args, **kwargs):
+            segment["atoms"] = self.atoms[start_pos:end_pos]
+            return plan_in_rcg(self, fold, start_pos, end_pos, *args, **kwargs)
+
+        checked = [0]
+
+        def checked_plan(ctx, fold, live_at_end, *args, **kwargs):
+            incremental = plan_segment(ctx, fold, live_at_end, *args, **kwargs)
+            scratch_fold = SegmentFold(segment["atoms"])
+            assert len(fold) == len(scratch_fold)
+            scratch = plan_segment(
+                ctx, scratch_fold, live_at_end, *args, **kwargs
+            )
+            assert incremental == scratch
+            if incremental is not None:
+                assert list(incremental.alloc.items()) == list(
+                    scratch.alloc.items()
+                )
+            checked[0] += 1
+            return incremental
+
+        monkeypatch.setattr(RCG, "_plan", spy_plan)
+        monkeypatch.setattr(rcg_module, "plan_segment", checked_plan)
+        compile_schematic(
+            module,
+            msp430fr5969_platform(eb=3000.0),
+            input_generator=inputs,
+            config=SchematicConfig(profile_runs=1),
+        )
+        assert checked[0] > 0

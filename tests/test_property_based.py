@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import SegmentContext, plan_segment
+from repro.core.allocation import SegmentContext, SegmentFold, plan_segment
 from repro.core.region import Atom, AtomKind
 from repro.emulator import (
     CheckpointPolicy,
@@ -137,7 +137,7 @@ class TestAllocationProperties:
         ctx = SegmentContext(
             model=MODEL, vm_capacity=capacity, variables=variables
         )
-        plan = plan_segment(ctx, [atom], set(variables), True, True)
+        plan = plan_segment(ctx, SegmentFold([atom]), set(variables), True, True)
         assert plan is not None
         assert plan.vm_bytes <= capacity
         vm_total = sum(
@@ -157,7 +157,7 @@ class TestAllocationProperties:
         if writes:
             atom.counts.add_write("x", writes, full=True)
         ctx = SegmentContext(model=MODEL, vm_capacity=64, variables=variables)
-        plan = plan_segment(ctx, [atom], {"x"}, True, True)
+        plan = plan_segment(ctx, SegmentFold([atom]), {"x"}, True, True)
         vm = set(plan.vm_names)
         assert set(plan.save_names) <= vm
         assert set(plan.restore_names) <= vm

@@ -261,6 +261,36 @@ def test_cli_unknown_technique_exits_2_with_choices(capsys):
     assert "nosuch" in err and "schematic" in err
 
 
+@pytest.mark.parametrize(
+    "eb, diagnosis",
+    [
+        # Some region cannot be placed within the budget.
+        ("100", "no feasible checkpoint placement"),
+        # The budget cannot even fund one empty save + restore.
+        ("5", "cannot even fund one empty save+restore"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--program", "crc", "--technique", "schematic"],
+        ["fuzz", "--programs", "crc", "--techniques", "schematic",
+         "--seeds", "1"],
+    ],
+    ids=["sweep", "fuzz"],
+)
+def test_cli_infeasible_budget_exits_2_with_one_line(capsys, argv, eb,
+                                                     diagnosis):
+    from repro.testkit.__main__ import main
+
+    assert main(argv + ["--eb", eb]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ") and diagnosis in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
 # -- deep suite (pytest -m sweep) ---------------------------------------------
 
 
