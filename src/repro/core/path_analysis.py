@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import telemetry
+from repro.telemetry import metrics
 from repro.core.allocation import SegmentContext
 from repro.core.rcg import RCG, Boundary, CheckpointSpec, RCGInfeasibleError, RunResult
 from repro.core.region import Atom, InsertPoint, RegionGraph
@@ -224,17 +224,17 @@ class RegionAnalysis:
                 f"region {self.region.region_id}: {exc}"
             ) from exc
         finally:
-            tm = telemetry.get()
-            if tm is not None:
-                tm.counter("placer.rcg.runs").add(1)
-                tm.counter("placer.rcg.nodes").add(rcg.stat_nodes)
-                tm.counter("placer.rcg.edges").add(rcg.stat_edges)
-                tm.counter("placer.rcg.edges_rejected_eb").add(
+            mm = metrics.get()
+            if mm is not None:
+                mm.counter("placer.rcg.runs").add(1)
+                mm.counter("placer.rcg.nodes").add(rcg.stat_nodes)
+                mm.counter("placer.rcg.edges").add(rcg.stat_edges)
+                mm.counter("placer.rcg.edges_rejected_eb").add(
                     rcg.stat_edges_rejected_eb
                 )
-                tm.counter("placer.rcg.plans_evaluated").add(rcg.stat_plans)
-                tm.counter("placer.rcg.dijkstra_pushes").add(rcg.stat_pushes)
-                tm.histogram("placer.rcg.atoms_per_run").record(m)
+                mm.counter("placer.rcg.plans_evaluated").add(rcg.stat_plans)
+                mm.counter("placer.rcg.dijkstra_pushes").add(rcg.stat_pushes)
+                mm.histogram("placer.rcg.atoms_per_run").record(m)
         self._commit(path, i, j, run_uids, atoms, result, at_exit)
 
     # --------------------------------------------------------------- commit

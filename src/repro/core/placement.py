@@ -151,13 +151,14 @@ class Schematic:
             )
             with telemetry.span("placer.function", function=name) as span:
                 before = (
-                    {s: tm.counter(s).value for s in _rcg_stats}
+                    {s: tm.metrics.counter(s).value for s in _rcg_stats}
                     if tm is not None else {}
                 )
                 result, plan = analyzer.analyze()
                 if tm is not None:
                     span.set(**{
-                        s.rsplit(".", 1)[1]: tm.counter(s).value - before[s]
+                        s.rsplit(".", 1)[1]:
+                            tm.metrics.counter(s).value - before[s]
                         for s in _rcg_stats
                     })
             function_results[name] = result

@@ -20,19 +20,17 @@ Two layers:
   with *zero* power failures and matching outputs.
 
 Every (reference, transformed) pair that enters the dynamic oracle is
-also *statically* translation-validated by default: the simulation
+also *statically* translation-validated: the simulation
 relation of :mod:`repro.analysis.simrel` is inferred once per module
 pair (memoized on object identity, both modules pinned) and its verdict
 counted in :func:`transval_stats` — surfaced by the ``run_all``
 manifest. The pass is silent on purpose: it never changes a
-:class:`VerificationResult` or any evaluation report, so enabling it
-keeps every report byte-identical. ``REPRO_TRANSVAL=0`` is the escape
-hatch.
+:class:`VerificationResult` or any evaluation report, so every report
+stays byte-identical.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -75,7 +73,7 @@ class VerificationResult:
         return self.completed and self.outputs_match
 
 
-# -- default-on translation validation ------------------------------------
+# -- silent translation validation -----------------------------------------
 
 #: Per-process counters for the silent validation pass; the run_all
 #: manifest mirrors them (workers keep their own, like the cache stats).
@@ -92,14 +90,6 @@ _TRANSVAL_STATS: Dict[str, int] = {
 #: cannot hand its id to a different module and alias the entry.
 _TRANSVAL_MEMO: Dict[Tuple[int, int], Tuple[Module, Module, Optional[bool]]] = {}
 _TRANSVAL_MEMO_CAP = 256
-
-
-def transval_enabled() -> bool:
-    """Whether the oracle's validation pass is on (``REPRO_TRANSVAL``,
-    default on; ``0``/``false``/``off`` disable)."""
-    return os.environ.get("REPRO_TRANSVAL", "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 def transval_stats() -> Dict[str, int]:
@@ -165,10 +155,10 @@ def run_against_reference(
     which a checkpoint whose restore set misses live VM state is
     dynamically convicted instead of silently healed.
     ``compiled=False`` runs the intermittent run on the pre-decoded loop
-    (the testkit's ``--compiled`` axis re-runs cells there to cross-check
-    the compiled one).
+    (the differential oracle re-runs every cell there to cross-check the
+    compiled one).
     """
-    if transval_enabled() and transformed is not reference:
+    if transformed is not reference:
         validate_placement(reference, transformed)
     if reference_report is None:
         reference_report = run_continuous(

@@ -257,10 +257,10 @@ class EvaluationContext:
                 else:
                     compiled = compiler(bench.module, platform)
                 self._cache_put("compiled", parts, compiled)
-            if compiled.feasible and verify.transval_enabled():
+            if compiled.feasible:
                 # Silent translation validation of every placement that
-                # enters the evaluation (counted in the run_all manifest;
-                # REPRO_TRANSVAL=0 disables). Never changes any report.
+                # enters the evaluation (counted in the run_all
+                # manifest). Never changes any report.
                 verify.validate_placement(
                     self.benchmark(benchmark).module, compiled.module
                 )

@@ -97,8 +97,9 @@ SECTIONS = [
 #: version key to ``schema_version`` and adds the merged cross-process
 #: ``metrics`` rollup (``null`` when metrics are off); v3 drops the
 #: differential-emulation block (every cell is emulated cold); v4 drops
-#: the failure-model key (a cell's power model is part of its run key).
-MANIFEST_SCHEMA = 4
+#: the failure-model key (a cell's power model is part of its run key);
+#: v5 drops ``transval.enabled`` (the validation pass always runs).
+MANIFEST_SCHEMA = 5
 
 
 def _csv(text: str) -> List[str]:
@@ -194,10 +195,7 @@ def build_manifest(
         ],
         "prefill": prefill_stats or None,
         "cache": ctx.cache.stats_dict() if ctx.cache is not None else None,
-        "transval": {
-            "enabled": core_verify.transval_enabled(),
-            **core_verify.transval_stats(),
-        },
+        "transval": core_verify.transval_stats(),
         "trace": (
             {key: str(path) for key, path in trace_paths.items()}
             if trace_paths

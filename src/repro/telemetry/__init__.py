@@ -33,12 +33,12 @@ from repro.telemetry.core import (
     Gauge,
     Histogram,
     Telemetry,
-    count,
     disable,
     enable,
     enabled,
     get,
     span,
+    suspended,
 )
 from repro.telemetry.metrics import METRICS_SCHEMA, MetricsRegistry
 
@@ -54,10 +54,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Telemetry",
-    "count",
     "disable",
     "enable",
     "enabled",
     "get",
     "span",
+    "suspended",
 ]

@@ -191,23 +191,6 @@ class Telemetry:
         self._run_seq += 1
         return self._run_seq
 
-    # ------------------------------------------------------------- metrics
-
-    # All metric storage lives in the registry; these delegates keep the
-    # historical ``tm.counter(...)`` call sites working unchanged.
-
-    def counter(self, name: str) -> Counter:
-        return self.metrics.counter(name)
-
-    def gauge(self, name: str, agg: str = "max") -> Gauge:
-        return self.metrics.gauge(name, agg=agg)
-
-    def histogram(self, name: str) -> Histogram:
-        return self.metrics.histogram(name)
-
-    def metrics_snapshot(self) -> List[Dict[str, Any]]:
-        return self.metrics.snapshot()
-
 
 # ---------------------------------------------------------------- global
 
@@ -264,7 +247,15 @@ def span(name: str, track: str = TRACK_COMPILER, **attrs: Any):
     return tm.span(name, track=track, **attrs)
 
 
-def count(name: str, n: int = 1) -> None:
-    tm = _ACTIVE
-    if tm is not None:
-        tm.counter(name).add(n)
+@contextmanager
+def suspended() -> Iterator[None]:
+    """Record nothing inside the block: the tracing handle and the
+    metrics registry both read as off, and both are restored on exit."""
+    global _ACTIVE
+    tm, mm = _ACTIVE, metrics_mod.disable()
+    _ACTIVE = None
+    try:
+        yield
+    finally:
+        _ACTIVE = tm
+        metrics_mod._install(mm)

@@ -18,7 +18,7 @@ object with a ``kind`` discriminator:
 ``metrics``
     ``{"kind": "metrics", "metrics": [...]}`` — the final registry
     snapshot (counters/gauges/histograms as rendered by
-    :meth:`~repro.telemetry.core.Telemetry.metrics_snapshot`).
+    :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`).
 
 Well-known event names (all optional in a trace):
 

@@ -55,7 +55,7 @@ def trace_records(tm: Telemetry) -> List[Dict[str, Any]]:
     """The full record list of one handle: header, events, metrics."""
     records = [header_record(tm.meta)]
     records.extend(tm.events)
-    records.append(metrics_record(tm.metrics_snapshot()))
+    records.append(metrics_record(tm.metrics.snapshot()))
     return records
 
 

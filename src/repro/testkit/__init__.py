@@ -35,7 +35,6 @@ them by default. See ``docs/testing.md``.
 """
 
 from repro.testkit.corpus import (
-    ALL_NVM_TECHNIQUES,
     CORPUS,
     WAIT_MODE_TECHNIQUES,
     available_programs,
@@ -50,6 +49,7 @@ from repro.testkit.oracle import (
     OUTCOME_OK,
     OUTCOME_PROGRESS,
     OUTCOME_STUCK,
+    ContractCheck,
     OracleVerdict,
     check_schedule,
     classify,
@@ -61,7 +61,6 @@ from repro.testkit.fuzz import FuzzResult, run_fuzz
 from repro.testkit.sabotage import strip_checkpoint
 
 __all__ = [
-    "ALL_NVM_TECHNIQUES",
     "CORPUS",
     "WAIT_MODE_TECHNIQUES",
     "available_programs",
@@ -74,6 +73,7 @@ __all__ = [
     "OUTCOME_OK",
     "OUTCOME_PROGRESS",
     "OUTCOME_STUCK",
+    "ContractCheck",
     "OracleVerdict",
     "check_schedule",
     "classify",

@@ -115,23 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--modes", type=_csv, default=list(DEFAULT_MODES),
                       help="subset of energy,periodic,stochastic")
     diff.add_argument("--seed", type=int, default=0)
-    diff.add_argument("--diff-emulation", action="store_true",
-                      dest="diffemu_check",
-                      help="run every cell twice — cold and via the "
-                      "snapshot/fork path — and convict any report "
-                      "divergence (doubles the grid)")
-    diff.add_argument("--compiled", action="store_true",
-                      dest="compiled_check",
-                      help="re-run every non-crashed cell on the "
-                      "pre-decoded interpreter loop and convict any "
-                      "divergence from the compiled loop "
-                      "(doubles the grid)")
-    diff.add_argument("--transval", action="store_true",
-                      dest="transval_check",
-                      help="statically certify every feasible placement "
-                      "in the grid as a refinement of its source "
-                      "(translation validation) and convict any TV "
-                      "finding")
     diff.add_argument("--no-shrink", action="store_true")
     diff.add_argument("--jobs", default="1", metavar="N|auto",
                       help="worker processes (one per program)")
@@ -231,9 +214,6 @@ def _run(args: argparse.Namespace, started: float) -> int:
             seed=args.seed,
             shrink=not args.no_shrink,
             jobs=resolve_jobs(args.jobs),
-            diffemu_check=args.diffemu_check,
-            compiled_check=args.compiled_check,
-            transval_check=args.transval_check,
         )
         print(result.render())
         print(f"({time.time() - started:.1f}s)")

@@ -29,16 +29,6 @@ from repro.programs.base import Benchmark
 #: compile-time energy budget) applies to.
 WAIT_MODE_TECHNIQUES = frozenset({"schematic", "rockclimb", "allnvm"})
 
-#: Wait-mode techniques that keep *every* variable in NVM and never roll
-#: back. Their crash consistency rests entirely on the recharge contract
-#: (failures only ever strike when the budget is exhausted, i.e. at a
-#: checkpoint); a power schedule that kills them mid-segment re-executes
-#: NVM writes non-transparently, so WAR anomalies under such schedules are
-#: a documented property, not a placement bug. SCHEMATIC is wait-mode too
-#: but holds up in practice: its hot read-write scalars live in VM and are
-#: restored from the snapshot on every reboot.
-ALL_NVM_TECHNIQUES = frozenset({"rockclimb", "allnvm"})
-
 _SUMLOOP = """
 u32 result;
 i32 data[16];

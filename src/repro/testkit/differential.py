@@ -21,27 +21,37 @@ All-NVM) must complete under ``energy`` and ``periodic``; roll-back
 baselines may starve (``stuck`` is an expected outcome, e.g. MEMENTOS at
 TBPF=1k); nobody may ever complete with wrong outputs. Stochastic windows
 can undercut any placement's budget, so there only crash consistency is
-required — except for the all-NVM wait-mode runtimes (ROCKCLIMB, All-NVM),
-whose mid-segment re-execution under stochastic kills is outside their
-recharge contract: their anomalies there are recorded as
+required. A wait-mode technique's mid-segment re-execution under
+stochastic kills is outside its recharge contract: an anomaly or crash
+there whose replay hazard the static idempotency rule predicts, and
+which a replay with that hazard undone heals
+(:class:`~repro.testkit.oracle.ContractCheck`), is recorded as
 ``anomaly-outside-contract`` and excluded from the agreement check.
 Violations are shrunk to a minimal ``SCHEDULED`` failure list when the
 failing run replays deterministically.
 
-With ``diffemu_check=True`` every cell additionally becomes a *pair*:
-the cold emulation and a differential one (snapshot tape recorded once
-per technique x TBPF column, the cell resumed from the last safe
-snapshot — see :mod:`repro.emulator.diffemu`). The two full
-:class:`~repro.emulator.report.ExecutionReport` objects must match
-bit-for-bit; a divergence is recorded as a disagreement, exactly like a
-cross-technique one.
+Every cell is also checked along three equivalence legs, wherever each
+applies. A divergence or finding on any leg is recorded as a
+disagreement, exactly like a cross-technique one:
 
-With ``compiled_check=True`` every non-crashed cell becomes a *pair*
-as well: it is re-run on the plain pre-decoded loop (``compiled=False``),
-the per-step reference of the compiled (threaded-code) loop the primary
-run uses. Any report divergence convicts the batched accounting or the
-superinstruction codegen; it is recorded as a disagreement, exactly
-like a cross-technique one.
+- **compiled loop**: every non-crashed cell is re-run on the plain
+  pre-decoded loop (``compiled=False``), the per-step reference of the
+  compiled (threaded-code) loop the primary run uses. A report
+  divergence convicts the batched accounting or the superinstruction
+  codegen.
+- **differential emulation**: every non-crashed cell whose policy has no
+  ``skip_threshold`` is re-run through the snapshot/fork path (one tape
+  per technique x TBPF column, the cell resumed from the last safe
+  snapshot — see :mod:`repro.emulator.diffemu`). Its
+  :class:`~repro.emulator.report.ExecutionReport` must match the cold
+  one bit-for-bit.
+- **translation validation**: every feasible placement is certified
+  statically as a refinement of its source
+  (:mod:`repro.staticcheck.transval`).
+
+The legs and the shrinker's replays run with tracing and metrics
+suspended (:func:`repro.telemetry.suspended`), so a trace of the grid
+and its ``interp.*`` counters describe the primary runs only.
 """
 
 from __future__ import annotations
@@ -60,21 +70,19 @@ from repro.emulator.report import ExecutionReport
 from repro.energy import msp430fr5969_platform
 from repro.programs import BENCHMARK_NAMES
 from repro.runner.pool import parallel_map
+from repro.staticcheck.transval import check_translation
 from repro.testkit.corpus import (
-    ALL_NVM_TECHNIQUES,
     WAIT_MODE_TECHNIQUES,
     compile_for,
     load_program,
 )
 from repro.testkit.oracle import (
-    OUTCOME_ANOMALY,
     OUTCOME_CONTRACT,
-    OUTCOME_OK,
+    ContractCheck,
     OracleVerdict,
-    check_schedule,
     classify,
+    shrink_failure,
 )
-from repro.testkit.shrink import shrink_schedule
 
 #: Paper §IV-C values.
 DEFAULT_TBPF = (1_000, 10_000, 100_000)
@@ -94,15 +102,14 @@ class DiffResult:
     #: Cross-technique disagreements: human-readable descriptions.
     disagreements: List[str] = field(default_factory=list)
     runs: int = 0
-    #: Forked-vs-cold pairs checked (``diffemu_check=True``) and how the
-    #: differential side planned each one (synthesize / fork / cold).
+    #: Forked-vs-cold pairs checked and how the differential side
+    #: planned each one (synthesize / fork / cold).
     diffemu_cells: int = 0
     diffemu_kinds: Dict[str, int] = field(default_factory=dict)
-    #: Compiled-vs-pre-decoded loop pairs checked
-    #: (``compiled_check=True``).
+    #: Compiled-vs-pre-decoded loop pairs checked.
     compiled_cells: int = 0
     #: (program, technique, TBPF) placements statically certified as
-    #: refinements of their source (``transval_check=True``).
+    #: refinements of their source.
     transval_cells: int = 0
 
     @property
@@ -176,29 +183,14 @@ def run_differential(
     shrink: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
-    diffemu_check: bool = False,
-    compiled_check: bool = False,
-    transval_check: bool = False,
 ) -> DiffResult:
-    """Run the full grid; see the module docstring for the oracle.
+    """Run the full grid; see the module docstring for the oracle and
+    its equivalence legs.
 
     ``jobs > 1`` fans the per-program grids across worker processes
     (each program's technique x TBPF x mode block is independent) and
     merges the partial results in program order, so the combined result
-    is identical to a serial run.
-
-    ``diffemu_check=True`` runs every cell twice — cold and through the
-    snapshot/fork path — and convicts any report divergence.
-
-    ``compiled_check=True`` re-runs every non-crashed cell on the
-    pre-decoded interpreter loop and convicts any divergence from the
-    compiled-loop report (doubles the grid).
-
-    ``transval_check=True`` additionally certifies every feasible
-    (program, technique, TBPF) placement *statically* as a refinement of
-    its source (:mod:`repro.staticcheck.transval`) and convicts any TV
-    finding — the static validator cross-checked against the same grid
-    the dynamic oracle judges."""
+    is identical to a serial run."""
     programs = list(programs if programs is not None else BENCHMARK_NAMES)
     result = DiffResult(
         programs=programs,
@@ -211,17 +203,13 @@ def run_differential(
             _diff_one_program, programs, jobs,
             initializer=_init_diff_worker,
             initargs=(list(techniques), list(tbpf_values), list(modes),
-                      seed, max_instructions, shrink, diffemu_check,
-                      compiled_check, transval_check),
+                      seed, max_instructions, shrink),
         )
     else:
         partials = [
             _run_program(
                 program, techniques, tbpf_values, modes, seed,
                 max_instructions, shrink, progress,
-                diffemu_check=diffemu_check,
-                compiled_check=compiled_check,
-                transval_check=transval_check,
             )
             for program in programs
         ]
@@ -250,21 +238,14 @@ _DIFF_STATE: Optional[Tuple] = None
 
 def _init_diff_worker(
     techniques, tbpf_values, modes, seed, max_instructions, shrink,
-    diffemu_check=False, compiled_check=False, transval_check=False,
 ) -> None:
     global _DIFF_STATE
     _DIFF_STATE = (techniques, tbpf_values, modes, seed, max_instructions,
-                   shrink, diffemu_check, compiled_check, transval_check)
+                   shrink)
 
 
 def _diff_one_program(program: str) -> DiffResult:
-    (techniques, tbpf_values, modes, seed, max_instructions, shrink,
-     diffemu_check, compiled_check, transval_check) = _DIFF_STATE
-    return _run_program(
-        program, techniques, tbpf_values, modes, seed, max_instructions,
-        shrink, progress=None, diffemu_check=diffemu_check,
-        compiled_check=compiled_check, transval_check=transval_check,
-    )
+    return _run_program(program, *_DIFF_STATE, progress=None)
 
 
 def _run_program(
@@ -276,9 +257,6 @@ def _run_program(
     max_instructions: int,
     shrink: bool,
     progress: Optional[Callable[[str], None]],
-    diffemu_check: bool = False,
-    compiled_check: bool = False,
-    transval_check: bool = False,
 ) -> DiffResult:
     """One program's technique x TBPF x mode block as a partial result."""
     result = DiffResult(
@@ -305,13 +283,9 @@ def _run_program(
                 technique, bench.module, plat,
                 input_generator=bench.input_generator(),
             )
-        if transval_check:
-            from repro.staticcheck.transval import check_translation
-
-            # Static leg of the cross-check: every feasible placement in
-            # this TBPF column must certify as a refinement of its
-            # source; a TV finding convicts the placement exactly like a
-            # cross-technique disagreement.
+        # Translation-validation leg: every feasible placement in this
+        # TBPF column must certify as a refinement of its source.
+        with telemetry.suspended():
             for technique in techniques:
                 comp = compiled[technique]
                 if not comp.feasible:
@@ -329,6 +303,15 @@ def _run_program(
         # One snapshot tape per technique column, shared by every power
         # mode of this TBPF (recorded lazily on first eligible cell).
         tapes: Dict[str, object] = {}
+        # One contract check per technique column: its static replay
+        # hazards are computed once, on the first stochastic fault.
+        contracts = {
+            technique: ContractCheck(
+                technique, compiled[technique], reference, plat, inputs,
+                max_instructions,
+            )
+            for technique in techniques
+        }
         for mode in modes:
             group: Dict[str, ExecutionReport] = {}
             for technique in techniques:
@@ -365,84 +348,95 @@ def _run_program(
                         reference_report=reference,
                     )
                 result.runs += 1
-                if compiled_check and not run.crashed:
-                    # Same cell on the pre-decoded loop: both hot loops
-                    # must produce the identical report (fresh
-                    # PowerManager — a consumed manager is not reusable).
-                    alt = run_against_reference(
-                        comp.module, bench.module, plat.model,
-                        comp.policy, spec.build(),
-                        vm_size=plat.vm_size, inputs=inputs,
-                        max_instructions=max_instructions,
-                        reference_report=reference, compiled=False,
-                    )
-                    result.runs += 1
-                    if alt.crashed or repr(alt.report) != repr(run.report):
-                        result.disagreements.append(
-                            f"{program}/{technique} under {desc}: "
-                            "predecoded loop diverges from the compiled "
-                            "loop"
-                        )
-                    result.compiled_cells += 1
-                if (
-                    diffemu_check
-                    and comp.policy.skip_threshold is None
-                    and not run.crashed
-                ):
-                    tape = tapes.get(technique)
-                    if tape is None:
-                        tape = tapes[technique] = record_tape(
-                            comp.module, plat.model, comp.policy,
+                # Compiled-loop and diffemu legs: the same cell on the
+                # pre-decoded loop (fresh PowerManager: a consumed one is
+                # not reusable) and, unless the policy skips, through the
+                # fork. Both reports must equal the primary one.
+                if not run.crashed:
+                    with telemetry.suspended():
+                        alt = run_against_reference(
+                            comp.module, bench.module, plat.model,
+                            comp.policy, spec.build(),
                             vm_size=plat.vm_size, inputs=inputs,
                             max_instructions=max_instructions,
+                            reference_report=reference, compiled=False,
                         )
-                    paired, plan = run_cell(
-                        comp.module, plat.model, comp.policy,
-                        spec, tape,
-                        vm_size=plat.vm_size, inputs=inputs,
-                        max_instructions=max_instructions,
-                    )
-                    result.diffemu_cells += 1
-                    result.diffemu_kinds[plan.kind] = (
-                        result.diffemu_kinds.get(plan.kind, 0) + 1
-                    )
-                    if repr(paired) != repr(run.report):
-                        result.disagreements.append(
-                            f"{program}/{technique} under {desc}: "
-                            f"diff-emulation ({plan.kind}) diverges "
-                            "from cold emulation"
-                        )
+                        result.runs += 1
+                        result.compiled_cells += 1
+                        if alt.crashed or repr(alt.report) != repr(run.report):
+                            result.disagreements.append(
+                                f"{program}/{technique} under {desc}: "
+                                "predecoded loop diverges from the "
+                                "compiled loop"
+                            )
+                        if comp.policy.skip_threshold is None:
+                            tape = tapes.get(technique)
+                            if tape is None:
+                                tape = tapes[technique] = record_tape(
+                                    comp.module, plat.model, comp.policy,
+                                    vm_size=plat.vm_size, inputs=inputs,
+                                    max_instructions=max_instructions,
+                                )
+                            paired, plan = run_cell(
+                                comp.module, plat.model, comp.policy,
+                                spec, tape, vm_size=plat.vm_size,
+                                inputs=inputs,
+                                max_instructions=max_instructions,
+                            )
+                            result.diffemu_cells += 1
+                            result.diffemu_kinds[plan.kind] = (
+                                result.diffemu_kinds.get(plan.kind, 0) + 1
+                            )
+                            if repr(paired) != repr(run.report):
+                                result.disagreements.append(
+                                    f"{program}/{technique} under "
+                                    f"{desc}: diff-emulation "
+                                    f"({plan.kind}) diverges from cold "
+                                    "emulation"
+                                )
                 guarantee = (
                     technique in WAIT_MODE_TECHNIQUES
                     and mode in ("energy", "periodic")
                 )
-                outcome = classify(run, guarantee=guarantee)
-                # Stochastic schedules kill all-NVM wait-mode runtimes
-                # mid-segment, outside their recharge contract: WAR
-                # anomalies there are documented behaviour, recorded
-                # as their own outcome and kept out of the agreement
-                # group (their outputs carry no information).
-                waived = (
-                    outcome == OUTCOME_ANOMALY
-                    and mode == "stochastic"
-                    and technique in ALL_NVM_TECHNIQUES
-                )
-                if waived:
-                    outcome = OUTCOME_CONTRACT
                 verdict = OracleVerdict(
                     program=program, technique=technique, power=desc,
-                    outcome=outcome,
+                    outcome=classify(run, guarantee=guarantee),
                     schedule=tuple(run.failure_offsets),
                     detail=run.failure_reason,
                     power_failures=run.power_failures,
                 )
-                if verdict.violation and shrink:
-                    verdict.shrunk, verdict.detail = _shrink_replay(
-                        comp, reference, plat, inputs,
-                        max_instructions, verdict, result,
+                # A statically predicted replay hazard under stochastic
+                # kills, healed by undoing it, is outside the wait-mode
+                # contract: recorded as its own outcome and kept out of
+                # the agreement group (its outputs carry no information).
+                waiver = None
+                if mode == "stochastic":
+                    waiver, runs = contracts[technique].outside_contract(
+                        run, verdict.outcome,
                     )
+                    result.runs += runs
+                if waiver:
+                    verdict.outcome = OUTCOME_CONTRACT
+                    verdict.detail = "; ".join(
+                        filter(None, (verdict.detail, waiver))
+                    )
+                if verdict.violation and shrink and verdict.schedule:
+                    with telemetry.suspended():
+                        shrunk, runs = shrink_failure(
+                            comp, reference, plat, inputs,
+                            max_instructions, verdict.schedule,
+                            verdict.outcome, probe=True,
+                        )
+                    result.runs += runs
+                    if shrunk is None:
+                        verdict.detail = (
+                            verdict.detail
+                            + " [not replayable as a fixed schedule]"
+                        ).strip()
+                    else:
+                        verdict.shrunk = shrunk
                 result.verdicts.append(verdict)
-                if run.completed and run.report is not None and not waived:
+                if run.completed and run.report is not None and not waiver:
                     group[technique] = run.report
             _check_agreement(
                 result, program, bench.output_vars,
@@ -473,32 +467,3 @@ def _check_agreement(
         result.disagreements.append(
             f"{program} under {desc}: completed techniques disagree: {camps}"
         )
-
-
-def _shrink_replay(
-    comp, reference, plat, inputs, max_instructions,
-    verdict: OracleVerdict, result: DiffResult,
-) -> Tuple[Tuple[int, ...], str]:
-    """Replay the failing run's failure offsets as an explicit schedule
-    and shrink. Runtimes that consult the remaining charge (MEMENTOS's
-    voltage check) may diverge under replay; in that case the original
-    offsets are reported unshrunk."""
-    schedule = verdict.schedule
-    if not schedule:
-        return (), verdict.detail
-
-    def still_fails(candidate: Tuple[int, ...]) -> bool:
-        run = check_schedule(
-            comp, reference, plat.model, candidate,
-            plat.vm_size, inputs, max_instructions,
-        )
-        return classify(run, guarantee=True) == verdict.outcome
-
-    result.runs += 1
-    if not still_fails(schedule):
-        return (), (
-            verdict.detail + " [not replayable as a fixed schedule]"
-        ).strip()
-    shrunk, runs = shrink_schedule(schedule, still_fails)
-    result.runs += runs
-    return shrunk, verdict.detail

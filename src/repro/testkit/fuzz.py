@@ -6,9 +6,11 @@ a range of charge-cycle lengths — and applies the crash-consistency
 oracle. Starvation is legitimate under arbitrary harvesting (a window
 smaller than a restore's cost can recur forever), so only *anomalies*
 (completed with wrong NVM state) are violations; they are replayed as
-explicit schedules and shrunk. All-NVM wait-mode runtimes are exempt —
-stochastic kills strike them mid-segment, outside their recharge contract
-(``anomaly-outside-contract``, see :mod:`repro.testkit.corpus`).
+explicit schedules and shrunk. A wait-mode runtime's anomaly is exempt
+when the static idempotency rule predicts it and undoing the predicted
+hazard heals the replay: stochastic kills strike mid-segment, outside
+the recharge contract (``anomaly-outside-contract``, see
+:class:`repro.testkit.oracle.ContractCheck`).
 
 This complements the exhaustive sweep: the sweep nails every single- and
 double-failure point, the fuzzer explores long, irregular multi-failure
@@ -19,23 +21,22 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.telemetry import metrics
-from repro.baselines import CompiledTechnique
 from repro.core.verify import run_against_reference
 from repro.emulator import PowerManager, run_continuous
 from repro.energy import msp430fr5969_platform
-from repro.testkit.corpus import ALL_NVM_TECHNIQUES, compile_for, load_program
+from repro.testkit.corpus import compile_for, load_program
 from repro.testkit.oracle import (
     OUTCOME_ANOMALY,
     OUTCOME_CONTRACT,
+    ContractCheck,
     OracleVerdict,
-    check_schedule,
     classify,
+    shrink_failure,
 )
-from repro.testkit.shrink import shrink_schedule
 
 DEFAULT_FUZZ_TECHNIQUES = (
     "ratchet", "mementos", "rockclimb", "alfred", "schematic", "allnvm",
@@ -117,6 +118,10 @@ def run_fuzz(
                 with tm.scope(benchmark=program, technique=technique,
                               eb=round(eb, 3)):
                     emit_segment_bounds(tm, compiled, plat.model, eb)
+            contract = ContractCheck(
+                technique, compiled, reference, plat, inputs,
+                max_instructions,
+            )
             for mean in mean_cycles:
                 for seed in range(seeds):
                     if progress is not None:
@@ -144,14 +149,13 @@ def run_fuzz(
                     result.runs += 1
                     metrics.count("testkit.fuzz.cases")
                     outcome = classify(run, guarantee=False)
-                    if (
-                        outcome == OUTCOME_ANOMALY
-                        and technique in ALL_NVM_TECHNIQUES
-                    ):
-                        # Mid-segment stochastic kills are outside the
-                        # all-NVM wait-mode recharge contract (see
-                        # testkit.corpus.ALL_NVM_TECHNIQUES).
-                        outcome = OUTCOME_CONTRACT
+                    if outcome == OUTCOME_ANOMALY:
+                        waiver, runs = contract.outside_contract(
+                            run, outcome,
+                        )
+                        result.runs += runs
+                        if waiver:
+                            outcome = OUTCOME_CONTRACT
                     result.outcomes[outcome] = (
                         result.outcomes.get(outcome, 0) + 1
                     )
@@ -165,28 +169,13 @@ def run_fuzz(
                             power_failures=run.power_failures,
                         )
                         if shrink:
-                            verdict.shrunk = _shrink(
+                            shrunk, runs = shrink_failure(
                                 compiled, reference, plat, inputs,
-                                max_instructions, verdict, result,
+                                max_instructions, verdict.schedule,
+                                outcome, probe=True,
                             )
+                            verdict.shrunk = shrunk or ()
+                            result.runs += runs
                         result.violations.append(verdict)
     return result
 
-
-def _shrink(
-    compiled: CompiledTechnique, reference, plat, inputs,
-    max_instructions, verdict: OracleVerdict, result: FuzzResult,
-) -> Tuple[int, ...]:
-    def still_fails(candidate: Tuple[int, ...]) -> bool:
-        run = check_schedule(
-            compiled, reference, plat.model, candidate,
-            plat.vm_size, inputs, max_instructions,
-        )
-        return classify(run, guarantee=True) == verdict.outcome
-
-    result.runs += 1
-    if not still_fails(verdict.schedule):
-        return ()
-    shrunk, runs = shrink_schedule(verdict.schedule, still_fails)
-    result.runs += runs
-    return shrunk

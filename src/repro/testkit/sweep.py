@@ -53,10 +53,10 @@ from repro.testkit.oracle import (
     OracleVerdict,
     check_schedule,
     classify,
+    shrink_failure,
 )
 from repro.runner.pool import parallel_map
 from repro.testkit.sabotage import strip_checkpoint
-from repro.testkit.shrink import shrink_schedule
 
 
 @dataclass
@@ -266,10 +266,11 @@ def sweep_technique(
         schedule=tuple(guarantee_run.failure_offsets),
     )
     if verdict.violation and guarantee_run.failure_offsets:
-        verdict.shrunk = _shrink_violation(
+        verdict.shrunk, runs = shrink_failure(
             compiled, reference, plat, inputs, max_instructions,
-            tuple(guarantee_run.failure_offsets), outcome, result,
+            verdict.schedule, outcome,
         )
+        result.runs += runs
     result.guarantee = verdict
     if verdict.violation:
         result.violations.append(verdict)
@@ -326,10 +327,11 @@ def sweep_technique(
                 detail=detail,
                 power_failures=power_failures,
             )
-            verdict.shrunk = _shrink_violation(
+            verdict.shrunk, runs = shrink_failure(
                 compiled, reference, plat, inputs, max_instructions,
-                schedule, outcome, result,
+                schedule, outcome,
             )
+            result.runs += runs
             result.violations.append(verdict)
     return result
 
@@ -397,20 +399,3 @@ def _attack_schedules(
         )
     return results
 
-
-def _shrink_violation(
-    compiled, reference, plat, inputs, max_instructions,
-    schedule: Tuple[int, ...], outcome: str, result: SweepResult,
-) -> Tuple[int, ...]:
-    """Minimize a failing schedule, counting the verification runs."""
-
-    def still_fails(candidate: Tuple[int, ...]) -> bool:
-        run = check_schedule(
-            compiled, reference, plat.model, candidate,
-            plat.vm_size, inputs, max_instructions,
-        )
-        return classify(run, guarantee=True) == outcome
-
-    shrunk, runs = shrink_schedule(schedule, still_fails)
-    result.runs += runs
-    return shrunk

@@ -167,7 +167,7 @@ def test_cli_metrics_prom_and_jsonl_formats(tmp_path, capsys):
 def test_cli_metrics_reads_a_trace_metrics_block(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     with telemetry.enabled() as tm:
-        tm.counter("from.trace").add(3)
+        tm.metrics.counter("from.trace").add(3)
     from repro.telemetry.exporters import write_jsonl
 
     write_jsonl(tm, trace)

@@ -14,6 +14,7 @@ import pytest
 from repro import telemetry
 from repro.experiments import run_all
 from repro.runner.cache import ArtifactCache
+from repro.telemetry import metrics
 from repro.telemetry.exporters import read_jsonl
 
 
@@ -32,7 +33,7 @@ class _FakeSection:
             ctx.cache.get("run", key)  # miss
             ctx.cache.put("run", key, 42)
             ctx.cache.get("run", key)  # hit
-        telemetry.count("fake.sections")
+        metrics.count("fake.sections")
         return _FakeResult()
 
 
@@ -56,9 +57,10 @@ def test_json_manifest_without_tracing(tmp_path, capfd):
     assert "manifest:" in out.err
 
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA == 4
+    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA == 5
     # v3: every cell is emulated cold, so no emulation-mode block; v4:
-    # the power model is part of each run key, so no failure-model key.
+    # the power model is part of each run key, so no failure-model key;
+    # v5: translation validation always runs, so no enabled key.
     assert set(manifest) == {
         "schema_version", "tool", "python", "jobs", "profile_runs", "benchmarks", "fingerprints", "sections",
         "prefill", "cache", "transval", "trace", "metrics",
@@ -104,11 +106,11 @@ def test_trace_dir_implies_tracing_and_writes_artifacts(tmp_path, capfd):
         and r["attrs"]["section"] == "Fake"
         for r in spans
     )
-    metrics = {
+    counters = {
         m["name"]: m["value"] for m in records[-1]["metrics"]
         if m["kind"] == "counter"
     }
-    assert metrics["fake.sections"] == 1
+    assert counters["fake.sections"] == 1
 
     chrome = json.loads((trace_dir / "run_all.chrome.json").read_text())
     assert chrome["traceEvents"]

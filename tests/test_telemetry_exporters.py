@@ -58,7 +58,7 @@ def _sample_handle():
                          ts=40, ckpt=1, window_nj=12.0)
                 tm.event("run-end", track=telemetry.TRACK_RUNTIME, ts=60,
                          completed=True)
-        tm.counter("engine.cells").add(4)
+        tm.metrics.counter("engine.cells").add(4)
     return tm
 
 

@@ -198,8 +198,8 @@ def test_tracing_implies_metrics_shared_registry():
     with telemetry.enabled() as tm:
         assert metrics.get() is tm.metrics
         metrics.count("via.module")
-        tm.counter("via.handle").add(1)
-        snapshot = {m["name"] for m in tm.metrics_snapshot()}
+        tm.metrics.counter("via.handle").add(1)
+        snapshot = {m["name"] for m in tm.metrics.snapshot()}
     assert {"via.module", "via.handle"} <= snapshot
     assert metrics.get() is None, "telemetry.disable must uninstall"
 
@@ -210,6 +210,36 @@ def test_tracer_disable_does_not_clobber_a_newer_registry():
     telemetry.disable()
     assert metrics.get() is fresh
     metrics.disable()
+
+
+def test_suspended_records_nothing_and_restores_both_handles():
+    with telemetry.enabled() as tm:
+        with telemetry.suspended():
+            assert telemetry.get() is None and metrics.get() is None
+            metrics.count("hidden")
+        assert telemetry.get() is tm and metrics.get() is tm.metrics
+        metrics.count("shown")
+    names = {m["name"] for m in tm.metrics.snapshot()}
+    assert names == {"shown"}
+
+
+def test_metrics_only_compile_records_placer_counters():
+    """The RCG counters are metrics: a metrics-only run records them."""
+    from repro.testkit.corpus import compile_for, load_program
+    from repro.energy import msp430fr5969_platform
+
+    bench = load_program("crc")
+    with metrics.enabled() as mm:
+        compiled = compile_for(
+            "schematic", bench.module, msp430fr5969_platform(eb=3000.0),
+            input_generator=bench.input_generator(),
+        )
+        counters = {
+            r["name"]: r["value"]
+            for r in mm.snapshot() if r["kind"] == "counter"
+        }
+    assert compiled.feasible
+    assert counters.get("placer.rcg.runs", 0) > 0
 
 
 # -- bit-identity: metrics never change results -------------------------------

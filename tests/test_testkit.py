@@ -7,13 +7,16 @@ them with ``pytest -m sweep`` (or ``make sweep``).
 
 import pytest
 
-from repro.core.verify import VerificationResult
+from repro.core.verify import VerificationResult, run_against_reference
+from repro.emulator import PowerManager, run_continuous
 from repro.testkit import (
     OUTCOME_ANOMALY,
+    OUTCOME_CONTRACT,
     OUTCOME_CRASH,
     OUTCOME_OK,
     OUTCOME_PROGRESS,
     OUTCOME_STUCK,
+    ContractCheck,
     classify,
     record_boundaries,
     run_differential,
@@ -22,7 +25,7 @@ from repro.testkit import (
     sweep_technique,
 )
 from repro.testkit.corpus import compile_for, load_program
-from repro.testkit.sabotage import find_checkpoints, strip_checkpoint
+from repro.testkit.sabotage import drop_store, find_checkpoints, strip_checkpoint
 from repro.testkit.sweep import select_points
 from repro.energy import msp430fr5969_platform
 
@@ -176,14 +179,13 @@ def test_differential_small_grid():
     assert result.ok, result.render()
     assert not result.disagreements
 
-    # The three oracle axes on a corpus grid: 6 techniques x 2 modes,
-    # every cell non-crashed (12 loop pairs, 24 runs); MEMENTOS's
+    # The three equivalence legs on a corpus grid: 6 techniques x 2
+    # modes, every cell non-crashed (12 loop pairs, 24 runs); MEMENTOS's
     # voltage check cannot be taped (10 diffemu pairs); 6 feasible
     # placements in the one TBPF column.
     result = run_differential(
         programs=["sumloop"], tbpf_values=[10_000],
         modes=("energy", "periodic"),
-        diffemu_check=True, compiled_check=True, transval_check=True,
     )
     assert result.ok, result.render()
     assert result.runs == 24, "one pre-decoded re-run per checked cell"
@@ -193,6 +195,139 @@ def test_differential_small_grid():
     assert "  compiled-loop pairs: 12 (compiled/predecoded)" in (
         result.render().splitlines()
     )
+
+
+def test_differential_trace_describes_the_primary_grid_only():
+    """The equivalence legs run untraced: every runtime event of an
+    intermittent run carries its cell's benchmark and technique, and
+    there is one run-begin per primary cell, not per leg re-run."""
+    from repro import telemetry
+
+    with telemetry.enabled() as tm:
+        result = run_differential(
+            programs=["sumloop"], tbpf_values=[10_000],
+            modes=("energy", "periodic"),
+        )
+    assert result.ok, result.render()
+    runtime = [
+        e for e in tm.events
+        if e["kind"] == "event" and e["track"] == telemetry.TRACK_RUNTIME
+    ]
+    # Continuous runs (the reference and the placers' profiling runs)
+    # belong to no cell.
+    continuous = {
+        e["attrs"]["run"] for e in runtime
+        if e["name"] == "run-begin"
+        and e["attrs"]["technique"] == "continuous"
+    }
+    cells = [e for e in runtime if e["attrs"]["run"] not in continuous]
+    unlabelled = [
+        e for e in cells
+        if "benchmark" not in e["attrs"] or "technique" not in e["attrs"]
+    ]
+    assert not unlabelled, unlabelled[:3]
+    begins = [e for e in cells if e["name"] == "run-begin"]
+    assert len(begins) == len(result.verdicts) == 12
+    assert result.runs == 24
+
+
+def _warloop_check(technique):
+    bench = load_program("warloop")
+    plat = msp430fr5969_platform(eb=3000.0)
+    inputs = bench.default_inputs()
+    reference = run_continuous(bench.module, plat.model, inputs=inputs)
+    compiled = compile_for(
+        technique, bench.module, plat,
+        input_generator=bench.input_generator(),
+    )
+    check = ContractCheck(
+        technique, compiled, reference, plat, inputs, 50_000_000,
+    )
+    run = run_against_reference(
+        compiled.module, bench.module, plat.model, compiled.policy,
+        PowerManager.stochastic(mean_cycles=800.0, seed=0, eb=3000.0),
+        vm_size=plat.vm_size, inputs=inputs, reference_report=reference,
+    )
+    return check, run
+
+
+def _crash(reason):
+    return VerificationResult(
+        completed=False, outputs_match=False, power_failures=1,
+        failure_reason=f"emulation error: {reason}", crashed=True,
+        failure_offsets=[120],
+    )
+
+
+def test_contract_check_waives_only_a_predicted_and_healed_replay():
+    """A wait-mode run's stochastic anomaly is waived only when the
+    idempotency rule predicts its replay hazard and undoing that hazard
+    on replay heals the run."""
+    check, run = _warloop_check("rockclimb")
+    assert classify(run, guarantee=False) == OUTCOME_ANOMALY
+    why, runs = check.outside_contract(run, OUTCOME_ANOMALY)
+    assert "CONS001" in why and "@total" in why
+    assert runs == 2  # the plain replay, then the replay with the undo
+    assert check.outside_contract(run, OUTCOME_STUCK) == (None, 0)
+    # A crash is waivable only when a replayed value can cause it.
+    assert check.outside_contract(
+        _crash("VM access to @x, which is not VM-resident (placement bug "
+               "in a transformation pass)"), OUTCOME_CRASH,
+    ) == (None, 0)
+    assert check.outside_contract(
+        _crash("read of uninitialized register %t in @main"), OUTCOME_CRASH,
+    ) == (None, 0)
+    # SCHEMATIC's placement replays idempotently: no static hazard.
+    schematic, run = _warloop_check("schematic")
+    assert not schematic.hazards
+    assert schematic.outside_contract(run, OUTCOME_ANOMALY) == (None, 0)
+    # Roll-back techniques replay by design: never waived.
+    ratchet, run = _warloop_check("ratchet")
+    assert ratchet.outside_contract(run, OUTCOME_ANOMALY) == (None, 0)
+
+
+@pytest.mark.parametrize("sabotage, outcome", [
+    # Removing a migration checkpoint leaves a later VM access with no
+    # residency: a crash no replay can cause.
+    (lambda module: strip_checkpoint(module, ckpt_id=1)[0], OUTCOME_CRASH),
+    # A transformation bug: it changes the results under any schedule,
+    # so undoing the replay hazard cannot heal it.
+    (lambda module: drop_store(module)[0], OUTCOME_ANOMALY),
+], ids=["non-resident-vm-access", "dropped-store"])
+def test_differential_convicts_a_fault_beside_a_replay_hazard(
+    monkeypatch, sabotage, outcome,
+):
+    """rc4's SCHEMATIC placement carries a CONS001 hazard on @out. A
+    planted fault that is not that replay stays a stochastic violation."""
+    from repro.testkit import differential
+
+    def compile_broken(*args, **kwargs):
+        compiled = compile_for(*args, **kwargs)
+        compiled.module = sabotage(compiled.module)
+        return compiled
+
+    monkeypatch.setattr(differential, "compile_for", compile_broken)
+    result = run_differential(
+        programs=["rc4"], techniques=["schematic"],
+        tbpf_values=[100_000], modes=["stochastic"], shrink=False,
+    )
+    [verdict] = result.verdicts
+    assert verdict.outcome == outcome and verdict.violation
+    assert not result.ok
+
+
+def test_differential_waives_a_predicted_schematic_replay():
+    """rc4 XORs the NVM-resident @out in place. A stochastic kill
+    mid-segment replays the XOR; CONS001 predicts it, so the anomaly is
+    outside SCHEMATIC's recharge contract rather than a violation."""
+    result = run_differential(
+        programs=["rc4"], techniques=["schematic"],
+        tbpf_values=[100_000], modes=["stochastic"],
+    )
+    assert result.ok, result.render()
+    [verdict] = result.verdicts
+    assert verdict.outcome == OUTCOME_CONTRACT
+    assert "CONS001 at @prga/.for_body2[37] on @out" in verdict.detail
 
 
 def test_fuzz_smoke():

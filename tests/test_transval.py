@@ -317,15 +317,6 @@ class TestDefaultOnValidation:
         yield
         verify.reset_transval_stats()
 
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSVAL", raising=False)
-        assert verify.transval_enabled()
-        for value in ("0", "false", "off", "no", " OFF "):
-            monkeypatch.setenv("REPRO_TRANSVAL", value)
-            assert not verify.transval_enabled()
-        monkeypatch.setenv("REPRO_TRANSVAL", "1")
-        assert verify.transval_enabled()
-
     def test_validate_placement_counts_and_memoizes(self):
         bench, compiled = compile_cell("sumloop", "schematic")
         # The memo is keyed on object identity: hold one source module
@@ -362,20 +353,3 @@ class TestDefaultOnValidation:
         stats = verify.transval_stats()
         assert stats["validated"] == 1
         assert stats["certified"] == 1
-
-    def test_escape_hatch_skips_the_hook(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSVAL", "0")
-        bench, compiled = compile_cell("sumloop", "schematic")
-        plat = msp430fr5969_platform(eb=EB)
-        from repro.emulator import PowerManager
-
-        result = verify.run_against_reference(
-            compiled.module, bench.module, plat.model, compiled.policy,
-            PowerManager.energy_budget(EB),
-            vm_size=plat.vm_size, inputs=bench.default_inputs(),
-        )
-        assert result.ok
-        assert verify.transval_stats() == {
-            "validated": 0, "certified": 0, "violations": 0,
-            "memo_hits": 0, "skipped": 0,
-        }
