@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test sweep check check-bounds check-consistency check-transval fuzz bench bench-full metrics experiments experiments-quick trace export examples clean
+.PHONY: test sweep check check-bounds check-consistency check-transval fuzz metrics experiments experiments-quick trace export examples clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -47,12 +47,6 @@ check-transval:
 
 fuzz:
 	$(PYTHON) -m repro.testkit fuzz
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-full:
-	REPRO_FULL_BENCH=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Metered quick evaluation: every worker writes a metrics-<pid>.jsonl
 # sidecar under metrics/, the manifest embeds the merged rollup, and the

@@ -8,10 +8,32 @@ only" (§III-B1). Recursion raises :class:`RecursionUnsupportedError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, List, Set
 
 from repro.errors import RecursionUnsupportedError
+from repro.ir.function import Function
+from repro.ir.instructions import Call
 from repro.ir.module import Module
+from repro.ir.values import VarRef
+
+
+def call_ref_mapping(call: Call, callee: Function) -> Dict[str, str]:
+    """Callee ref-formal mangled name -> caller-side actual mangled name.
+
+    The actual may itself be a ref formal of the caller; the caller's own
+    summary keeps it symbolic and its caller substitutes in turn."""
+    mapping: Dict[str, str] = {}
+    for arg, param in zip(call.args, callee.params):
+        if isinstance(arg, VarRef):
+            mapping[callee.variables[param.name].name] = arg.variable.name
+    return mapping
+
+
+def substitute(names: FrozenSet[str], mapping: Dict[str, str]) -> FrozenSet[str]:
+    """Rewrite ref-formal names through a call-site mapping."""
+    if not mapping:
+        return names
+    return frozenset(mapping.get(name, name) for name in names)
 
 
 class CallGraph:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.callgraph import CallGraph, call_ref_mapping
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import solve_forward
 from repro.analysis.loops import Loop, LoopNest
@@ -402,20 +402,6 @@ class FunctionSummary:
     global_exit: Dict[str, Interval]
 
 
-def _ref_mapping(call: Call, callee: Function) -> Dict[str, str]:
-    """Callee ref-formal mangled name -> caller-side actual name.
-
-    Local twin of :func:`repro.staticcheck.common.call_ref_mapping`;
-    re-implemented here so ``analysis`` stays import-free of
-    ``staticcheck`` (which imports this package).
-    """
-    mapping: Dict[str, str] = {}
-    for arg, param in zip(call.args, callee.params):
-        if isinstance(arg, VarRef):
-            mapping[callee.variables[param.name].name] = arg.variable.name
-    return mapping
-
-
 # ---------------------------------------------------------------------------
 # Per-function analysis
 # ---------------------------------------------------------------------------
@@ -618,7 +604,7 @@ class FunctionRanges:
             for name in self.module.globals:
                 state.pop(name, None)
         else:
-            mapping = _ref_mapping(call, callee)
+            mapping = call_ref_mapping(call, callee)
             for written in summary.writes:
                 target = mapping.get(written, written)
                 if target in self.module.globals:
@@ -1034,7 +1020,7 @@ class FunctionRanges:
                 callee = self.module.functions.get(inst.callee)
                 if summary is None or callee is None:
                     return True
-                mapping = _ref_mapping(inst, callee)
+                mapping = call_ref_mapping(inst, callee)
                 if any(
                     mapping.get(w, w) == name for w in summary.writes
                 ):
@@ -1146,7 +1132,7 @@ class FunctionRanges:
                     if summary is None or callee is None:
                         writes.update(self.module.globals)
                         continue
-                    mapping = _ref_mapping(inst, callee)
+                    mapping = call_ref_mapping(inst, callee)
                     writes.update(mapping.get(w, w) for w in summary.writes)
         visible = frozenset(
             w for w in writes if w in self.module.globals or w in ref_formals

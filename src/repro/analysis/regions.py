@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.callgraph import CallGraph, call_ref_mapping, substitute
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import solve_forward
 from repro.ir.function import Function
@@ -62,7 +62,8 @@ _CHECKPOINT_KINDS = (Checkpoint, CondCheckpoint)
 AccessKey = Tuple[str, Optional[int]]
 
 
-def _resolve_space(space: MemorySpace, default: MemorySpace) -> MemorySpace:
+def resolve_space(space: MemorySpace, default: MemorySpace) -> MemorySpace:
+    """AUTO accesses execute in the interpreter's default space."""
     return default if space is MemorySpace.AUTO else space
 
 
@@ -97,15 +98,14 @@ def _substitute_keys(
     return frozenset((mapping.get(name, name), idx) for name, idx in keys)
 
 
-def _substitute_names(
-    names: FrozenSet[str], mapping: Dict[str, str]
-) -> FrozenSet[str]:
-    if not mapping:
-        return names
-    return frozenset(mapping.get(name, name) for name in names)
+def checkpoint_clears(inst, policy_may_skip: bool) -> bool:
+    """Whether this checkpoint is guaranteed to take a snapshot when
+    execution passes it.
 
-
-def _checkpoint_clears(inst, policy_may_skip: bool) -> bool:
+    A :class:`CondCheckpoint` fires only every ``every`` iterations, so a
+    single pass may not snapshot. A skippable :class:`Checkpoint` under a
+    policy with a skip heuristic (MEMENTOS) may be elided at run time.
+    Both must be treated as *not* ending the current replay region."""
     if isinstance(inst, CondCheckpoint):
         return False
     if isinstance(inst, Checkpoint):
@@ -260,7 +260,7 @@ class _FunctionFacts:
         for i, inst in enumerate(self.func.blocks[label].instructions):
             if isinstance(inst, Load):
                 var = inst.var
-                space = _resolve_space(inst.space, self.default_space)
+                space = resolve_space(inst.space, self.default_space)
                 key = _access_key(var.name, inst.index)
                 if var.volatile_input:
                     if reporting:
@@ -281,7 +281,7 @@ class _FunctionFacts:
                     if not _shadowed(key, entry_written):
                         vm_reads = vm_reads | {var.name}
             elif isinstance(inst, Store):
-                space = _resolve_space(inst.space, self.default_space)
+                space = resolve_space(inst.space, self.default_space)
                 name = inst.var.name
                 wkey = _access_key(name, inst.index)
                 if space is MemorySpace.NVM and reporting:
@@ -308,7 +308,7 @@ class _FunctionFacts:
                     written = written | {wkey}  # one proven element
                     entry_written = entry_written | {wkey}
             elif isinstance(inst, _CHECKPOINT_KINDS):
-                if _checkpoint_clears(inst, self.policy_may_skip):
+                if checkpoint_clears(inst, self.policy_may_skip):
                     if reporting:
                         self.anchors += 1
                     exposed = frozenset()
@@ -343,7 +343,7 @@ class _FunctionFacts:
         exposed, written, noclear, vm_reads, entry_written = state
         callee = self.module.function(call.callee)
         summary = self.summaries[call.callee]
-        mapping = _call_ref_mapping(call, callee)
+        mapping = call_ref_mapping(call, callee)
         callee_writes = _substitute_keys(summary.writes_before_clear, mapping)
         if events is not None:
             self.env_reads.update(summary.env_reads)
@@ -373,7 +373,7 @@ class _FunctionFacts:
         if writes is not None and noclear:
             writes.update(callee_writes)
         if noclear:
-            callee_vm = _substitute_names(summary.vm_entry_reads, mapping)
+            callee_vm = substitute(summary.vm_entry_reads, mapping)
             vm_reads = vm_reads | frozenset(
                 n
                 for n in callee_vm
@@ -391,16 +391,6 @@ class _FunctionFacts:
         return (
             exposed | callee_exposed, written, noclear, vm_reads, entry_written
         )
-
-
-def _call_ref_mapping(call: Call, callee: Function) -> Dict[str, str]:
-    from repro.ir.values import VarRef
-
-    mapping: Dict[str, str] = {}
-    for arg, param in zip(call.args, callee.params):
-        if isinstance(arg, VarRef):
-            mapping[callee.variables[param.name].name] = arg.variable.name
-    return mapping
 
 
 # -- environment taint ----------------------------------------------------

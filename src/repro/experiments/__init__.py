@@ -14,7 +14,8 @@ One module per artifact:
 
 Each module exposes ``run(...)`` returning structured results and a
 ``main()`` that prints the paper-style table. ``python -m
-repro.experiments.run_all`` regenerates everything (see EXPERIMENTS.md).
+repro.experiments.run_all`` regenerates everything (see EXPERIMENTS.md)
+and checks the paper's claims (:mod:`repro.experiments.claims`).
 """
 
 from repro.experiments.common import (

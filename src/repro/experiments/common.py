@@ -12,8 +12,8 @@ The experimental setup:
   (profiling uses different seeded inputs).
 
 :class:`EvaluationContext` caches reference runs, profiles and compiled
-techniques so the table/figure modules and the pytest benchmarks do not
-recompute shared artifacts.
+techniques so the table/figure modules do not recompute shared
+artifacts.
 """
 
 from __future__ import annotations

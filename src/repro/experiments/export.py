@@ -3,26 +3,21 @@
 ``python -m repro.experiments.export [outdir] [--quick]`` regenerates every
 table/figure and writes, per artifact, a ``<name>.json`` (the structured
 result) and a flat ``<name>.csv`` for spreadsheet/plotting pipelines, plus
-a ``summary.json`` with the headline numbers.
+a ``summary.json`` holding the verdict of every paper claim
+(:mod:`repro.experiments.claims`). The analysis-cost section is a live
+wall-clock measurement, not an artifact, so its claim reads ``n/a``.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
-import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.experiments import (
-    ablations,
-    figure6_energy_breakdown,
-    figure7_allocation_quality,
-    figure8_capacitor_size,
-    table1_vm_feasibility,
-    table2_exec_time,
-    table3_forward_progress,
-)
+from repro.experiments import ablations, claims, run_all
 from repro.experiments.common import (
     EvaluationContext,
     TBPF_VALUES,
@@ -41,28 +36,21 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def export_table1(ctx: EvaluationContext, outdir: Path) -> Dict:
-    result = table1_vm_feasibility.run(ctx)
-    payload = {
-        "cells": result.cells,
-        "footprints": result.footprints,
-    }
-    _write_json(outdir / "table1_vm_feasibility.json", payload)
+#: What a writer returns: the JSON payload, the CSV header and its rows.
+Artifact = Tuple[Dict, List[str], List[List[object]]]
+
+
+def _table1(result) -> Artifact:
+    payload = {"cells": result.cells, "footprints": result.footprints}
     rows = [
         [technique, benchmark, int(ok)]
         for technique, cells in result.cells.items()
         for benchmark, ok in cells.items()
     ]
-    _write_csv(
-        outdir / "table1_vm_feasibility.csv",
-        ["technique", "benchmark", "feasible"],
-        rows,
-    )
-    return payload
+    return payload, ["technique", "benchmark", "feasible"], rows
 
 
-def export_table2(ctx: EvaluationContext, outdir: Path) -> Dict:
-    result = table2_exec_time.run(ctx)
+def _table2(result) -> Artifact:
     payload = {
         row.benchmark: {
             "cycles": row.cycles,
@@ -71,46 +59,34 @@ def export_table2(ctx: EvaluationContext, outdir: Path) -> Dict:
         }
         for row in result.rows
     }
-    _write_json(outdir / "table2_exec_time.json", payload)
     rows = [
         [row.benchmark, row.cycles, row.paper_cycles]
         + [row.failures[t] for t in TBPF_VALUES]
         for row in result.rows
     ]
-    _write_csv(
-        outdir / "table2_exec_time.csv",
-        ["benchmark", "cycles", "paper_cycles"]
-        + [f"failures_tbpf_{t}" for t in TBPF_VALUES],
-        rows,
-    )
-    return payload
+    header = ["benchmark", "cycles", "paper_cycles"] + [
+        f"failures_tbpf_{t}" for t in TBPF_VALUES
+    ]
+    return payload, header, rows
 
 
-def export_table3(ctx: EvaluationContext, outdir: Path) -> Dict:
-    result = table3_forward_progress.run(ctx)
+def _table3(result) -> Artifact:
     payload = {
         technique: {
             str(tbpf): cells for tbpf, cells in by_tbpf.items()
         }
         for technique, by_tbpf in result.cells.items()
     }
-    _write_json(outdir / "table3_forward_progress.json", payload)
     rows = [
         [technique, tbpf, benchmark, int(ok)]
         for technique, by_tbpf in result.cells.items()
         for tbpf, cells in by_tbpf.items()
         for benchmark, ok in cells.items()
     ]
-    _write_csv(
-        outdir / "table3_forward_progress.csv",
-        ["technique", "tbpf", "benchmark", "finished"],
-        rows,
-    )
-    return payload
+    return payload, ["technique", "tbpf", "benchmark", "finished"], rows
 
 
-def export_figure6(ctx: EvaluationContext, outdir: Path) -> Dict:
-    result = figure6_energy_breakdown.run(ctx)
+def _figure6(result) -> Artifact:
     rows = []
     payload: Dict = {"tbpf": result.tbpf, "cells": {}, "reductions": {}}
     for technique, cells in result.cells.items():
@@ -118,65 +94,41 @@ def export_figure6(ctx: EvaluationContext, outdir: Path) -> Dict:
         for benchmark, cell in cells.items():
             entry = {"completed": cell.completed}
             if cell.completed and cell.energy is not None:
-                entry.update(cell.energy.as_dict())
-                rows.append(
-                    [
-                        technique,
-                        benchmark,
-                        cell.energy.total,
-                        cell.energy.computation,
-                        cell.energy.save,
-                        cell.energy.restore,
-                        cell.energy.reexecution,
-                    ]
-                )
+                e = cell.energy
+                entry.update(e.as_dict())
+                rows.append([technique, benchmark, e.total, e.computation,
+                             e.save, e.restore, e.reexecution])
             payload["cells"][technique][benchmark] = entry
     for baseline in TECHNIQUE_ORDER:
         if baseline != "schematic":
             payload["reductions"][baseline] = result.reduction_vs(baseline)
     payload["average_reduction"] = result.average_reduction()
-    _write_json(outdir / "figure6_energy_breakdown.json", payload)
-    _write_csv(
-        outdir / "figure6_energy_breakdown.csv",
-        ["technique", "benchmark", "total_nj", "computation_nj", "save_nj",
-         "restore_nj", "reexecution_nj"],
-        rows,
-    )
-    return payload
+    header = ["technique", "benchmark", "total_nj", "computation_nj",
+              "save_nj", "restore_nj", "reexecution_nj"]
+    return payload, header, rows
 
 
-def export_figure7(ctx: EvaluationContext, outdir: Path) -> Dict:
-    result = figure7_allocation_quality.run(ctx)
-    rows = []
-    for benchmark, variants in result.cells.items():
-        for variant, cell in variants.items():
-            rows.append(
-                [
-                    benchmark, variant, int(cell.completed),
-                    cell.computation, cell.cpu, cell.vm_access,
-                    cell.nvm_access, cell.save, cell.restore,
-                    cell.vm_accesses, cell.nvm_accesses,
-                ]
-            )
+def _figure7(result) -> Artifact:
+    rows = [
+        [benchmark, variant, int(cell.completed), cell.computation,
+         cell.cpu, cell.vm_access, cell.nvm_access, cell.save, cell.restore,
+         cell.vm_accesses, cell.nvm_accesses]
+        for benchmark, variants in result.cells.items()
+        for variant, cell in variants.items()
+    ]
     payload = {
         "tbpf": result.tbpf,
         "computation_reduction": result.computation_reduction(),
         "vm_access_share": result.vm_access_share(),
         "vm_energy_share": result.vm_energy_share(),
     }
-    _write_json(outdir / "figure7_allocation_quality.json", payload)
-    _write_csv(
-        outdir / "figure7_allocation_quality.csv",
-        ["benchmark", "variant", "completed", "computation_nj", "cpu_nj",
-         "vm_access_nj", "nvm_access_nj", "save_nj", "restore_nj",
-         "vm_accesses", "nvm_accesses"],
-        rows,
-    )
-    return payload
+    header = ["benchmark", "variant", "completed", "computation_nj",
+              "cpu_nj", "vm_access_nj", "nvm_access_nj", "save_nj",
+              "restore_nj", "vm_accesses", "nvm_accesses"]
+    return payload, header, rows
 
 
-def export_figure8(ctx: EvaluationContext, outdir: Path) -> Dict:
-    result = figure8_capacitor_size.run(ctx)
+def _figure8(result) -> Artifact:
     rows = []
     payload: Dict = {"benchmark": result.benchmark, "cells": {}}
     for technique, by_tbpf in result.cells.items():
@@ -191,25 +143,18 @@ def export_figure8(ctx: EvaluationContext, outdir: Path) -> Dict:
                      cell.save, cell.restore, cell.reexecution,
                      cell.intermittency_management]
                 )
-    _write_json(outdir / "figure8_capacitor_size.json", payload)
-    _write_csv(
-        outdir / "figure8_capacitor_size.csv",
-        ["technique", "tbpf", "total_nj", "computation_nj", "save_nj",
-         "restore_nj", "reexecution_nj", "management_nj"],
-        rows,
-    )
-    return payload
+    header = ["technique", "tbpf", "total_nj", "computation_nj", "save_nj",
+              "restore_nj", "reexecution_nj", "management_nj"]
+    return payload, header, rows
 
 
-def export_ablations(ctx: EvaluationContext, outdir: Path) -> Dict:
-    result = ablations.run(ctx)
-    rows = []
-    for variant, cells in result.cells.items():
-        for benchmark, cell in cells.items():
-            rows.append(
-                [variant, benchmark, int(cell.completed), cell.total,
-                 cell.computation, cell.save, cell.restore, cell.vm_accesses]
-            )
+def _ablations(result) -> Artifact:
+    rows = [
+        [variant, benchmark, int(cell.completed), cell.total,
+         cell.computation, cell.save, cell.restore, cell.vm_accesses]
+        for variant, cells in result.cells.items()
+        for benchmark, cell in cells.items()
+    ]
     payload = {
         "tbpf": result.tbpf,
         "overheads_vs_full": {
@@ -218,50 +163,63 @@ def export_ablations(ctx: EvaluationContext, outdir: Path) -> Dict:
             if variant != "full"
         },
     }
-    _write_json(outdir / "ablations.json", payload)
-    _write_csv(
-        outdir / "ablations.csv",
-        ["variant", "benchmark", "completed", "total_nj", "computation_nj",
-         "save_nj", "restore_nj", "vm_accesses"],
-        rows,
-    )
-    return payload
+    header = ["variant", "benchmark", "completed", "total_nj",
+              "computation_nj", "save_nj", "restore_nj", "vm_accesses"]
+    return payload, header, rows
+
+
+#: Section title -> (artifact file stem, writer).
+WRITERS = {
+    "Table I": ("table1_vm_feasibility", _table1),
+    "Table II": ("table2_exec_time", _table2),
+    "Table III": ("table3_forward_progress", _table3),
+    "Figure 6": ("figure6_energy_breakdown", _figure6),
+    "Figure 7": ("figure7_allocation_quality", _figure7),
+    "Figure 8": ("figure8_capacitor_size", _figure8),
+    "Ablations": ("ablations", _ablations),
+}
 
 
 def export_all(
     outdir: Path, benchmarks: Optional[List[str]] = None
 ) -> Dict[str, Dict]:
-    """Run and export every experiment; returns the summary payload."""
+    """Run and export every experiment; returns each artifact's payload
+    by stem."""
     outdir.mkdir(parents=True, exist_ok=True)
     ctx = EvaluationContext(benchmarks=benchmarks)
-    results = {
-        "table1": export_table1(ctx, outdir),
-        "table2": export_table2(ctx, outdir),
-        "table3": export_table3(ctx, outdir),
-        "figure6": export_figure6(ctx, outdir),
-        "figure7": export_figure7(ctx, outdir),
-        "figure8": export_figure8(ctx, outdir),
-        "ablations": export_ablations(ctx, outdir),
-    }
+    results: Dict[str, object] = {}
+    payloads: Dict[str, Dict] = {}
+    for title, module in run_all.SECTIONS:
+        if title not in WRITERS:
+            continue  # the analysis cost is a live timing, not an artifact
+        stem, write = WRITERS[title]
+        results[title] = module.run(ctx)
+        payload, header, rows = write(results[title])
+        _write_json(outdir / f"{stem}.json", payload)
+        _write_csv(outdir / f"{stem}.csv", header, rows)
+        payloads[stem] = payload
     summary = {
         "benchmarks": ctx.benchmark_names,
-        "figure6_average_reduction": results["figure6"]["average_reduction"],
-        "figure7_computation_reduction": results["figure7"][
-            "computation_reduction"
-        ],
-        "ablation_overheads": results["ablations"]["overheads_vs_full"],
+        "claims": [asdict(v) for v in claims.evaluate(results)],
     }
     _write_json(outdir / "summary.json", summary)
-    return results
+    return payloads
 
 
 def main(argv=None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    quick = "--quick" in argv
-    paths = [a for a in argv if not a.startswith("--")]
-    outdir = Path(paths[0]) if paths else Path("artifacts")
-    benchmarks = ["basicmath", "crc", "randmath"] if quick else None
-    export_all(outdir, benchmarks=benchmarks)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.export",
+        description="Write every table/figure as JSON + CSV artifacts.",
+    )
+    parser.add_argument("outdir", nargs="?", default="artifacts",
+                        help="output directory (default: artifacts)")
+    parser.add_argument("--quick", action="store_true",
+                        help="the run_all --quick benchmark subset")
+    args = parser.parse_args(argv)
+    outdir = Path(args.outdir)
+    export_all(
+        outdir, benchmarks=run_all.QUICK_BENCHMARKS if args.quick else None
+    )
     print(f"artifacts written to {outdir}/")
 
 

@@ -4,10 +4,7 @@ Every technique runs every benchmark at TBPF = 10k cycles; energy is split
 into Computation / Save / Restore / Re-execution. The summary also computes
 the headline number: SCHEMATIC's average energy reduction against the four
 baselines over the benchmarks each baseline completed (paper: 51 %).
-
-Expected shape: SCHEMATIC lowest overall; SCHEMATIC/ROCKCLIMB spend nothing
-on re-execution; MEMENTOS has the lowest *computation* share (all-VM);
-all-NVM techniques the highest.
+The claims checked on this figure are in :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -39,60 +36,49 @@ class Figure6Result:
     cells: Dict[str, Dict[str, Figure6Cell]]  # technique -> benchmark -> cell
     benchmarks: List[str] = field(default_factory=list)
 
-    def reduction_vs(self, baseline: str) -> Optional[float]:
-        """SCHEMATIC's mean energy reduction vs one baseline, over the
-        benchmarks that baseline completed (the paper compares "on the
-        benchmarks that completed only")."""
+    def _reduction(self, baseline: str, measure) -> Optional[float]:
         ratios = []
         for name in self.benchmarks:
             base = self.cells[baseline][name]
             ours = self.cells["schematic"][name]
             if not (base.completed and ours.completed):
                 continue
-            if base.energy is None or ours.energy is None:
+            b, o = measure(base), measure(ours)
+            if b is None or o is None or b <= 0:
                 continue
-            if base.energy.total <= 0:
-                continue
-            ratios.append(1.0 - ours.energy.total / base.energy.total)
-        if not ratios:
-            return None
-        return sum(ratios) / len(ratios)
+            ratios.append(1.0 - o / b)
+        return sum(ratios) / len(ratios) if ratios else None
 
-    def average_reduction(self) -> float:
-        """Headline: mean reduction across the four baselines."""
+    def _average(self, per_baseline) -> float:
         reductions = [
             r
             for b in TECHNIQUE_ORDER
             if b != "schematic"
-            for r in [self.reduction_vs(b)]
+            for r in [per_baseline(b)]
             if r is not None
         ]
         return sum(reductions) / len(reductions) if reductions else 0.0
+
+    def reduction_vs(self, baseline: str) -> Optional[float]:
+        """SCHEMATIC's mean energy reduction vs one baseline, over the
+        benchmarks that baseline completed (the paper compares "on the
+        benchmarks that completed only")."""
+        return self._reduction(
+            baseline, lambda c: None if c.energy is None else c.energy.total
+        )
+
+    def average_reduction(self) -> float:
+        """Headline: mean reduction across the four baselines."""
+        return self._average(self.reduction_vs)
 
     def time_reduction_vs(self, baseline: str) -> Optional[float]:
         """Execution-time (active cycles) reduction vs one baseline —
         the paper's secondary headline (§IV-D: \"an overall execution time
         reduction of 54%\")."""
-        ratios = []
-        for name in self.benchmarks:
-            base = self.cells[baseline][name]
-            ours = self.cells["schematic"][name]
-            if not (base.completed and ours.completed):
-                continue
-            if base.active_cycles <= 0:
-                continue
-            ratios.append(1.0 - ours.active_cycles / base.active_cycles)
-        return sum(ratios) / len(ratios) if ratios else None
+        return self._reduction(baseline, lambda c: c.active_cycles)
 
     def average_time_reduction(self) -> float:
-        reductions = [
-            r
-            for b in TECHNIQUE_ORDER
-            if b != "schematic"
-            for r in [self.time_reduction_vs(b)]
-            if r is not None
-        ]
-        return sum(reductions) / len(reductions) if reductions else 0.0
+        return self._average(self.time_reduction_vs)
 
     def render_chart(self) -> str:
         """Paper-style stacked bars (one group per benchmark)."""

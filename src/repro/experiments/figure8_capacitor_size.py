@@ -1,12 +1,9 @@
 """Figure 8 — impact of the capacitor size on benchmark crc (§IV-F).
 
 Each technique runs crc with TBPF in {1k, 10k, 100k} (a small capacitor
-means a small TBPF, §IV-F's note on the ScEpTIC methodology).
-
-Expected shape: intermittency-management energy (save + restore +
-re-execution) shrinks as the budget grows; fastest for SCHEMATIC (fewer
-checkpoints are placed), roughly constant for RATCHET and ALFRED (their
-placement ignores the budget).
+means a small TBPF, §IV-F's note on the ScEpTIC methodology). The claims
+on intermittency-management energy (save + restore + re-execution) are
+in :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations

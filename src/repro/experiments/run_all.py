@@ -39,6 +39,11 @@ writes a ``postmortem-<pid>.json`` bundle on crash (``python -m
 repro.telemetry postmortem DIR``). Results on stdout stay byte-identical
 whether metrics are on or off.
 
+After the sections, ``run_all`` evaluates the paper's claims
+(:mod:`repro.experiments.claims`) on their results and prints one claims
+block; it exits 1 when a claim fails. Claims whose sections did not run
+print ``n/a``.
+
 ``--json PATH`` writes a machine-readable manifest of the run: per-section
 wall-clock, cache statistics, prefill worker balance, the platform,
 module and input fingerprints that key the artifact cache, and (with
@@ -66,7 +71,7 @@ from repro.telemetry.rollup import (
     write_sidecar,
 )
 from repro.core import verify as core_verify
-from repro.experiments import common, engine
+from repro.experiments import claims, common, engine
 from repro.experiments import (
     ablations,
     analysis_cost,
@@ -139,11 +144,13 @@ def make_context(args: argparse.Namespace) -> common.EvaluationContext:
 
 def render_sections(
     ctx: common.EvaluationContext, out=None
-) -> List[Tuple[str, float]]:
+) -> Tuple[List[Tuple[str, float]], Dict[str, Any]]:
     """Run and print every section; returns (title, seconds) per section
-    for the ``--json`` manifest."""
+    for the ``--json`` manifest, and each section's result by title for
+    the claims."""
     out = out if out is not None else sys.stdout
     timings: List[Tuple[str, float]] = []
+    results: Dict[str, Any] = {}
     for title, module in SECTIONS:
         start = time.perf_counter()
         with telemetry.span("experiments.section", section=title):
@@ -157,7 +164,8 @@ def render_sections(
         print(f"[{title} regenerated in {elapsed:.1f}s]", file=out)
         print(file=out)
         timings.append((title, elapsed))
-    return timings
+        results[title] = result
+    return timings, results
 
 
 def build_manifest(
@@ -249,7 +257,7 @@ def main(argv=None) -> None:
                 f"{time.perf_counter() - start:.1f}s",
                 file=sys.stderr,
             )
-        timings = render_sections(ctx)
+        timings, results = render_sections(ctx)
     except Exception as exc:
         # Postmortem bundle: the event ring, provider state snapshots and
         # a metrics snapshot, inspectable via
@@ -260,6 +268,10 @@ def main(argv=None) -> None:
             )
             print(f"postmortem bundle: {bundle}", file=sys.stderr)
         raise
+    verdicts = claims.evaluate(results)
+    print("=" * 72)
+    print(claims.render(verdicts))
+    failures = claims.failed(verdicts)
     if ctx.cache is not None:
         from repro.runner.cache import stats_line
 
@@ -300,6 +312,10 @@ def main(argv=None) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         print(f"manifest: {path}", file=sys.stderr)
+    if failures:
+        print("claims failed: " + "; ".join(v.name for v in failures),
+              file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

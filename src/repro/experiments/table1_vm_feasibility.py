@@ -1,19 +1,15 @@
 """Table I — ability to support limited VM space (§IV-B).
 
 For each technique and benchmark: can the program execute on an
-MSP430FR5969-class board (64 KB NVM, 2 KB VM)?
-
-Expected shape (paper Table I):
-
-- RATCHET, ROCKCLIMB: all-NVM, always feasible;
-- MEMENTOS, ALFRED: fail dijkstra, fft and rc4 (data exceeds 2 KB of VM);
-- SCHEMATIC: feasible everywhere (allocation respects SVM by construction).
+MSP430FR5969-class board (64 KB NVM, 2 KB VM)? The paper's pattern is
+``claims.PAPER_TABLE1_INFEASIBLE``: the all-VM techniques cannot run the
+benchmarks whose data exceeds 2 KB of VM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.experiments.common import (
     EvaluationContext,
@@ -32,9 +28,6 @@ class Table1Result:
     #: technique -> benchmark -> feasible and correct
     cells: Dict[str, Dict[str, bool]]
     footprints: Dict[str, int]
-
-    def row(self, technique: str) -> List[bool]:
-        return list(self.cells[technique].values())
 
     def render(self) -> str:
         benchmarks = list(self.footprints)

@@ -2,16 +2,8 @@
 
 Every technique runs every benchmark under periodic power failures with
 TBPF in {1k, 10k, 100k} cycles (EB set to the average energy per interval).
-A check mark means the benchmark terminated (with correct outputs).
-
-Expected shape (paper Table III):
-
-- ROCKCLIMB and SCHEMATIC terminate everywhere (their placement adapts to
-  the budget and they never roll back);
-- MEMENTOS fails most benchmarks at small TBPF (and the over-2KB ones
-  always);
-- RATCHET and ALFRED fail some benchmarks at TBPF = 1k (their checkpoint
-  placement ignores the platform's energy characteristics).
+A check mark means the benchmark terminated (with correct outputs). The
+claims checked on this table are in :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -32,9 +24,6 @@ class Table3Result:
     #: technique -> tbpf -> benchmark -> finished (and correct)
     cells: Dict[str, Dict[int, Dict[str, bool]]]
     benchmarks: List[str]
-
-    def row(self, technique: str, tbpf: int) -> List[bool]:
-        return [self.cells[technique][tbpf][b] for b in self.benchmarks]
 
     def render(self) -> str:
         lines = [

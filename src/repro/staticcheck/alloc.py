@@ -32,6 +32,7 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import solve_forward
+from repro.analysis.regions import checkpoint_clears, resolve_space
 from repro.ir.function import Function
 from repro.ir.instructions import Call, Load, Store
 from repro.ir.module import Module
@@ -39,8 +40,6 @@ from repro.ir.values import MemorySpace, Variable
 from repro.staticcheck.common import (
     CHECKPOINT_KINDS,
     FindingSink,
-    checkpoint_clears,
-    resolve_space,
     variable_map,
     vm_set,
 )

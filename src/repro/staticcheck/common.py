@@ -1,9 +1,10 @@
 """Shared plumbing of the static checkers.
 
-The analyzers (residency, energy, consistency) walk the same structures:
-instructions with resolved memory spaces, checkpoints with clearing
-semantics that depend on the runtime policy, and call sites whose
-by-reference formals must be substituted with the caller's actuals.
+The analyzers (residency, energy, consistency) walk the same structures.
+Memory-space resolution, checkpoint clearing and the call-site
+substitution of by-reference formals live in the analysis layer
+(:mod:`repro.analysis.regions`, :mod:`repro.analysis.callgraph`), which
+the checkers share with placement.
 """
 
 from __future__ import annotations
@@ -11,14 +12,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.ir.function import Function
-from repro.ir.instructions import (
-    Call,
-    Checkpoint,
-    CondCheckpoint,
-    Instruction,
-)
+from repro.ir.instructions import Checkpoint, CondCheckpoint, Instruction
 from repro.ir.module import Module
-from repro.ir.values import MemorySpace, Variable, VarRef
+from repro.ir.values import MemorySpace, Variable
 
 #: Instruction kinds that may take a snapshot at run time.
 CHECKPOINT_KINDS = (Checkpoint, CondCheckpoint)
@@ -38,26 +34,6 @@ def iter_instructions(
             yield label, i, inst
 
 
-def resolve_space(space: MemorySpace, default: MemorySpace) -> MemorySpace:
-    """AUTO accesses execute in the interpreter's default space."""
-    return default if space is MemorySpace.AUTO else space
-
-
-def checkpoint_clears(inst: Instruction, policy_may_skip: bool) -> bool:
-    """Whether this checkpoint is guaranteed to take a snapshot when
-    execution passes it.
-
-    A :class:`CondCheckpoint` fires only every ``every`` iterations, so a
-    single pass may not snapshot. A skippable :class:`Checkpoint` under a
-    policy with a skip heuristic (MEMENTOS) may be elided at run time.
-    Both must be treated as *not* ending the current replay region."""
-    if isinstance(inst, CondCheckpoint):
-        return False
-    if isinstance(inst, Checkpoint):
-        return not (policy_may_skip and inst.skippable)
-    return False
-
-
 def ref_formals(func: Function) -> List[str]:
     """Mangled names of the by-reference formals, in parameter order."""
     return [
@@ -65,25 +41,6 @@ def ref_formals(func: Function) -> List[str]:
         for param in func.params
         if param.is_ref
     ]
-
-
-def call_ref_mapping(call: Call, callee: Function) -> Dict[str, str]:
-    """Callee ref-formal mangled name -> caller-side actual mangled name.
-
-    The actual may itself be a ref formal of the caller; the caller's own
-    summary keeps it symbolic and its caller substitutes in turn."""
-    mapping: Dict[str, str] = {}
-    for arg, param in zip(call.args, callee.params):
-        if isinstance(arg, VarRef):
-            mapping[callee.variables[param.name].name] = arg.variable.name
-    return mapping
-
-
-def substitute(names: FrozenSet[str], mapping: Dict[str, str]) -> FrozenSet[str]:
-    """Rewrite ref-formal names through a call-site mapping."""
-    if not mapping:
-        return names
-    return frozenset(mapping.get(name, name) for name in names)
 
 
 def vm_set(alloc_after: Dict[str, MemorySpace]) -> FrozenSet[str]:

@@ -42,11 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.callgraph import call_ref_mapping, substitute
 from repro.analysis.cfg import CFG
 from repro.analysis.regions import (
     RegionFacts,
     RegionSummary,
     analyze_regions,
+    checkpoint_clears,
 )
 from repro.ir.function import Function
 from repro.ir.instructions import Call, Load, Store
@@ -55,9 +57,6 @@ from repro.ir.values import MemorySpace, Variable
 from repro.staticcheck.common import (
     CHECKPOINT_KINDS,
     FindingSink,
-    call_ref_mapping,
-    checkpoint_clears,
-    substitute,
     variable_map,
     vm_set,
 )

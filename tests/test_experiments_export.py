@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.experiments.export import export_all
+from repro.experiments import claims
+from repro.experiments.export import export_all, main
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +51,20 @@ class TestExport:
                     assert len(row) == len(header), stem
 
     def test_summary_headlines(self, artifacts):
+        """summary.json is the claims table: every claim, in order, with
+        its measured value, the paper's and its verdict. Only the
+        analysis-cost claim is n/a (that section is not exported)."""
         outdir, _ = artifacts
         summary = json.loads((outdir / "summary.json").read_text())
-        assert 0 < summary["figure6_average_reduction"] < 1
-        assert 0 < summary["figure7_computation_reduction"] < 1
-        assert summary["ablation_overheads"]["numit-1"] > 1.5
+        assert summary["benchmarks"] == ["crc", "randmath"]
+        rows = summary["claims"]
+        assert [r["name"] for r in rows] == [c.name for c in claims.CLAIMS]
+        assert set(rows[0]) == {"name", "measured", "paper", "holds"}
+        unevaluated = [r["name"] for r in rows if r["holds"] is None]
+        assert unevaluated == [
+            c.name for c in claims.CLAIMS if c.section == "Analysis cost"
+        ]
+        assert all(r["holds"] for r in rows if r["holds"] is not None)
 
     def test_table1_csv_feasibility_values(self, artifacts):
         outdir, _ = artifacts
@@ -71,3 +81,13 @@ class TestExport:
         assert rows
         for row in rows:
             assert float(row["total_nj"]) > 0
+
+
+@pytest.mark.parametrize("argv", [["--quik"], ["out", "extra"]])
+def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
