@@ -14,10 +14,10 @@ the callee may read or write, computed callee-first over the call graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.accesses import AccessCounts
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.callgraph import CallGraph, call_ref_mapping
 from repro.analysis.cfg import CFG
 from repro.ir.function import Function
 from repro.ir.instructions import Call, Instruction, Load, Store
@@ -36,7 +36,7 @@ class FunctionSummary:
     Attributes:
         reads / writes: caller-visible variable names possibly read/written
             (globals and formal ref-parameter names; callers substitute
-            actuals via :meth:`FunctionAccessSummaries.substitute`).
+            actuals via :meth:`FunctionAccessSummaries.ref_mapping`).
         reads_all / writes_all: like reads/writes but *including* the
             callee's own locals (and, transitively, its callees' locals).
             Locals are statically allocated, so two consecutive calls to
@@ -45,8 +45,6 @@ class FunctionSummary:
             placement, the static idempotency checker) need the full sets,
             not just the caller-visible ones.
         counts: loop-weighted access counts over the same name space.
-        ref_params: formal mangled name per by-reference parameter index
-            (None for scalar positions).
     """
 
     reads: Set[str] = field(default_factory=set)
@@ -54,7 +52,6 @@ class FunctionSummary:
     reads_all: Set[str] = field(default_factory=set)
     writes_all: Set[str] = field(default_factory=set)
     counts: AccessCounts = field(default_factory=AccessCounts)
-    ref_params: List[Optional[str]] = field(default_factory=list)
 
 
 class FunctionAccessSummaries:
@@ -69,10 +66,6 @@ class FunctionAccessSummaries:
 
     def _summarize(self, func: Function) -> FunctionSummary:
         summary = FunctionSummary()
-        summary.ref_params = [
-            func.variables[p.name].name if p.is_ref else None
-            for p in func.params
-        ]
         local_names = {
             v.name for v in func.variables.values() if not v.is_ref
         }
@@ -111,7 +104,7 @@ class FunctionAccessSummaries:
                         summary.writes.add(name)
                 elif isinstance(inst, Call):
                     callee_summary = self.summaries[inst.callee]
-                    mapping = self._ref_mapping(inst, callee_summary)
+                    mapping = self.ref_mapping(inst)
                     for read in callee_summary.reads:
                         summary_name = mapping.get(read, read)
                         if summary_name not in local_names:
@@ -135,19 +128,9 @@ class FunctionAccessSummaries:
         # reads/writes are the caller-visible sets.
         return summary
 
-    @staticmethod
-    def _ref_mapping(
-        call: Call, callee_summary: FunctionSummary
-    ) -> Dict[str, str]:
+    def ref_mapping(self, call: Call) -> Dict[str, str]:
         """Map callee formal-ref names to the actual variables at ``call``."""
-        mapping: Dict[str, str] = {}
-        ref_actuals = iter(call.ref_args())
-        for formal in callee_summary.ref_params:
-            if formal is None:
-                continue
-            actual = next(ref_actuals)
-            mapping[formal] = actual.name
-        return mapping
+        return call_ref_mapping(call, self.module.function(call.callee))
 
     def summary(self, name: str) -> FunctionSummary:
         return self.summaries[name]
@@ -156,7 +139,7 @@ class FunctionAccessSummaries:
         """(reads, writes) of caller-visible variable names for one call
         site, with formal ref parameters substituted by actuals."""
         callee = self.summaries[call.callee]
-        mapping = self._ref_mapping(call, callee)
+        mapping = self.ref_mapping(call)
         reads = {mapping.get(n, n) for n in callee.reads}
         writes = {mapping.get(n, n) for n in callee.writes}
         return reads, writes
@@ -170,7 +153,7 @@ class FunctionAccessSummaries:
         call. Placement passes that break WAR dependencies must see them.
         """
         callee = self.summaries[call.callee]
-        mapping = self._ref_mapping(call, callee)
+        mapping = self.ref_mapping(call)
         reads = {mapping.get(n, n) for n in callee.reads_all}
         writes = {mapping.get(n, n) for n in callee.writes_all}
         return reads, writes
@@ -179,7 +162,7 @@ class FunctionAccessSummaries:
         """Loop-weighted access counts contributed by one call site, over
         caller-visible names only."""
         callee = self.summaries[call.callee]
-        mapping = self._ref_mapping(call, callee)
+        mapping = self.ref_mapping(call)
         visible = callee.reads | callee.writes
         result = AccessCounts()
         for name, count in callee.counts.reads.items():
@@ -289,15 +272,3 @@ class LivenessInfo:
             live |= uses
         return live
 
-    def first_access_is_full_write(self, label: str, name: str) -> bool:
-        """True if on every path from the start of ``label``, the first
-        access to scalar ``name`` is a full write (so a restore can be
-        skipped). Conservative single-block approximation: checks only the
-        block itself."""
-        for inst in self.function.blocks[label]:
-            uses, defs = self._inst_uses_defs(inst)
-            if name in uses:
-                return False
-            if name in defs:
-                return True
-        return False

@@ -1275,10 +1275,6 @@ class ModuleRanges:
             summaries[name] = ranges.summary
             self.functions[name] = ranges
 
-    def trip_bound(self, function: str, header: str) -> Optional[TripBound]:
-        ranges = self.functions.get(function)
-        return ranges.trip_bounds.get(header) if ranges else None
-
 
 def infer_module_bounds(
     module: Module, ranges: Optional[ModuleRanges] = None

@@ -71,7 +71,7 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.ir.module import Module
-from repro.ir.values import Const, Register, Value, VarRef
+from repro.ir.values import Const, Value, VarRef
 
 #: Structural symbolic values (same convention as ``analysis.ranges``):
 #: ``("const", value, type)``, ``("reg", name, type)`` for block-entry
@@ -163,12 +163,6 @@ def infer_correspondence(
 
 
 # -- symbolic block execution ---------------------------------------------
-
-
-def _type_key(value: Value) -> str:
-    if isinstance(value, (Register, Const)):
-        return str(value.type)
-    return "ref"
 
 
 class _Memory:

@@ -102,7 +102,7 @@ def _stack_contexts(module: Module, summaries: FunctionAccessSummaries):
 def compile_alfred(module: Module, platform: Platform) -> CompiledTechnique:
     """Instrument ``module`` with the ALFRED scheme."""
     footprint = data_footprint(module)
-    policy = CheckpointPolicy.rollback_mode("alfred")
+    policy = CheckpointPolicy.rollback_mode("alfred", supports_vm=True)
     if footprint > platform.vm_size:
         return CompiledTechnique(
             name="alfred",

@@ -32,7 +32,7 @@ def compile_allnvm(
     return CompiledTechnique(
         name="allnvm",
         module=result.module,
-        policy=CheckpointPolicy.wait_mode("allnvm"),
+        policy=CheckpointPolicy.wait_mode("allnvm", supports_vm=False),
         checkpoints_inserted=result.checkpoints_inserted,
         extra={"result": result},
     )

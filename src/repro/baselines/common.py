@@ -131,7 +131,7 @@ def compile_schematic(
     return CompiledTechnique(
         name="schematic",
         module=result.module,
-        policy=CheckpointPolicy.wait_mode("schematic"),
+        policy=CheckpointPolicy.wait_mode("schematic", supports_vm=True),
         checkpoints_inserted=result.checkpoints_inserted,
         extra={"result": result},
     )

@@ -36,7 +36,7 @@ def compile_mementos(module: Module, platform: Platform) -> CompiledTechnique:
     """Instrument ``module`` with the MEMENTOS scheme."""
     footprint = data_footprint(module)
     policy = CheckpointPolicy.rollback_mode(
-        "mementos", skip_threshold=MEMENTOS_THRESHOLD
+        "mementos", skip_threshold=MEMENTOS_THRESHOLD, supports_vm=True
     )
     if footprint > platform.vm_size:
         return CompiledTechnique(

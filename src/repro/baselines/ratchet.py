@@ -182,6 +182,6 @@ def compile_ratchet(module: Module, platform: Platform) -> CompiledTechnique:
     return CompiledTechnique(
         name="ratchet",
         module=work,
-        policy=CheckpointPolicy.rollback_mode("ratchet"),
+        policy=CheckpointPolicy.rollback_mode("ratchet", supports_vm=False),
         checkpoints_inserted=factory.next_id - 1,
     )

@@ -55,7 +55,7 @@ def compile_rockclimb(
     return CompiledTechnique(
         name="rockclimb",
         module=result.module,
-        policy=CheckpointPolicy.wait_mode("rockclimb"),
+        policy=CheckpointPolicy.wait_mode("rockclimb", supports_vm=False),
         checkpoints_inserted=result.checkpoints_inserted,
         extra={"result": result},
     )

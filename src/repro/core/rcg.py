@@ -177,9 +177,6 @@ class RCG:
             positions.append(self.m)
         return positions
 
-    def _contains_barrier(self, start_pos: int, end_pos: int) -> bool:
-        return any(start_pos <= b < end_pos for b in self.barrier_positions)
-
     def _next_barrier(self, pos: int) -> Optional[int]:
         for b in self.barrier_positions:
             if b >= pos:
@@ -561,12 +558,6 @@ class RCG:
         return self._decisions(path, dist["T"])
 
     # ------------------------------------------------------------ decisions
-
-    @staticmethod
-    def _pos_of(node: object) -> Optional[int]:
-        if isinstance(node, tuple) and node[0] == "c":
-            return node[1]
-        return None
 
     def _decisions(self, path: List[object], total: float) -> RunResult:
         segments: List[SegmentDecision] = []

@@ -541,7 +541,7 @@ class RegionBuilder:
         atom.base_energy = (
             model.call_cycles * model.energy_per_cycle + result.base_energy
         )
-        mapping = self._call_ref_mapping(call)
+        mapping = self.env.summaries.ref_mapping(call)
         atom.counts = _substitute_counts(
             self.env.summaries.counts_at_call(call), mapping
         )
@@ -553,10 +553,6 @@ class RegionBuilder:
         # energy is decided by the forced placement, which energy_under
         # handles because the merged allocation carries the forced entries.
         return atom
-
-    def _call_ref_mapping(self, call: Call) -> Dict[str, str]:
-        callee_summary = self.env.summaries.summary(call.callee)
-        return FunctionAccessSummaries._ref_mapping(call, callee_summary)
 
     def _make_loop_atom(self, loop: Loop) -> Atom:
         result = self.env.loop_results.get(loop.header)

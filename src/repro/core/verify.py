@@ -141,7 +141,6 @@ def run_against_reference(
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 100_000_000,
     reference_report: Optional[ExecutionReport] = None,
-    restore_fidelity: str = "image",
     compiled: bool = True,
 ) -> VerificationResult:
     """Run ``transformed`` under ``power`` and compare the final NVM state
@@ -150,10 +149,10 @@ def run_against_reference(
     ``reference_report`` caches the ground-truth run across many injected
     schedules of the same program/inputs (the testkit sweep reruns the
     transformed module hundreds of times against one reference).
-    ``restore_fidelity="metadata"`` selects the strict restore semantics
-    (see :class:`repro.emulator.interpreter.InterpreterConfig`), under
-    which a checkpoint whose restore set misses live VM state is
-    dynamically convicted instead of silently healed.
+    A checkpoint restore rebuilds exactly the checkpoint's restore set
+    (see :meth:`repro.emulator.interpreter.Interpreter._apply_restore`),
+    so a checkpoint whose restore set misses live VM state is dynamically
+    convicted instead of silently healed.
     ``compiled=False`` runs the intermittent run on the pre-decoded loop
     (the differential oracle re-runs every cell there to cross-check the
     compiled one).
@@ -173,7 +172,6 @@ def run_against_reference(
             vm_size=vm_size,
             inputs=inputs,
             max_instructions=max_instructions,
-            restore_fidelity=restore_fidelity,
             compiled=compiled,
         )
     except EmulationError as exc:

@@ -132,18 +132,6 @@ class PowerSpec:
             eb=eb,
         )
 
-    @classmethod
-    def from_manager(cls, power: PowerManager) -> "PowerSpec":
-        """The spec of a freshly built manager (pre-consumption)."""
-        return cls(
-            mode=power.mode.value,
-            eb=power.eb,
-            tbpf=power.tbpf,
-            mean_cycles=power.mean_cycles,
-            seed=power.seed,
-            schedule=tuple(power.schedule),
-        )
-
     def build(self) -> PowerManager:
         return PowerManager(
             mode=PowerMode(self.mode),

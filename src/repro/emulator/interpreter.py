@@ -62,10 +62,10 @@ COND_CHECK_CYCLES = 2
 #: execution stuck (2 identical deterministic failures imply forever).
 MAX_ATTEMPTS_PER_SNAPSHOT = 2
 
-#: The value a ``restore_fidelity="metadata"`` restore writes into every
-#: element of a VM variable the checkpoint's restore set misses —
-#: recognizable in dumps (0x5AA55AA5 wrapped to the variable's type) and
-#: guaranteed not to silently reproduce a correct run.
+#: The value a checkpoint restore writes into every element of a VM
+#: variable the checkpoint's restore set misses — recognizable in dumps
+#: (0x5AA55AA5 wrapped to the variable's type) and guaranteed not to
+#: silently reproduce a correct run.
 RESTORE_POISON = 0x5AA55AA5
 
 
@@ -141,17 +141,6 @@ class InterpreterConfig:
     #: Only checkpoint commits pay for the check; the hot loop never sees
     #: it.
     commit_hook: Optional[Callable[["Interpreter", int], None]] = None
-    #: What a checkpoint restore actually rebuilds. ``"image"`` (the
-    #: legacy behaviour) reloads every post-checkpoint VM variable from
-    #: its NVM home — a forgiving runtime whose NVM copies happen to be
-    #: right for these programs. ``"metadata"`` models a runtime that
-    #: restores exactly ``restore_vars``: every other VM-mapped,
-    #: non-const variable comes back *poisoned*, so a read of state the
-    #: checkpoint metadata misses (static rule CONS003) is dynamically
-    #: visible instead of silently healed. Restore energy/cycles are
-    #: billed from ``restore_vars`` in both modes — fidelity changes
-    #: visibility, not cost.
-    restore_fidelity: str = "image"
 
 
 @dataclass
@@ -251,12 +240,6 @@ class Interpreter:
             self._mm.counter("interp.runs").add(1)
         if self._fr is not None:
             self._fr.provide("interpreter", self._flight_state)
-        if self.config.restore_fidelity not in ("image", "metadata"):
-            raise EmulationError(
-                f"unknown restore_fidelity "
-                f"{self.config.restore_fidelity!r}; "
-                f"choose 'image' or 'metadata'"
-            )
         #: Per-variable monotone sample counters for volatile environment
         #: inputs. The world does not roll back with the program: the
         #: counters survive power failures and snapshot restores, so a
@@ -1017,8 +1000,12 @@ class Interpreter:
         return True
 
     def _apply_restore(self, inst, reason: str = "wake") -> bool:
-        """Clear VM, load the post-checkpoint VM set, charge the restore.
-        Returns False when stuck (restore itself cannot fit the budget)."""
+        """Clear VM, rebuild the post-checkpoint VM set from the
+        checkpoint's ``restore_vars``, charge the restore. A VM-mapped,
+        non-const variable the restore set misses comes back poisoned
+        (:data:`RESTORE_POISON`), so a read of state the metadata misses
+        (static rule CONS003) is dynamically visible. Returns False when
+        stuck (restore itself cannot fit the budget)."""
         model = self.model
         self.memory.clear_vm()
         vm_vars = [
@@ -1027,18 +1014,14 @@ class Interpreter:
             if space is MemorySpace.VM
         ]
         payload = 0
+        restored = set(inst.restore_vars)
         for name in vm_vars:
             self.memory.load_into_vm(name)
-        if self.config.restore_fidelity == "metadata":
-            restored = set(inst.restore_vars)
-            for name in vm_vars:
-                if name in restored:
-                    continue
-                var = self.module.find_variable(name)
-                if var.is_const:
-                    # Immutable NVM home: any runtime can refetch it, so
-                    # even a strict restore gets consts right.
-                    continue
+            if name in restored:
+                continue
+            var = self.module.find_variable(name)
+            if not var.is_const:
+                # A const's immutable NVM home can always be refetched.
                 poison = var.type.wrap(RESTORE_POISON)
                 self.memory.vm[name] = [poison] * len(self.memory.vm[name])
         for name in inst.restore_vars:
@@ -1280,7 +1263,6 @@ def run_intermittent(
     max_instructions: int = 200_000_000,
     step_hook: Optional[Callable[[str, int], None]] = None,
     compiled: bool = True,
-    restore_fidelity: str = "image",
 ) -> ExecutionReport:
     """Run a transformed module under intermittent power."""
     config = InterpreterConfig(
@@ -1289,7 +1271,6 @@ def run_intermittent(
         vm_size=vm_size,
         step_hook=step_hook,
         compiled=compiled,
-        restore_fidelity=restore_fidelity,
     )
     interp = Interpreter(module, model, policy, power, config)
     return interp.run()

@@ -109,12 +109,6 @@ class MemoryState:
     def vm_residents(self) -> List[str]:
         return sorted(self.vm)
 
-    def snapshot_vm(self) -> Dict[str, List[int]]:
-        return {name: list(values) for name, values in self.vm.items()}
-
-    def restore_vm(self, snapshot: Dict[str, List[int]]) -> None:
-        self.vm = {name: list(values) for name, values in snapshot.items()}
-
     def snapshot_images(self) -> Dict[str, Dict[str, List[int]]]:
         """Detached deep copies of both images, for snapshot/fork
         emulation. The returned dict never aliases live state."""

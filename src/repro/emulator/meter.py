@@ -199,9 +199,5 @@ class EnergyMeter:
     # -- queries -----------------------------------------------------------------
 
     @property
-    def total_committed(self) -> float:
-        return self.breakdown.total
-
-    @property
     def total_with_pending(self) -> float:
         return self.breakdown.total + self.pending.computation

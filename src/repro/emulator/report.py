@@ -55,6 +55,13 @@ class ExecutionReport:
     def total_energy_uj(self) -> float:
         return self.energy.total / 1000.0
 
+    def eb_for_tbpf(self, tbpf: int) -> float:
+        """§IV-C: "For each value of TBPF we set EB to the average amount
+        of energy that is consumed by the platform in the interval" —
+        this (reference) run's average power times ``tbpf``."""
+        power = self.energy.total / max(self.active_cycles, 1)
+        return power * tbpf
+
     def matches_outputs(self, reference: "ExecutionReport") -> bool:
         """Compare final global values against a reference run (memory
         anomalies show up here as mismatches)."""

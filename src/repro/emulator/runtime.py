@@ -35,25 +35,44 @@ class CheckpointPolicy:
         check_energy: small fixed energy (nJ) of the voltage measurement
             performed at each potential checkpoint when ``skip_threshold``
             is set.
+        supports_vm: the runtime can hold VM placements; False for the
+            techniques that keep every variable in NVM (RATCHET,
+            ROCKCLIMB, All-NVM), whose checkpoints must map nothing into
+            VM (static rule CONS004).
+
+    Whatever the policy, a checkpoint restore rebuilds exactly the
+    checkpoint's ``restore_vars`` (see
+    :meth:`repro.emulator.interpreter.Interpreter._apply_restore`); the
+    memory-consistency certifier (:mod:`repro.staticcheck.consistency`)
+    assumes the same.
     """
 
     name: str
     wait_for_full_recharge: bool
     skip_threshold: Optional[float] = None
     check_energy: float = 5.0
+    supports_vm: bool = True
 
     @classmethod
-    def wait_mode(cls, name: str) -> "CheckpointPolicy":
-        return cls(name=name, wait_for_full_recharge=True)
+    def wait_mode(
+        cls, name: str, supports_vm: bool = True
+    ) -> "CheckpointPolicy":
+        return cls(
+            name=name, wait_for_full_recharge=True, supports_vm=supports_vm
+        )
 
     @classmethod
     def rollback_mode(
-        cls, name: str, skip_threshold: Optional[float] = None
+        cls,
+        name: str,
+        skip_threshold: Optional[float] = None,
+        supports_vm: bool = True,
     ) -> "CheckpointPolicy":
         return cls(
             name=name,
             wait_for_full_recharge=False,
             skip_threshold=skip_threshold,
+            supports_vm=supports_vm,
         )
 
 

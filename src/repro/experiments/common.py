@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.baselines import COMPILERS, CompiledTechnique
+from repro.baselines import (
+    ALL_TECHNIQUES,
+    PROFILED_TECHNIQUES,
+    CompiledTechnique,
+    compile_for,
+)
 from repro.core import verify
 from repro.core.tracing import Profile, collect_profile
 from repro.emulator import run_continuous, run_intermittent
@@ -37,7 +42,7 @@ from repro.runner.cache import ArtifactCache
 TBPF_VALUES = (1_000, 10_000, 100_000)
 
 #: Technique display order of the paper's tables/figures.
-TECHNIQUE_ORDER = ("ratchet", "mementos", "rockclimb", "alfred", "schematic")
+TECHNIQUE_ORDER = ALL_TECHNIQUES
 
 #: Profiling runs used for SCHEMATIC's path prioritization. The paper uses
 #: 1000; ordering converges after a handful on these kernels, and the
@@ -230,9 +235,7 @@ class EvaluationContext:
 
     def eb_for_tbpf(self, name: str, tbpf: int) -> float:
         """§IV-C: EB = average energy consumed per TBPF cycles."""
-        ref = self.reference(name)
-        power = ref.energy.total / max(ref.active_cycles, 1)
-        return power * tbpf
+        return self.reference(name).eb_for_tbpf(tbpf)
 
     # ------------------------------------------------------------- running
 
@@ -249,13 +252,13 @@ class EvaluationContext:
             if compiled is None:
                 bench = self.benchmark(benchmark)
                 platform = self.platform_proto.with_eb(eb)
-                compiler = COMPILERS[technique]
-                if technique in ("schematic", "rockclimb", "allnvm"):
-                    compiled = compiler(
-                        bench.module, platform, profile=self.profile(benchmark)
-                    )
-                else:
-                    compiled = compiler(bench.module, platform)
+                profile = (
+                    self.profile(benchmark)
+                    if technique in PROFILED_TECHNIQUES else None
+                )
+                compiled = compile_for(
+                    technique, bench.module, platform, profile=profile
+                )
                 self._cache_put("compiled", parts, compiled)
             if compiled.feasible:
                 # Silent translation validation of every placement that

@@ -83,15 +83,6 @@ class Function:
         self.variables[key] = var
         return var
 
-    def param_variable(self, param: Param) -> Variable:
-        """The local variable backing a formal parameter."""
-        try:
-            return self.variables[param.name]
-        except KeyError:
-            raise IRError(
-                f"function {self.name}: no backing variable for parameter "
-                f"{param.name!r}"
-            ) from None
 
     # -- blocks ------------------------------------------------------------
 

@@ -43,8 +43,9 @@ from typing import Any, Dict, Optional
 
 #: Bump whenever the meaning of cached values changes (e.g. a report field
 #: is added or an emulator semantic is fixed): old entries become misses.
-#: v2 prefixes every entry with the digest of its pickle bytes.
-SCHEMA_VERSION = 2
+#: v2 prefixes every entry with the digest of its pickle bytes; v3 adds
+#: ``CheckpointPolicy.supports_vm`` to pickled compiled techniques.
+SCHEMA_VERSION = 3
 
 #: Bytes of the SHA-256 digest that heads every entry.
 _DIGEST_BYTES = hashlib.sha256().digest_size

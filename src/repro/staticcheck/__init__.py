@@ -14,9 +14,9 @@ Certifies a transformed module *without executing it*:
 - :mod:`repro.staticcheck.consistency` — machine-checked
   memory-consistency certification (the CONS rule family): the
   Surbatovich-style correctness conditions checked against each
-  technique's semantic model (:mod:`.techmodel`), with per-region proof
-  certificates. Its WAR/idempotency rule, CONS001 (replay regions that
-  re-execute non-idempotently after a power failure), runs in every
+  technique's runtime policy, with per-region proof certificates. Its
+  WAR/idempotency rule, CONS001 (replay regions that re-execute
+  non-idempotently after a power failure), runs in every
   configuration;
 - :mod:`repro.staticcheck.transval` — translation validation (the TV
   rule family): every placed module is certified as a refinement of its
@@ -54,12 +54,6 @@ from repro.staticcheck.rules import (
     RuleConfig,
     get_rule,
 )
-from repro.staticcheck.techmodel import (
-    TechniqueModel,
-    available_models,
-    model_for,
-    register_model,
-)
 from repro.staticcheck.alloc import ResidencySummary, analyze_residency
 from repro.staticcheck.bounds import analyze_bounds
 from repro.staticcheck.energy import EnergyCertifier, StepEffect, certify_energy
@@ -79,10 +73,6 @@ __all__ = [
     "get_rule",
     "Certificate",
     "certify_consistency",
-    "TechniqueModel",
-    "available_models",
-    "model_for",
-    "register_model",
     "ResidencySummary",
     "analyze_residency",
     "EnergyCertifier",

@@ -36,18 +36,18 @@ above ``--fail-on``; with ``--sabotage``: when every broken module is
 flagged), 1 otherwise, 2 on usage errors (unknown program, technique,
 rule or severity — the message lists the valid choices).
 
-Wait-mode techniques (:data:`repro.testkit.corpus.WAIT_MODE_TECHNIQUES`)
-get the replay-semantics rules CONS001 (WAR/idempotency, run in every
-configuration) and CONS002 (added by ``--consistency``) downgraded to
-*info*: under the compile-time budget the runtime was built for, a
-wait-mode system never loses power mid-segment (the §II-B guarantee —
-which is exactly what the energy certifier proves here), so replay
-regions are never re-executed in-contract and WAR exposure is
-informational. CONS003 and CONS004 keep their severity even in wait
-mode: the wake-path restore runs on *every* recharge, squarely inside
-the contract. Roll-back techniques replay as their *normal* recovery
-path, so for them every replay rule keeps its default severity — it is
-the contract RATCHET exists to discharge.
+Wait-mode techniques (``policy.wait_for_full_recharge``: schematic,
+rockclimb, allnvm) get the replay-semantics rules CONS001
+(WAR/idempotency, run in every configuration) and CONS002 (added by
+``--consistency``) downgraded to *info*: under the compile-time budget
+the runtime was built for, a wait-mode system never loses power
+mid-segment (the §II-B guarantee — which is exactly what the energy
+certifier proves here), so replay regions are never re-executed
+in-contract and WAR exposure is informational. CONS003 and CONS004 keep
+their severity even in wait mode: the wake-path restore runs on *every*
+recharge, squarely inside the contract. Roll-back techniques replay as
+their *normal* recovery path, so for them every replay rule keeps its
+default severity — it is the contract RATCHET exists to discharge.
 
 Reports are cached content-addressed (category ``staticcheck``, keyed
 on the printed module, the rule-schema version, platform and rule
@@ -64,6 +64,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.baselines import COMPILERS
+from repro.emulator.runtime import CheckpointPolicy
 from repro.energy import msp430fr5969_platform
 from repro.errors import ReproError
 from repro.programs import BENCHMARK_NAMES
@@ -78,7 +79,6 @@ from repro.staticcheck.findings import (
 from repro.staticcheck.rules import RuleConfig, render_catalog
 from repro.staticcheck.transval import check_translation
 from repro.testkit.corpus import (
-    WAIT_MODE_TECHNIQUES,
     available_programs,
     compile_for,
     load_program,
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--consistency", action="store_true",
                         help="also machine-check the remaining "
                         "memory-consistency conditions (CONS002-CONS004) "
-                        "against each technique's semantic model and "
+                        "under each technique's runtime policy and "
                         "attach the proof certificate (CONS001 always "
                         "runs)")
     parser.add_argument("--all", action="store_true", dest="all_families",
@@ -168,8 +168,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure(technique: str, suppression: RuleConfig) -> RuleConfig:
-    if technique not in WAIT_MODE_TECHNIQUES:
+def _configure(
+    policy: CheckpointPolicy, suppression: RuleConfig
+) -> RuleConfig:
+    if not policy.wait_for_full_recharge:
         return suppression
     # Only the replay-semantics rules are out of contract in wait mode;
     # the wake-path restore rules (CONS003/CONS004) are not — restores
@@ -204,7 +206,7 @@ def _check_pair(
         broken, site = strip_checkpoint(compiled.module)
         compiled.module = broken
         compiled.extra["sabotaged_checkpoint"] = site
-    config = _configure(technique, suppression)
+    config = _configure(compiled.policy, suppression)
     report = check_compiled(
         compiled,
         platform,

@@ -16,8 +16,8 @@ through it. It decides which analyses apply from the runtime policy:
   range analysis for loops without an ``@maxiter``, so inferable loops
   no longer draw ENER002.
 - full memory-consistency certification (opt-in via
-  ``consistency=True``) adds CONS002–CONS004 under each technique's
-  semantic model and attaches the proof certificate to the report.
+  ``consistency=True``) adds CONS002–CONS004 under the runtime policy
+  and attaches the proof certificate to the report.
   CONS001 is the same finding either way: both configurations derive it
   from one run of the region facts pass.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro import telemetry
@@ -58,7 +58,6 @@ from repro.staticcheck.consistency import (
 from repro.staticcheck.energy import certify_energy
 from repro.staticcheck.findings import Finding, Severity, merge_findings
 from repro.staticcheck.rules import RULE_SCHEMA_VERSION, RuleConfig
-from repro.staticcheck.techmodel import model_for
 
 
 @contextmanager
@@ -75,6 +74,11 @@ def _family(family: str) -> Iterator[None]:
         mm.histogram(f"staticcheck.family_us.{family}").record(
             (time.perf_counter_ns() - start) / 1000.0
         )
+
+
+#: The runtime :func:`check_module` assumes without a policy: roll-back,
+#: always-taken checkpoints, VM placements allowed (every rule armed).
+_UNKNOWN_POLICY = CheckpointPolicy.rollback_mode("unknown")
 
 
 @dataclass
@@ -132,19 +136,17 @@ def check_module(
     default_space: MemorySpace = MemorySpace.NVM,
     config: Optional[RuleConfig] = None,
     consistency: bool = False,
-    technique: Optional[str] = None,
 ) -> CheckReport:
     """Statically certify one transformed module.
 
     ``policy`` selects the runtime semantics the module will execute
-    under (wait mode vs roll-back, skippable checkpoints); without one,
-    checkpoints are assumed always-taken and energy is not certified.
+    under (wait mode vs roll-back, skippable checkpoints, VM support);
+    without one, the checker assumes a VM-capable roll-back runtime
+    whose checkpoints are always taken, and energy is not certified.
     ``model`` + ``eb`` enable the energy certifier (wait mode only).
     CONS001 (idempotency) always runs; ``consistency=True`` adds the
     rest of the memory-consistency certifier (CONS002–CONS004) under
-    the semantic model of ``technique`` (resolved through
-    :func:`repro.staticcheck.techmodel.model_for`, falling back to the
-    policy); its proof certificate lands in ``stats["certificate"]``.
+    that policy; its proof certificate lands in ``stats["certificate"]``.
     """
     config = config or RuleConfig()
     sink = FindingSink()
@@ -188,7 +190,7 @@ def check_module(
         with _family("consistency"):
             certificate = certify_consistency(
                 module,
-                model_for(technique, policy),
+                policy or _UNKNOWN_POLICY,
                 sink,
                 policy_may_skip=policy_may_skip,
                 default_space=default_space,
@@ -229,12 +231,7 @@ def _report_cache_key(
         ArtifactCache.text_fingerprint(print_module(compiled.module)),
         compiled.name,
         {
-            "policy": {
-                "name": compiled.policy.name,
-                "wait": compiled.policy.wait_for_full_recharge,
-                "skip": compiled.policy.skip_threshold,
-                "check_energy": compiled.policy.check_energy,
-            },
+            "policy": asdict(compiled.policy),
             "eb": platform.eb,
             "vm_size": platform.vm_size,
             "consistency": consistency,
@@ -278,7 +275,6 @@ def check_compiled(
         vm_size=platform.vm_size,
         config=config,
         consistency=consistency,
-        technique=compiled.name,
     )
     report.stats["technique"] = compiled.name
     if cache is not None and key is not None:

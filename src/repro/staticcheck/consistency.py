@@ -1,8 +1,12 @@
 """Machine-checked memory-consistency certification (CONS rules).
 
 This is the checker's implementation of Surbatovich et al.'s formal
-correctness conditions for intermittent execution, specialized per
-technique through :mod:`repro.staticcheck.techmodel`:
+correctness conditions for intermittent execution, stated against the
+runtime every technique shares: a checkpoint restore rebuilds exactly
+the checkpoint's ``restore_vars`` (the emulator's restore, see
+:meth:`repro.emulator.interpreter.Interpreter._apply_restore`). The
+one per-technique fact the rules read is the runtime policy's
+:attr:`~repro.emulator.runtime.CheckpointPolicy.supports_vm`:
 
 - **CONS001** — a re-executed region observes a value it already
   overwrote: the checker's one WAR/idempotency rule. Interprocedural
@@ -19,10 +23,10 @@ technique through :mod:`repro.staticcheck.techmodel`:
 - **CONS003** — after a checkpoint's wake/rollback restore, a
   VM-resident variable the checkpoint's ``restore_vars`` provably
   misses is read before being fully overwritten (reported at the read).
-- **CONS004** — the checkpoint metadata and the technique's restore
-  semantics disagree: a variable is VM-placed but the restore set
-  provably misses it while it is still live (reported at the
-  checkpoint), or the technique cannot restore VM allocations at all.
+- **CONS004** — the checkpoint metadata and the runtime disagree: a
+  variable is VM-placed but the restore set provably misses it while it
+  is still live (reported at the checkpoint), or the policy cannot hold
+  VM allocations at all.
 
 Alongside findings, the certifier emits a machine-readable
 :class:`Certificate`: one proof obligation per (rule, region/checkpoint)
@@ -40,7 +44,7 @@ is immutable, so a runtime can always refetch them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import call_ref_mapping, substitute
 from repro.analysis.cfg import CFG
@@ -50,6 +54,7 @@ from repro.analysis.regions import (
     analyze_regions,
     checkpoint_clears,
 )
+from repro.emulator.runtime import CheckpointPolicy
 from repro.ir.function import Function
 from repro.ir.instructions import Call, Load, Store
 from repro.ir.module import Module
@@ -62,7 +67,6 @@ from repro.staticcheck.common import (
 )
 from repro.staticcheck.findings import Finding, Location, Severity
 from repro.staticcheck.rules import RULES
-from repro.staticcheck.techmodel import TechniqueModel
 
 
 @dataclass
@@ -172,14 +176,15 @@ def _first_read_before_write(
 
 def certify_consistency(
     module: Module,
-    model: TechniqueModel,
+    policy: CheckpointPolicy,
     sink: Optional[FindingSink] = None,
     *,
     policy_may_skip: bool = False,
     default_space: MemorySpace = MemorySpace.NVM,
     facts: Optional[RegionFacts] = None,
 ) -> Certificate:
-    """Machine-check the CONS rules for one transformed module.
+    """Machine-check the CONS rules for one transformed module under the
+    runtime ``policy`` it will execute with.
 
     ``facts`` may be passed in when the caller already ran the region
     facts pass; findings land in ``sink`` when given. Always returns the
@@ -191,13 +196,13 @@ def certify_consistency(
             policy_may_skip=policy_may_skip,
             default_space=default_space,
         )
-    cert = Certificate(technique=model.name, module=module.name)
+    cert = Certificate(technique=policy.name, module=module.name)
     variables = variable_map(module)
 
     certify_idempotency(module, facts, sink, cert)
     _certify_input_reads(module, facts, cert, sink)
     _certify_restores(
-        module, model, facts, cert, sink,
+        module, policy, facts, cert, sink,
         variables=variables, policy_may_skip=policy_may_skip,
     )
     return cert
@@ -321,7 +326,7 @@ def _certify_input_reads(
 
 def _certify_restores(
     module: Module,
-    model: TechniqueModel,
+    policy: CheckpointPolicy,
     facts: RegionFacts,
     cert: Certificate,
     sink: Optional[FindingSink],
@@ -339,7 +344,7 @@ def _certify_restores(
                     continue
                 anchor = f"ckpt{inst.ckpt_id}"
                 allocated = vm_set(inst.alloc_after)
-                if not model.supports_vm:
+                if not policy.supports_vm:
                     status = "violated" if allocated else "discharged"
                     if allocated:
                         _emit(sink, Finding(
@@ -350,14 +355,14 @@ def _certify_restores(
                                 f"checkpoint #{inst.ckpt_id} maps "
                                 f"{', '.join('@' + n for n in sorted(allocated))} "
                                 f"into VM, but technique "
-                                f"{model.name!r} keeps all data in NVM "
+                                f"{policy.name!r} keeps all data in NVM "
                                 f"and cannot restore volatile "
                                 f"allocations"
                             ),
                             details={
                                 "checkpoint": inst.ckpt_id,
                                 "variables": sorted(allocated),
-                                "technique": model.name,
+                                "technique": policy.name,
                             },
                         ))
                     cert.add(
@@ -366,13 +371,6 @@ def _certify_restores(
                             "vm_allocated": sorted(allocated),
                             "technique_supports_vm": False,
                         },
-                        anchor=anchor,
-                    )
-                    continue
-                if not model.restores_metadata:
-                    cert.add(
-                        "CONS003", func.name, "discharged",
-                        facts={"restore": "not metadata-driven"},
                         anchor=anchor,
                     )
                     continue

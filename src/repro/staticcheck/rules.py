@@ -7,7 +7,7 @@ so findings are suppressible (``--suppress ALLOC002``) and re-classifiable
 :class:`RuleConfig` then drops suppressed rules and rewrites severities
 — that is also how the CLI downgrades in-contract-only rules for
 techniques whose runtime contract excludes the triggering schedules
-(wait mode, see :data:`repro.testkit.corpus.WAIT_MODE_TECHNIQUES`).
+(wait mode, ``CheckpointPolicy.wait_for_full_recharge``).
 """
 
 from __future__ import annotations

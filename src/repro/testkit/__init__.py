@@ -36,7 +36,6 @@ them by default. See ``docs/testing.md``.
 
 from repro.testkit.corpus import (
     CORPUS,
-    WAIT_MODE_TECHNIQUES,
     available_programs,
     compile_for,
     load_program,
@@ -62,7 +61,6 @@ from repro.testkit.sabotage import strip_checkpoint
 
 __all__ = [
     "CORPUS",
-    "WAIT_MODE_TECHNIQUES",
     "available_programs",
     "compile_for",
     "load_program",

@@ -15,19 +15,11 @@ their own evaluation inputs and profiling input generators.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.baselines import COMPILERS, CompiledTechnique
-from repro.core.tracing import Profile
-from repro.energy.platform import Platform
-from repro.ir.module import Module
+from repro.baselines import compile_for  # noqa: F401 -- re-exported
 from repro.programs import BENCHMARK_NAMES, get_benchmark
 from repro.programs.base import Benchmark
-
-#: Techniques whose runtime sleeps for a full recharge at each checkpoint —
-#: the ones the §II-B forward-progress guarantee (zero failures under the
-#: compile-time energy budget) applies to.
-WAIT_MODE_TECHNIQUES = frozenset({"schematic", "rockclimb", "allnvm"})
 
 _SUMLOOP = """
 u32 result;
@@ -148,23 +140,3 @@ def load_program(name: str) -> Benchmark:
         f"unknown program {name!r}; choose from {available_programs()}"
     )
 
-
-def compile_for(
-    technique: str,
-    module: Module,
-    platform: Platform,
-    input_generator=None,
-    profile: Optional[Profile] = None,
-) -> CompiledTechnique:
-    """Compile ``module`` with one technique through the uniform API."""
-    if technique not in COMPILERS:
-        raise KeyError(
-            f"unknown technique {technique!r}; "
-            f"choose from {sorted(COMPILERS)}"
-        )
-    compiler = COMPILERS[technique]
-    if technique in ("schematic", "rockclimb", "allnvm"):
-        return compiler(
-            module, platform, profile=profile, input_generator=input_generator
-        )
-    return compiler(module, platform)

@@ -62,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.telemetry import metrics
-from repro.baselines import CompiledTechnique
+from repro.baselines import COMPILERS, CompiledTechnique
 from repro.core.verify import run_against_reference
 from repro.emulator import run_continuous
 from repro.emulator.diffemu import PowerSpec, record_tape, run_cell
@@ -71,11 +71,7 @@ from repro.energy import msp430fr5969_platform
 from repro.programs import BENCHMARK_NAMES
 from repro.runner.pool import parallel_map
 from repro.staticcheck.transval import check_translation
-from repro.testkit.corpus import (
-    WAIT_MODE_TECHNIQUES,
-    compile_for,
-    load_program,
-)
+from repro.testkit.corpus import compile_for, load_program
 from repro.testkit.oracle import (
     OUTCOME_CONTRACT,
     ContractCheck,
@@ -86,9 +82,7 @@ from repro.testkit.oracle import (
 
 #: Paper §IV-C values.
 DEFAULT_TBPF = (1_000, 10_000, 100_000)
-DEFAULT_TECHNIQUES = (
-    "ratchet", "mementos", "rockclimb", "alfred", "schematic", "allnvm",
-)
+DEFAULT_TECHNIQUES = tuple(COMPILERS)
 DEFAULT_MODES = ("energy", "periodic", "stochastic")
 
 
@@ -273,9 +267,8 @@ def _run_program(
         bench.module, platform_proto.model, inputs=inputs,
         max_instructions=max_instructions,
     )
-    avg_power = reference.energy.total / max(reference.active_cycles, 1)
     for tbpf in tbpf_values:
-        eb = avg_power * tbpf
+        eb = reference.eb_for_tbpf(tbpf)
         plat = platform_proto.with_eb(eb)
         compiled: Dict[str, CompiledTechnique] = {}
         for technique in techniques:
@@ -307,7 +300,7 @@ def _run_program(
         # hazards are computed once, on the first stochastic fault.
         contracts = {
             technique: ContractCheck(
-                technique, compiled[technique], reference, plat, inputs,
+                compiled[technique], reference, plat, inputs,
                 max_instructions,
             )
             for technique in techniques
@@ -395,7 +388,7 @@ def _run_program(
                                     "emulation"
                                 )
                 guarantee = (
-                    technique in WAIT_MODE_TECHNIQUES
+                    comp.policy.wait_for_full_recharge
                     and mode in ("energy", "periodic")
                 )
                 verdict = OracleVerdict(

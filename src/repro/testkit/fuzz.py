@@ -27,6 +27,7 @@ from repro import telemetry
 from repro.telemetry import metrics
 from repro.core.verify import run_against_reference
 from repro.emulator import PowerManager, run_continuous
+from repro.baselines import COMPILERS
 from repro.energy import msp430fr5969_platform
 from repro.testkit.corpus import compile_for, load_program
 from repro.testkit.oracle import (
@@ -38,9 +39,7 @@ from repro.testkit.oracle import (
     shrink_failure,
 )
 
-DEFAULT_FUZZ_TECHNIQUES = (
-    "ratchet", "mementos", "rockclimb", "alfred", "schematic", "allnvm",
-)
+DEFAULT_FUZZ_TECHNIQUES = tuple(COMPILERS)
 DEFAULT_FUZZ_PROGRAMS = ("sumloop", "warloop", "branchy", "calls")
 
 
@@ -119,8 +118,7 @@ def run_fuzz(
                               eb=round(eb, 3)):
                     emit_segment_bounds(tm, compiled, plat.model, eb)
             contract = ContractCheck(
-                technique, compiled, reference, plat, inputs,
-                max_instructions,
+                compiled, reference, plat, inputs, max_instructions,
             )
             for mean in mean_cycles:
                 for seed in range(seeds):

@@ -47,7 +47,6 @@ from repro.ir.values import MemorySpace
 from repro.staticcheck.common import FindingSink
 from repro.staticcheck.consistency import certify_idempotency
 from repro.staticcheck.findings import Finding
-from repro.testkit.corpus import WAIT_MODE_TECHNIQUES
 from repro.testkit.shrink import shrink_schedule
 
 OUTCOME_OK = "ok"
@@ -169,7 +168,6 @@ class ContractCheck:
     reference outputs. A runtime, restore or transformation bug
     survives the undo and stays a violation."""
 
-    technique: str
     compiled: CompiledTechnique
     reference_report: ExecutionReport
     plat: Platform
@@ -193,7 +191,7 @@ class ContractCheck:
         """Why ``run``, classified as ``outcome``, lies outside the
         contract (None: it stays a violation), and the replays run."""
         if (
-            self.technique not in WAIT_MODE_TECHNIQUES
+            not self.compiled.policy.wait_for_full_recharge
             or outcome not in (OUTCOME_ANOMALY, OUTCOME_CRASH)
             or not run.failure_offsets
             or outcome == OUTCOME_CRASH and not any(

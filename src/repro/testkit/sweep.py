@@ -41,11 +41,7 @@ from repro.core.verify import run_against_reference
 from repro.emulator.interpreter import run_continuous
 from repro.errors import EmulationError
 from repro.ir.module import Module
-from repro.testkit.corpus import (
-    WAIT_MODE_TECHNIQUES,
-    compile_for,
-    load_program,
-)
+from repro.testkit.corpus import compile_for, load_program
 from repro.testkit.oracle import (
     OUTCOME_CRASH,
     OUTCOME_OK,
@@ -247,7 +243,7 @@ def sweep_technique(
     # Guarantee check: the schedule the technique was compiled for. For
     # wait-mode techniques non-completion (or any power failure at all)
     # is a placement bug; roll-back baselines only owe crash consistency.
-    wait_mode = technique in WAIT_MODE_TECHNIQUES
+    wait_mode = compiled.policy.wait_for_full_recharge
     guarantee_run = run_against_reference(
         compiled.module, bench.module, plat.model, compiled.policy,
         PowerManager.energy_budget(eb), vm_size=plat.vm_size,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.baselines import COMPILERS
+from repro.baselines import compile_for
 from repro.core.tracing import Profile, collect_profile
 from repro.emulator import PowerManager, run_continuous, run_intermittent
 from repro.energy import Platform, msp430fr5969_model, msp430fr5969_platform
@@ -149,13 +149,9 @@ def run_technique(
 ):
     """Compile with one technique and run it intermittently; returns
     (CompiledTechnique, ExecutionReport or None)."""
-    compiler = COMPILERS[name]
-    if name in ("schematic", "rockclimb", "allnvm"):
-        compiled = compiler(
-            module, plat, profile=profile, input_generator=input_generator
-        )
-    else:
-        compiled = compiler(module, plat)
+    compiled = compile_for(
+        name, module, plat, input_generator=input_generator, profile=profile
+    )
     if not compiled.feasible:
         return compiled, None
     report = run_intermittent(

@@ -13,15 +13,17 @@ Three layers:
   whether or not the full certifier runs);
 - the full corpus × technique matrix held against the dynamic oracle:
   every cell certifies clean under its contract configuration, and the
-  strict ``restore_fidelity="metadata"`` emulation agrees.
+  emulator's strict restore (poisoning whatever a restore set misses)
+  agrees.
 """
 
+import functools
 import json
 
 import pytest
 
 from repro.emulator import PowerManager
-from repro.emulator.interpreter import run_continuous, run_intermittent
+from repro.emulator.interpreter import run_continuous
 from repro.energy import msp430fr5969_platform
 from repro.ir.printer import print_module
 from repro.ir.textparser import parse_ir
@@ -31,25 +33,19 @@ from repro.runner.cache import ArtifactCache
 from repro.staticcheck import (
     RULE_SCHEMA_VERSION,
     Severity,
-    available_models,
     certify_consistency,
     check_compiled,
     check_module,
-    model_for,
     sarif_document,
 )
 from repro.staticcheck.checker import CheckReport
 from repro.staticcheck.rules import RuleConfig
-from repro.testkit.corpus import (
-    CORPUS,
-    WAIT_MODE_TECHNIQUES,
-    compile_for,
-    load_program,
-)
+from repro.baselines import COMPILERS
+from repro.testkit.corpus import CORPUS, compile_for, load_program
 from repro.testkit.sabotage import strip_checkpoint
 
 EB = 3000.0
-TECHNIQUES = sorted(available_models())
+TECHNIQUES = sorted(COMPILERS)
 
 
 def cell(program, technique, eb=EB):
@@ -61,9 +57,15 @@ def cell(program, technique, eb=EB):
     return bench, plat, compiled
 
 
-def contract_config(technique):
-    """The CLI's configuration for ``technique``."""
-    if technique in WAIT_MODE_TECHNIQUES:
+@functools.lru_cache(maxsize=None)
+def policy_of(technique):
+    """``technique``'s runtime policy, as its compiler sets it."""
+    return cell("sumloop", technique)[2].policy
+
+
+def contract_config(policy):
+    """The CLI's configuration for a technique with runtime ``policy``."""
+    if policy.wait_for_full_recharge:
         return RuleConfig(severity_overrides={
             "CONS001": Severity.INFO, "CONS002": Severity.INFO,
         })
@@ -229,7 +231,7 @@ class TestConsRules:
     def test_cons003_restore_miss_convicted_at_the_read(self):
         module = parse_ir(CONS3_SRC % {"restore": ""})
         report = check_module(module, consistency=True,
-                              technique="schematic")
+                              policy=policy_of("schematic"))
         assert "CONS003" in rules_of(report)
         assert "CONS004" in rules_of(report)
         cons3 = [f for f in report.findings if f.rule_id == "CONS003"]
@@ -241,7 +243,7 @@ class TestConsRules:
     def test_cons003_discharged_when_restored(self):
         module = parse_ir(CONS3_SRC % {"restore": "x"})
         report = check_module(module, consistency=True,
-                              technique="schematic")
+                              policy=policy_of("schematic"))
         assert "CONS003" not in rules_of(report)
         assert "CONS004" not in rules_of(report)
         cert = report.stats["certificate"]
@@ -267,17 +269,21 @@ func @reader() -> void {
 }
 """)
         report = check_module(module, consistency=True,
-                              technique="schematic")
+                              policy=policy_of("schematic"))
         cons3 = [f for f in report.findings if f.rule_id == "CONS003"]
         assert len(cons3) == 1
         assert cons3[0].details.get("via") == "reader"
 
     def test_cons004_technique_without_vm_restore(self):
-        # ratchet cannot restore VM allocations at all: any VM placement
-        # is a metadata/semantics mismatch regardless of restore_vars.
+        # These runtimes keep every variable in NVM: any VM placement is
+        # a metadata/semantics mismatch regardless of restore_vars.
         module = parse_ir(CONS3_SRC % {"restore": "x"})
-        report = check_module(module, consistency=True, technique="ratchet")
-        assert "CONS004" in rules_of(report)
+        for technique in ("ratchet", "rockclimb", "allnvm"):
+            report = check_module(module, consistency=True,
+                                  policy=policy_of(technique))
+            cons4 = [f for f in report.findings if f.rule_id == "CONS004"]
+            assert [f.details["variables"] for f in cons4] == [["x", "y"]]
+            assert cons4[0].details["technique"] == technique
 
     def test_cons001_definite_self_overwrite(self):
         module = parse_ir("""
@@ -294,13 +300,14 @@ func @main() -> void {
     ret
 }
 """)
-        report = check_module(module, consistency=True, technique="ratchet")
+        report = check_module(module, consistency=True,
+                              policy=policy_of("ratchet"))
         cons1 = [f for f in report.findings if f.rule_id == "CONS001"]
         assert len(cons1) == 1
         assert cons1[0].details["definite"]
         assert cons1[0].severity is Severity.ERROR
         # The default configuration reports the very same finding.
-        default = check_module(module, technique="ratchet")
+        default = check_module(module, policy=policy_of("ratchet"))
         assert [f for f in default.findings if f.rule_id == "CONS001"] == cons1
 
     def test_cons002_env_read_in_replay_region(self):
@@ -318,7 +325,8 @@ func @main() -> void {
     ret
 }
 """)
-        report = check_module(module, consistency=True, technique="mementos")
+        report = check_module(module, consistency=True,
+                              policy=policy_of("mementos"))
         cons2 = [f for f in report.findings if f.rule_id == "CONS002"]
         assert len(cons2) == 1
         assert cons2[0].details["variable"] == "sensor"
@@ -326,7 +334,7 @@ func @main() -> void {
 
     def test_certificate_structure(self):
         module = parse_ir(CONS3_SRC % {"restore": ""})
-        cert = certify_consistency(module, model_for("schematic", None))
+        cert = certify_consistency(module, policy_of("schematic"))
         doc = cert.to_json()
         assert doc["technique"] == "schematic"
         assert doc["module"] == "m"
@@ -338,19 +346,29 @@ func @main() -> void {
         assert "ckpt1" in anchors
         json.dumps(doc)  # machine-readable end to end
 
-    def test_model_registry(self):
-        models = available_models()
-        assert set(models) >= {
-            "schematic", "rockclimb", "allnvm", "ratchet", "mementos",
-            "alfred",
+    def test_policy_table(self):
+        # Each compiler's policy is the one statement of its runtime:
+        # wait mode for SCHEMATIC's placements, VM placements only where
+        # the runtime can hold them.
+        table = {
+            t: (policy_of(t).wait_for_full_recharge, policy_of(t).supports_vm)
+            for t in TECHNIQUES
         }
-        assert models["schematic"].wait_mode
-        assert models["schematic"].supports_vm
-        assert not models["ratchet"].supports_vm
-        assert models["ratchet"].rolls_back
-        # Unknown techniques fall back to a conservative model.
-        fallback = model_for("mystery", None)
-        assert fallback.rolls_back
+        assert table == {
+            "alfred": (False, True),
+            "allnvm": (True, False),
+            "mementos": (False, True),
+            "ratchet": (False, False),
+            "rockclimb": (True, False),
+            "schematic": (True, True),
+        }
+        assert all(policy_of(t).name == t for t in TECHNIQUES)
+
+    def test_no_policy_assumes_vm_capable_rollback(self):
+        report = check_module(parse_ir(CONS3_SRC % {"restore": "x"}),
+                              consistency=True)
+        assert report.stats["certificate"]["technique"] == "unknown"
+        assert "CONS004" not in rules_of(report)
 
 
 # -- checker facade edge cases --------------------------------------------
@@ -362,13 +380,13 @@ class TestFacade:
 
     def test_cons_rules_gate_exit(self):
         report = check_module(self._violating_module(), consistency=True,
-                              technique="schematic")
+                              policy=policy_of("schematic"))
         assert not report.ok()
 
     def test_suppression_drops_cons_findings(self):
         config = RuleConfig(suppressed=frozenset({"CONS003", "CONS004"}))
         report = check_module(self._violating_module(), consistency=True,
-                              technique="schematic", config=config)
+                              policy=policy_of("schematic"), config=config)
         assert "CONS003" not in rules_of(report)
         assert "CONS004" not in rules_of(report)
         # The certificate still records the violated obligations: the
@@ -380,7 +398,7 @@ class TestFacade:
             "CONS003": Severity.INFO, "CONS004": Severity.INFO,
         })
         report = check_module(self._violating_module(), consistency=True,
-                              technique="schematic", config=config)
+                              policy=policy_of("schematic"), config=config)
         assert report.ok()
         assert not report.ok(Severity.INFO)
 
@@ -402,15 +420,15 @@ func @main() -> void {
         config = RuleConfig(suppressed=frozenset({"CONS001"}))
         for consistency in (False, True):
             report = check_module(module, consistency=consistency,
-                                  technique="ratchet", config=config)
+                                  policy=policy_of("ratchet"), config=config)
             assert "CONS001" not in rules_of(report)
         assert report.stats["certificate"]["summary"]["violated"] == 1
-        baseline = check_module(module, technique="ratchet")
+        baseline = check_module(module, policy=policy_of("ratchet"))
         assert rules_of(baseline) == ["CONS001"]
 
     def test_consistency_off_reports_unchanged(self):
         module = self._violating_module()
-        off = check_module(module, technique="schematic")
+        off = check_module(module, policy=policy_of("schematic"))
         assert "certificate" not in off.stats
         assert "consistency" not in off.stats["analyses"]
 
@@ -455,7 +473,7 @@ class TestReportCache:
         cache = ArtifactCache(tmp_path)
         check_compiled(compiled, plat, consistency=True, cache=cache)
         check_compiled(compiled, plat, consistency=True, cache=cache,
-                       config=contract_config("schematic"))
+                       config=contract_config(compiled.policy))
         assert cache.hits == 0 and cache.misses == 2
 
     def test_schema_version_is_mixed_in(self, tmp_path, monkeypatch):
@@ -532,7 +550,7 @@ class TestCorpusCertification:
         if not compiled.feasible:
             pytest.skip("technique declares the program infeasible")
         report = check_compiled(
-            compiled, plat, config=contract_config(technique),
+            compiled, plat, config=contract_config(compiled.policy),
             consistency=True,
         )
         assert report.ok(), report.render()
@@ -555,10 +573,10 @@ class TestCorpusCertification:
         if not compiled.feasible:
             pytest.skip("technique declares the program infeasible")
         baseline = check_compiled(
-            compiled, plat, config=contract_config(technique)
+            compiled, plat, config=contract_config(compiled.policy)
         )
         certified = check_compiled(
-            compiled, plat, config=contract_config(technique),
+            compiled, plat, config=contract_config(compiled.policy),
             consistency=True,
         )
         assert baseline.ok() == certified.ok()
@@ -605,16 +623,16 @@ class TestCorpusCertification:
     def test_discharged_certificate_matches_strict_emulation(
         self, program, technique
     ):
-        # Cross-validation of the CONS003/CONS004 discharge: under the
-        # strict "metadata" restore fidelity every non-restored VM
-        # variable is poisoned at each restore, so a wrongly discharged
+        # Cross-validation of the CONS003/CONS004 discharge: the
+        # emulator poisons every non-restored VM variable at each
+        # restore, so a wrongly discharged
         # obligation would corrupt the outputs. A clean certificate must
         # therefore imply a clean strict-emulation run.
         bench, plat, compiled = cell(program, technique)
         if not compiled.feasible:
             pytest.skip("technique declares the program infeasible")
         report = check_compiled(
-            compiled, plat, config=contract_config(technique),
+            compiled, plat, config=contract_config(compiled.policy),
             consistency=True,
         )
         assert report.ok(), report.render()
@@ -627,47 +645,29 @@ class TestCorpusCertification:
             PowerManager.energy_budget(EB),
             vm_size=plat.vm_size,
             inputs=inputs,
-            restore_fidelity="metadata",
         )
         assert result.crash_consistent, result.failure_reason
 
 
-# -- strict restore fidelity and environment inputs -----------------------
+# -- strict restores and environment inputs --------------------------------
 
 
 class TestEmulatorSemantics:
-    def test_metadata_fidelity_poisons_unrestored_vm(self):
-        # The delete_restore sabotage is invisible under "image" restores
-        # and convicted under "metadata" — the emulator half of CONS003.
+    def test_restore_poisons_unrestored_vm(self):
+        # The delete_restore sabotage is convicted by the emulator's
+        # restore, which rebuilds exactly restore_vars — the emulator
+        # half of CONS003.
         from repro.testkit.sabotage import delete_restore
 
         bench, plat, compiled = cell("warloop", "schematic")
         broken, _, removed = delete_restore(compiled.module)
         assert removed
-        inputs = bench.default_inputs()
-        masked = run_against_reference(
-            broken, bench.module, plat.model, compiled.policy,
-            PowerManager.energy_budget(EB), vm_size=plat.vm_size,
-            inputs=inputs, restore_fidelity="image",
-        )
-        assert masked.ok
         convicted = run_against_reference(
             broken, bench.module, plat.model, compiled.policy,
             PowerManager.energy_budget(EB), vm_size=plat.vm_size,
-            inputs=inputs, restore_fidelity="metadata",
+            inputs=bench.default_inputs(),
         )
         assert not convicted.ok
-
-    def test_bad_fidelity_name_rejected(self):
-        from repro.errors import EmulationError
-
-        bench, plat, compiled = cell("warloop", "schematic")
-        with pytest.raises(EmulationError):
-            run_intermittent(
-                compiled.module, plat.model, compiled.policy,
-                PowerManager.energy_budget(EB), vm_size=plat.vm_size,
-                inputs=bench.default_inputs(), restore_fidelity="exact",
-            )
 
     def test_env_input_samples_are_monotone(self):
         module = parse_ir("""

@@ -144,21 +144,12 @@ class TestDynamicConviction:
         entry = self._entry("warloop_schematic_delete_restore.ir")
         bench, plat, compiled = load_cell(entry)
         inputs = bench.default_inputs()
-        common = dict(vm_size=plat.vm_size, inputs=inputs)
-        # The forgiving "image" restore reloads every VM variable from
-        # its NVM home and silently heals the deleted restore set …
-        masked = run_against_reference(
-            compiled.module, bench.module, plat.model, compiled.policy,
-            PowerManager.energy_budget(EB), restore_fidelity="image",
-            **common,
-        )
-        assert masked.ok, masked.failure_reason
-        # … the strict "metadata" restore honors exactly the checkpoint
-        # metadata the static rule reasons about, and convicts.
+        # The emulator's restore honors exactly the checkpoint metadata
+        # the static rule reasons about, and convicts.
         convicted = run_against_reference(
             compiled.module, bench.module, plat.model, compiled.policy,
-            PowerManager.energy_budget(EB), restore_fidelity="metadata",
-            **common,
+            PowerManager.energy_budget(EB), vm_size=plat.vm_size,
+            inputs=inputs,
         )
         assert not convicted.ok
         assert not convicted.outputs_match or convicted.crashed

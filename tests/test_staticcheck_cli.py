@@ -26,11 +26,7 @@ from repro.emulator.interpreter import run_continuous
 from repro.staticcheck import Severity, check_compiled, check_module
 from repro.staticcheck.__main__ import main
 from repro.staticcheck.rules import RuleConfig
-from repro.testkit.corpus import (
-    WAIT_MODE_TECHNIQUES,
-    compile_for,
-    load_program,
-)
+from repro.testkit.corpus import compile_for, load_program
 from repro.testkit.oracle import OUTCOME_OK, check_schedule, classify
 from repro.testkit.sabotage import strip_checkpoint
 from repro.testkit.sweep import (
@@ -40,11 +36,11 @@ from repro.testkit.sweep import (
 )
 
 
-def wait_mode_config(technique):
+def wait_mode_config(policy):
     """The CLI's per-technique configuration: replay findings are
     informational for wait-mode runtimes (in-contract replays never
     happen under the certified budget)."""
-    if technique in WAIT_MODE_TECHNIQUES:
+    if policy.wait_for_full_recharge:
         return RuleConfig(
             severity_overrides={
                 "CONS001": Severity.INFO,
@@ -170,7 +166,7 @@ class TestCrossValidation:
             input_generator=bench.input_generator(),
         )
         report = check_compiled(
-            compiled, plat, config=wait_mode_config(technique)
+            compiled, plat, config=wait_mode_config(compiled.policy)
         )
         result = sweep_technique(
             program, technique, eb=3000.0, granularity="static"
@@ -210,7 +206,7 @@ class TestCrossValidation:
             policy=compiled.policy,
             eb=eb,
             vm_size=plat.vm_size,
-            config=wait_mode_config("schematic"),
+            config=wait_mode_config(compiled.policy),
         )
         assert in_contract.ok(), in_contract.render()
         assert in_contract.stats["worst_window_nj"] <= eb

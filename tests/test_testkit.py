@@ -240,9 +240,7 @@ def _warloop_check(technique):
         technique, bench.module, plat,
         input_generator=bench.input_generator(),
     )
-    check = ContractCheck(
-        technique, compiled, reference, plat, inputs, 50_000_000,
-    )
+    check = ContractCheck(compiled, reference, plat, inputs, 50_000_000)
     run = run_against_reference(
         compiled.module, bench.module, plat.model, compiled.policy,
         PowerManager.stochastic(mean_cycles=800.0, seed=0, eb=3000.0),

@@ -15,8 +15,8 @@ The first four cells cover every generator in the memory-consistency
 sabotage battery and both contract families:
 
 - ``warloop_schematic_delete_restore`` — restore-set deletion on a
-  wait-mode placement (CONS003 + CONS004; dynamically visible only
-  under ``restore_fidelity="metadata"``);
+  wait-mode placement (CONS003 + CONS004; dynamically visible because
+  the emulator's restore poisons what the restore set misses);
 - ``warloop_ratchet_repeated_read`` — a pure input marked volatile on a
   roll-back placement (CONS002; boundary-sweep anomalies);
 - ``warloop_ratchet_dirty_write`` — an injected read-increment-write on
