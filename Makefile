@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test sweep check check-bounds check-consistency check-transval fuzz metrics experiments experiments-quick trace export examples clean
+.PHONY: test sweep check check-bounds check-transval fuzz metrics experiments experiments-quick trace export examples clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -24,20 +24,12 @@ check:
 check-bounds:
 	$(PYTHON) -m repro.staticcheck --bounds --programs all
 
-# Memory-consistency certification (CONS rules) over the full matrix,
-# emitting the SARIF document CI uploads as an artifact. Caching is
-# disabled so the proof is re-derived from nothing on every run.
-check-consistency:
-	REPRO_CACHE=0 $(PYTHON) -m repro.staticcheck --programs all \
-		--techniques all --consistency --no-cache
-	REPRO_CACHE=0 $(PYTHON) -m repro.staticcheck --programs all \
-		--techniques all --consistency --no-cache --format sarif \
-		> staticcheck.sarif
-
-# Translation validation over the full matrix: every placed module must
-# be a certified refinement of its source (TV rules), folded into the
-# merged every-family report (`--all`), whose SARIF document CI uploads
-# as an artifact. Caching is disabled so every proof is re-derived.
+# Every rule family over the full matrix (`--all`): the base analyses,
+# memory-consistency certification (all CONS rules, as `--consistency`)
+# and translation validation (every placed module must be a certified
+# refinement of its source, TV rules), in one merged report whose SARIF
+# document CI uploads as an artifact. Caching is disabled so every proof
+# is re-derived from nothing.
 check-transval:
 	REPRO_CACHE=0 $(PYTHON) -m repro.staticcheck --programs all \
 		--techniques all --all --no-cache

@@ -42,10 +42,6 @@ from repro.ir.validate import validate_module
 from repro.ir.values import MemorySpace
 
 
-def _resolve(func_reads: Set[str]) -> Set[str]:
-    return func_reads
-
-
 class _WarAnalysis:
     """Fixpoint WAR-breaking checkpoint placement for one function.
 
@@ -64,21 +60,14 @@ class _WarAnalysis:
         self.cfg = CFG(func)
         self._out_sets: Dict[str, Set[str]] = {}
         self.checkpoint_before: Set[Tuple[str, int]] = set()
-        #: read-set at function entry for callers: reads since the last
-        #: checkpoint when the function returns.
-        self.exit_reads: Set[str] = set()
-        #: True if the function contains (or may trigger) no checkpoint at
-        #: all, so the caller's read-set survives the call.
-        self.has_checkpoint = False
 
-    def run(self, entry_reads: Set[str]) -> Set[str]:
-        """Iterate to fixpoint; returns the read-set at function exit."""
+    def run(self) -> None:
+        """Iterate to fixpoint, starting from an empty read-set at
+        function entry."""
         in_sets: Dict[str, Set[str]] = {
             label: set() for label in self.cfg.labels
         }
-        in_sets[self.cfg.entry] = set(entry_reads)
         changed = True
-        exit_reads: Set[str] = set()
         while changed:
             changed = False
             for label in self.cfg.reverse_postorder():
@@ -96,12 +85,6 @@ class _WarAnalysis:
                 if previous != out:
                     self._out_sets[label] = out
                     changed = True
-            exit_reads = set()
-            for label in self.cfg.exit_labels():
-                exit_reads |= self._out_sets.get(label, set())
-        self.exit_reads = exit_reads
-        self.has_checkpoint = bool(self.checkpoint_before)
-        return exit_reads
 
     def _transfer(
         self, label: str, incoming: Set[str]
@@ -150,7 +133,7 @@ def compile_ratchet(module: Module, platform: Platform) -> CompiledTechnique:
     for name in callgraph.reverse_topological():
         func = work.functions[name]
         analysis = _WarAnalysis(func, summaries)
-        analysis.run(set())
+        analysis.run()
         # Insert the checkpoints bottom-up per block so indices stay valid.
         # A position strictly inside an atomic section (paper §VI) is moved
         # to the section's start — checkpoints may not interrupt it.

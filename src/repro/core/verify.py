@@ -153,9 +153,10 @@ def run_against_reference(
     (see :meth:`repro.emulator.interpreter.Interpreter._apply_restore`),
     so a checkpoint whose restore set misses live VM state is dynamically
     convicted instead of silently healed.
-    ``compiled=False`` runs the intermittent run on the pre-decoded loop
-    (the differential oracle re-runs every cell there to cross-check the
-    compiled one).
+    ``compiled=False`` runs the intermittent run with the interpreter's
+    compiled segments off, every instruction on the per-step path (the
+    differential oracle re-runs every cell that way to cross-check the
+    segments-on run).
     """
     if transformed is not reference:
         validate_placement(reference, transformed)

@@ -105,7 +105,7 @@ class InterpreterConfig:
     #: the entry block at run start, a jump or branch target, a callee's
     #: entry block, the caller's block on return, and the entry block
     #: again on a reboot from boot. Each entry emits exactly one event,
-    #: on either loop, and tracing does not change which loop runs.
+    #: with segments on or off, and tracing does not turn segments off.
     trace: Optional[Callable[[str, str], None]] = None
     #: Called as step_hook(site_label, cycles) immediately before each
     #: atomic energy-consuming step — instructions, checkpoint saves,
@@ -117,20 +117,20 @@ class InterpreterConfig:
     inputs: Dict[str, List[int]] = field(default_factory=dict)
     #: Enforce the VM capacity limit at run time.
     vm_size: int = 1 << 30
-    #: Compile straight-line runs of each pre-decoded block into fused
-    #: superinstruction closures executed with zero dispatch, charging
-    #: each run's energy/cycles as one batch (:mod:`repro.emulator.
-    #: compiled`). Semantics are bit-identical: failure points, meter
-    #: totals, reports and diffemu snapshots all match the pre-decoded
-    #: loop, and the interpreter falls back to per-step execution for
-    #: any run that asks for per-step observation (``step_hook``, a
-    #: recording power manager) and on every cold-path event
+    #: Turn segments on: the interpreter loop executes straight-line runs
+    #: of each pre-decoded block as fused superinstruction closures with
+    #: zero dispatch, charging each run's energy/cycles as one batch
+    #: (:mod:`repro.emulator.compiled`). Semantics are bit-identical:
+    #: failure points, meter totals, reports and diffemu snapshots all
+    #: match per-step execution. Segments stay off for any run that asks
+    #: for per-step observation (``step_hook``, a recording power
+    #: manager), and the per-step path still runs every cold-path event
     #: (checkpoints, predicted in-segment power failures,
     #: instruction-budget edges, mid-segment resume points). Block
-    #: ``trace`` events, telemetry and metrics come out identically on
-    #: this loop, so traced, profiled and metered runs take it too.
-    #: False selects the plain pre-decoded loop, the compiled loop's
-    #: differential reference.
+    #: ``trace`` events, telemetry and metrics come out identically with
+    #: segments on, so traced, profiled and metered runs use them too.
+    #: False turns segments off — every instruction takes the per-step
+    #: path — which makes the run the segments' differential reference.
     compiled: bool = True
     #: Called as commit_hook(interpreter, ckpt_id) after a checkpoint has
     #: fully committed — the save persisted *and* the wait-mode
@@ -231,9 +231,9 @@ class Interpreter:
         self._seg_anchor = 0.0
         # The metrics registry and flight recorder follow the same
         # discipline: bound once, consulted only on cold paths, None
-        # when disabled. Like tracing (_tm), they do not disqualify the
-        # compiled loop: events and counters are emitted only on cold
-        # paths the compiled loop runs one step at a time.
+        # when disabled. Like tracing (_tm), they do not turn segments
+        # off: events and counters are emitted only on cold paths, which
+        # always take the per-step path.
         self._mm = metrics.get()
         self._fr = flight.get()
         if self._mm is not None:
@@ -264,12 +264,11 @@ class Interpreter:
         }
         self._code = self._decode_module()
         #: Compiled segment maps, built lazily on the first execution
-        #: that is eligible for the compiled loop, so runs a step_hook or
-        #: a recording power manager sends to the per-step loop never
-        #: pay for compilation. {(function, label): {index: Segment}}.
+        #: with segments on, so runs with segments off never pay for
+        #: compilation. {(function, label): {index: Segment}}.
         self._ccode = None
-        #: Which loop the last _execute used: "compiled" or "predecoded"
-        #: (introspection for tests and benchmarks).
+        #: Whether the last _execute ran with segments on ("compiled")
+        #: or off ("predecoded") (introspection for tests and benchmarks).
         self.loop_used: Optional[str] = None
 
     # -- pre-decoding ----------------------------------------------------------
@@ -278,8 +277,8 @@ class Interpreter:
         """Decode every basic block once into ``(handler, cost, inst,
         label)`` entries, keyed by ``(function name, block label)``.
 
-        The hot loops then run on plain list indexing, with no per-step
-        type dispatch or cost computation. Decoding binds to the
+        The interpreter loop then runs on plain list indexing, with no
+        per-step type dispatch or cost computation. Decoding binds to the
         instruction objects present at construction: the module must not
         be structurally modified while this interpreter is alive
         (compilation finishes before emulation starts everywhere in this
@@ -302,8 +301,8 @@ class Interpreter:
 
     def _handler_for(self, inst: Instruction):
         """Decode-time handler selection: environment-input Loads bind
-        directly to the sampling handler, so the hot loops never re-test
-        ``volatile_input`` per step."""
+        directly to the sampling handler, so the interpreter loop never
+        re-tests ``volatile_input`` per step."""
         if type(inst) is Load and inst.var.volatile_input:
             return self._apply_load_env
         return self._dispatch.get(type(inst))
@@ -449,35 +448,6 @@ class Interpreter:
             failure_offsets=list(self.power.failure_log),
         )
 
-    def _execute(self) -> Tuple[bool, str]:
-        config = self.config
-        if (
-            config.compiled
-            and config.step_hook is None
-            and self.power.record is None
-        ):
-            # No per-step observation requested: run the threaded-code
-            # loop. Only what needs step granularity — the testkit
-            # sweep's step_hook or a recording power manager — gets the
-            # per-step pre-decoded loop. Block tracing, telemetry and
-            # metrics do NOT disqualify: their events come from handlers
-            # on the cold paths the compiled loop runs one step at a
-            # time with meter and power state reconciled, and the loop
-            # itself traces the blocks a generated control transfer
-            # enters, so every stream is identical on either loop.
-            if self._ccode is None:
-                self._ccode = compiled_blocks.compile_blocks(self, _Frame)
-            self.loop_used = "compiled"
-            return self._run_selected_loop(self._execute_compiled)
-        self.loop_used = "predecoded"
-        return self._run_selected_loop(self._execute_predecoded)
-
-    def _run_selected_loop(self, loop) -> Tuple[bool, str]:
-        """Count the loop selection (cold: once per execution), then run."""
-        if self._mm is not None:
-            self._mm.counter(f"interp.loop.{self.loop_used}").add(1)
-        return loop()
-
     def _flight_state(self) -> Dict[str, Any]:
         """Flight-recorder state provider: where this interpreter is,
         sampled only when a postmortem bundle is dumped."""
@@ -501,10 +471,13 @@ class Interpreter:
             "vm_bytes_used": self.memory.vm_bytes_used(),
         }
 
-    def _execute_compiled(self) -> Tuple[bool, str]:
-        """The threaded-code loop: whole segments execute as a handful of
-        fused-closure calls with one batched accounting transaction.
+    def _execute(self) -> Tuple[bool, str]:
+        """The interpreter loop, with compiled segments on or off.
 
+        Segments are on when ``config.compiled`` is set and nothing asks
+        for per-step observation (no ``step_hook``, no recording power
+        manager). Whole straight-line segments then execute as a handful
+        of fused-closure calls with one batched accounting transaction.
         The batch is provably equivalent to stepping: the per-field
         energy folds replay the per-step ``+=`` sequences in order
         (:class:`repro.emulator.compiled.Segment`), and
@@ -512,12 +485,29 @@ class Interpreter:
         per-step failure predicate could fire inside it — nonnegative
         float addition is monotone under IEEE round-to-nearest, so a
         final consumption within budget bounds every prefix, and the
-        cycle-denominated modes compare exact integers. Whenever the
-        fast path cannot run — a checkpoint, a predicted in-segment
-        failure, the instruction-budget edge, a mid-segment resume
-        index — one instruction is executed exactly as the pre-decoded
-        loop would, so every cold-path event observes fully reconciled
-        meter/power state."""
+        cycle-denominated modes compare exact integers. Block tracing,
+        telemetry and metrics do not turn segments off: their events
+        come from handlers on the cold paths, which run one step at a
+        time with meter and power state reconciled, and the loop itself
+        traces the blocks a generated control transfer enters.
+
+        Every instruction no segment covers — all of them when segments
+        are off; otherwise checkpoints, a predicted in-segment failure,
+        the instruction-budget edge and mid-segment resume indices —
+        takes the per-step path: the decoded handler plus per-step
+        accounting, with ``step_hook`` called just before ``consume``.
+        Segments-off is the differential reference of segments-on."""
+        config = self.config
+        step_hook = config.step_hook
+        segments = (
+            config.compiled and step_hook is None and self.power.record is None
+        )
+        if segments and self._ccode is None:
+            self._ccode = compiled_blocks.compile_blocks(self, _Frame)
+        self.loop_used = "compiled" if segments else "predecoded"
+        if self._mm is not None:
+            self._mm.counter(f"interp.loop.{self.loop_used}").add(1)
+
         frames = self.frames
         code = self._code
         ccode = self._ccode
@@ -528,9 +518,14 @@ class Interpreter:
         meter = self.meter
         charge = meter.charge_compute
         charge_block = meter.charge_block
-        max_instructions = self.config.max_instructions
-        trace = self.config.trace
+        max_instructions = config.max_instructions
+        trace = config.trace
 
+        # The current block's decoded entries (and segment map), refreshed
+        # whenever the top frame or its block changes. The identity test
+        # on the label is conservative: a false mismatch merely refetches,
+        # and a false match needs the same frame *and* the same label
+        # object, which within one function implies the same block.
         cur_frame = None
         cur_block = None
         block_code = None
@@ -542,40 +537,40 @@ class Interpreter:
                 cur_block = frame.block
                 key = (frame.function.name, cur_block)
                 block_code = code[key]
-                seg_map = ccode[key]
-            seg = seg_map.get(frame.index)
-            if (
-                seg is not None
-                and self.instructions_executed + seg.n <= max_instructions
-            ):
-                new_consumed = peek_block(seg.energies, seg.cycles)
-                if new_consumed is not None:
-                    try:
-                        seg.run(frame)
-                    except BaseException as exc:
-                        self._reconcile_segment_fault(frame, seg, exc)
-                        raise
-                    commit_block(new_consumed, seg.cycles)
-                    charge_block(
-                        seg.energies, seg.cpu, seg.vm_e, seg.nvm_e,
-                        seg.vm_n, seg.nvm_n,
-                    )
-                    self.active_cycles += seg.cycles
-                    self.instructions_executed += seg.n
-                    end = seg.end_index
-                    if end is not None:
-                        frame.index = end
-                    elif trace is not None and seg.traces_entry and frames:
-                        # A generated Jump/Branch/Call/Ret bypassed the
-                        # handler: emit the event _goto/_do_call/_do_ret
-                        # would have for the block just entered.
-                        top = frames[-1]
-                        trace(top.function.name, top.block)
-                    continue
-            # Per-step path: checkpoints, a failure predicted inside the
-            # segment, the instruction-budget edge, or a resume index
-            # that is not a segment start. One instruction, executed
-            # exactly as _execute_predecoded would.
+                if segments:
+                    seg_map = ccode[key]
+            if segments:
+                seg = seg_map.get(frame.index)
+                if (
+                    seg is not None
+                    and self.instructions_executed + seg.n <= max_instructions
+                ):
+                    new_consumed = peek_block(seg.energies, seg.cycles)
+                    if new_consumed is not None:
+                        try:
+                            seg.run(frame)
+                        except BaseException as exc:
+                            self._reconcile_segment_fault(frame, seg, exc)
+                            raise
+                        commit_block(new_consumed, seg.cycles)
+                        charge_block(
+                            seg.energies, seg.cpu, seg.vm_e, seg.nvm_e,
+                            seg.vm_n, seg.nvm_n,
+                        )
+                        self.active_cycles += seg.cycles
+                        self.instructions_executed += seg.n
+                        end = seg.end_index
+                        if end is not None:
+                            frame.index = end
+                        elif trace is not None and seg.traces_entry and frames:
+                            # A generated Jump/Branch/Call/Ret bypassed the
+                            # handler: emit the event _goto/_do_call/_do_ret
+                            # would have for the block just entered.
+                            top = frames[-1]
+                            trace(top.function.name, top.block)
+                        continue
+            # Per-step path: one instruction, its handler and its own
+            # accounting.
             if self.instructions_executed >= max_instructions:
                 return False, "instruction budget exhausted (runaway program?)"
             handler, cost, inst, label = block_code[frame.index]
@@ -586,6 +581,8 @@ class Interpreter:
                 cur_frame = None  # may have rolled back / migrated
                 continue
             cycles, energy, access_energy, is_vm, has_access = cost
+            if step_hook is not None:
+                step_hook(label, cycles)
             if consume(energy, cycles):
                 if not self._handle_power_failure():
                     return False, "no forward progress"
@@ -600,9 +597,9 @@ class Interpreter:
     def _reconcile_segment_fault(self, frame, seg, exc) -> None:
         """A fused op raised mid-segment before the batch was applied:
         replay per-step accounting for the completed prefix *plus* the
-        faulting instruction (the per-step loop consumes and charges
+        faulting instruction (the per-step path consumes and charges
         before the handler runs), and point ``frame.index`` at the
-        faulting instruction — exactly the state the pre-decoded loop
+        faulting instruction — exactly the state the per-step path
         leaves behind when a handler raises. peek_block admitted the
         whole segment, so no consume in this prefix can fail."""
         pos = getattr(exc, "_seg_pos", 0)
@@ -618,53 +615,6 @@ class Interpreter:
             self.instructions_executed += 1
             charge(energy, access_energy, is_vm, has_access)
         frame.index = seg.start + fault
-
-    def _execute_predecoded(self) -> Tuple[bool, str]:
-        frames = self.frames
-        code = self._code
-        consume = self.power.consume
-        charge = self.meter.charge_compute
-        max_instructions = self.config.max_instructions
-        step_hook = self.config.step_hook
-
-        # The current block's decoded entries, refreshed whenever the top
-        # frame or its block changes. The identity test on the label is
-        # conservative: a false mismatch merely refetches, and a false
-        # match needs the same frame *and* the same label object, which
-        # within one function implies the same block.
-        cur_frame = None
-        cur_block = None
-        block_code = None
-        while frames:
-            if self.instructions_executed >= max_instructions:
-                return False, "instruction budget exhausted (runaway program?)"
-            frame = frames[-1]
-            if frame is not cur_frame or frame.block is not cur_block:
-                cur_frame = frame
-                cur_block = frame.block
-                block_code = code[frame.function.name, cur_block]
-            handler, cost, inst, label = block_code[frame.index]
-
-            if handler is None:  # checkpoint pseudo-instructions
-                outcome = self._do_checkpoint(frame, inst)
-                if outcome is not None:
-                    return outcome
-                cur_frame = None  # may have rolled back / migrated
-                continue
-
-            cycles, energy, access_energy, is_vm, has_access = cost
-            if step_hook is not None:
-                step_hook(label, cycles)
-            if consume(energy, cycles):
-                if not self._handle_power_failure():
-                    return False, "no forward progress"
-                cur_frame = None  # frames were rebuilt from the snapshot
-                continue
-            self.active_cycles += cycles
-            self.instructions_executed += 1
-            charge(energy, access_energy, is_vm, has_access)
-            handler(frame, inst)
-        return True, ""
 
     # -- instruction effects -----------------------------------------------------
 

@@ -71,13 +71,3 @@ class VMCapacityError(ReproError):
 class EmulationError(ReproError):
     """Runtime error while interpreting IR (trap, bad memory access, ...)."""
 
-
-class ForwardProgressError(EmulationError):
-    """The emulated program is stuck: repeated power failures prevent it from
-    ever reaching the next checkpoint."""
-
-
-class MemoryAnomalyError(EmulationError):
-    """Re-execution after a power failure observed inconsistent NVM state
-    (write-after-read anomaly), producing a result that diverges from the
-    continuously-powered reference run."""

@@ -22,7 +22,7 @@ Zero overhead when disabled, by construction: the handle is ``None``
 until :func:`enable` is called, every instrumentation site guards with
 ``tm = telemetry.get()`` / ``if tm is not None``, and the emulator's hot
 loop is not instrumented at all (only the cold checkpoint/power-failure
-paths are, so traced runs keep the compiled loop).
+paths are, so traced runs keep compiled segments on).
 ``tests/test_telemetry_identity.py`` pins the bit-identity of emulator
 output with telemetry off; the ``perfbench/`` benchmark's untraced
 passes measure the wall-clock.

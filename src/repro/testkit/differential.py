@@ -34,9 +34,10 @@ Every cell is also checked along three equivalence legs, wherever each
 applies. A divergence or finding on any leg is recorded as a
 disagreement, exactly like a cross-technique one:
 
-- **compiled loop**: every non-crashed cell is re-run on the plain
-  pre-decoded loop (``compiled=False``), the per-step reference of the
-  compiled (threaded-code) loop the primary run uses. A report
+- **compiled loop**: every non-crashed cell is re-run with the
+  interpreter's compiled (threaded-code) segments off
+  (``compiled=False``: every instruction takes the per-step path), the
+  reference of the segments-on run the primary cell uses. A report
   divergence convicts the batched accounting or the superinstruction
   codegen.
 - **differential emulation**: every non-crashed cell whose policy has no
@@ -100,7 +101,7 @@ class DiffResult:
     #: planned each one (synthesize / fork / cold).
     diffemu_cells: int = 0
     diffemu_kinds: Dict[str, int] = field(default_factory=dict)
-    #: Compiled-vs-pre-decoded loop pairs checked.
+    #: Segments-on vs segments-off run pairs checked.
     compiled_cells: int = 0
     #: (program, technique, TBPF) placements statically certified as
     #: refinements of their source.
@@ -341,8 +342,8 @@ def _run_program(
                         reference_report=reference,
                     )
                 result.runs += 1
-                # Compiled-loop and diffemu legs: the same cell on the
-                # pre-decoded loop (fresh PowerManager: a consumed one is
+                # Compiled-loop and diffemu legs: the same cell with
+                # segments off (fresh PowerManager: a consumed one is
                 # not reusable) and, unless the policy skips, through the
                 # fork. Both reports must equal the primary one.
                 if not run.crashed:
@@ -359,8 +360,8 @@ def _run_program(
                         if alt.crashed or repr(alt.report) != repr(run.report):
                             result.disagreements.append(
                                 f"{program}/{technique} under {desc}: "
-                                "predecoded loop diverges from the "
-                                "compiled loop"
+                                "segments-off run diverges from the "
+                                "compiled-segments run"
                             )
                         if comp.policy.skip_threshold is None:
                             tape = tapes.get(technique)

@@ -1,12 +1,13 @@
-"""The compiled (threaded-code) interpreter loop must be bit-identical
-to the per-step pre-decoded loop it replaces.
+"""The interpreter loop with compiled (threaded-code) segments on must
+be bit-identical to the same loop with segments off, where every
+instruction takes the per-step path.
 
-``Interpreter._execute_compiled`` runs whole straight-line segments as
-fused closures with one batched power/meter transaction per segment
-(:mod:`repro.emulator.compiled`). These tests pin the equivalence
+With segments on, ``Interpreter._execute`` runs whole straight-line
+segments as fused closures with one batched power/meter transaction per
+segment (:mod:`repro.emulator.compiled`). These tests pin the equivalence
 contract down from every angle the batching could break:
 
-- the decode table both loops run on: every instruction bound to the
+- the decode table both modes run on: every instruction bound to the
   handler its type (and environment-input flag) selects, at its cost;
 - report identity across corpus x techniques x power modes, including
   failure placement (``failure_offsets``) and the Fig. 6/7 energy split;
@@ -15,14 +16,14 @@ contract down from every angle the batching could break:
   per block entry, whether a generated control transfer or the
   interpreter's own handler made it;
 - the fallback rules: ``step_hook`` and recording power managers must
-  silently select the per-step pre-decoded loop without changing the
-  report, while block tracing and telemetry keep the compiled loop and
+  silently turn segments off without changing the report (and without
+  compiling any), while block tracing and telemetry keep segments on and
   record the same streams;
 - crash identity: division by zero, reads of uninitialized registers,
   a non-scalar terminator operand and instruction-budget exhaustion
   must surface at the same instruction with the same accounting and
   trace prefix, even when they fire mid-segment;
-- snapshot/fork (diffemu) resume on top of the compiled loop;
+- snapshot/fork (diffemu) resume with segments on;
 - the segment-structure invariants the codegen relies on.
 """
 
@@ -281,10 +282,13 @@ def test_loop_selection_and_fallbacks():
     interp = _interp(module, inputs)
     interp.run()
     assert interp.loop_used == "compiled"
+    assert interp._ccode is not None
 
+    # Runs that keep every step per-step never pay for compilation.
     interp = _interp(module, inputs, compiled=False)
     interp.run()
     assert interp.loop_used == "predecoded"
+    assert interp._ccode is None
 
     # Block tracing (the profiler's input) keeps the compiled loop and
     # delivers the stream the pre-decoded loop delivers.
@@ -303,6 +307,7 @@ def test_loop_selection_and_fallbacks():
     )
     interp.run()
     assert interp.loop_used == "predecoded"
+    assert interp._ccode is None
     assert hooks, "the step_hook fallback must still deliver the stream"
 
     # A recording power manager enumerates every injectable boundary —
@@ -315,6 +320,7 @@ def test_loop_selection_and_fallbacks():
     )
     interp.run()
     assert interp.loop_used == "predecoded"
+    assert interp._ccode is None
 
 
 def test_step_hook_stream_identical_to_predecoded():

@@ -94,8 +94,8 @@ def main() -> int:
                 "checkpoint": site.ckpt_id,
                 "deleted_restore_vars": sorted(removed),
             },
-            "dynamic": "metadata-fidelity guarantee run diverges; "
-            "image fidelity masks the bug",
+            "dynamic": "the guarantee run diverges: the restore poisons "
+            "the VM variables the restore set misses",
         },
     ))
 
