@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis import memo
 from repro.baselines import compile_schematic
 from repro.core.placement import SchematicConfig
 from repro.experiments.common import EvaluationContext
@@ -96,6 +97,8 @@ def run(
     for name in names:
         bench = ctx.benchmark(name)
         profile = ctx.profile(name)
+        # Time a full analysis: range analysis must not be a memo hit.
+        memo.forget()
         start = time.perf_counter()
         compile_schematic(bench.module, platform, profile=profile)
         benchmark_times[name] = time.perf_counter() - start
@@ -106,6 +109,7 @@ def run(
         blocks = sum(len(f.blocks) for f in module.functions.values())
         insts = module.instruction_count()
         config = SchematicConfig(profile_runs=1)
+        memo.forget()
         start = time.perf_counter()
         compile_schematic(module, platform, config=config)
         scaling.append((blocks, insts, time.perf_counter() - start))

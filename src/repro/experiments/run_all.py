@@ -70,6 +70,7 @@ from repro.telemetry.rollup import (
     rollup_json,
     write_sidecar,
 )
+from repro.analysis import memo as analysis_memo
 from repro.core import verify as core_verify
 from repro.experiments import claims, common, engine
 from repro.experiments import (
@@ -103,8 +104,9 @@ SECTIONS = [
 #: ``metrics`` rollup (``null`` when metrics are off); v3 drops the
 #: differential-emulation block (every cell is emulated cold); v4 drops
 #: the failure-model key (a cell's power model is part of its run key);
-#: v5 drops ``transval.enabled`` (the validation pass always runs).
-MANIFEST_SCHEMA = 5
+#: v5 drops ``transval.enabled`` (the validation pass always runs); v6
+#: adds the ``analysis_memo`` hit/miss counters.
+MANIFEST_SCHEMA = 6
 
 
 def _csv(text: str) -> List[str]:
@@ -204,6 +206,7 @@ def build_manifest(
         "prefill": prefill_stats or None,
         "cache": ctx.cache.stats_dict() if ctx.cache is not None else None,
         "transval": core_verify.transval_stats(),
+        "analysis_memo": analysis_memo.memo_stats(),
         "trace": (
             {key: str(path) for key, path in trace_paths.items()}
             if trace_paths
@@ -229,6 +232,10 @@ def _clear_sidecars(directory: Path) -> None:
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    # Each run derives its analyses itself, so a second run in one
+    # process emulates what the first did and its manifest counts only
+    # its own memo traffic.
+    analysis_memo.reset_memo()
     tm, mm = telemetry_flags.enable_from_args(args, meta={
         "tool": "repro.experiments.run_all",
         "argv": list(argv) if argv is not None else sys.argv[1:],

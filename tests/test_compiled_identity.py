@@ -33,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import memo
 from repro.core import tracing
 from repro.emulator import PowerManager
 from repro.emulator.compiled import FUSE_LIMIT, Segment
@@ -515,6 +516,9 @@ def test_kernel_profile_identity(program, monkeypatch):
     bench = get_benchmark(program)
 
     def profile():
+        # Each profile must run: a memo hit would compare a profile
+        # with itself.
+        memo.reset_memo()
         return tracing.collect_profile(
             bench.module, PLAT.model,
             input_generator=bench.input_generator(),

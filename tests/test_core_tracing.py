@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import CFG, FunctionAccessSummaries, LoopNest
+from repro.analysis import CFG, FunctionAccessSummaries, LoopNest, memo
 from repro.analysis.callgraph import CallGraph
 from repro.core import tracing
 from repro.core.region import CostEnv, RegionBuilder
@@ -90,6 +90,8 @@ class TestCollectProfile:
             return run_continuous(module, model, inputs=inputs, **kwargs)
 
         monkeypatch.setattr(tracing, "run_continuous", spy)
+        # A profile memoized by an earlier test would hide the runs.
+        memo.reset_memo()
         profile = collect_profile(module, MODEL, runs=3)
         assert [sorted(inputs) for inputs in seen] == (
             [["raw", "result", "samples"]] * 3

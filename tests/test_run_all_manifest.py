@@ -57,13 +57,14 @@ def test_json_manifest_without_tracing(tmp_path, capfd):
     assert "manifest:" in out.err
 
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA == 5
+    assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA == 6
     # v3: every cell is emulated cold, so no emulation-mode block; v4:
     # the power model is part of each run key, so no failure-model key;
-    # v5: translation validation always runs, so no enabled key.
+    # v5: translation validation always runs, so no enabled key; v6:
+    # the analysis memo's hit/miss counters sit beside transval's.
     assert set(manifest) == {
         "schema_version", "tool", "python", "jobs", "profile_runs", "benchmarks", "fingerprints", "sections",
-        "prefill", "cache", "transval", "trace", "metrics",
+        "prefill", "cache", "transval", "analysis_memo", "trace", "metrics",
         "total_seconds",
     }
     assert manifest["tool"] == "repro.experiments.run_all"
