@@ -5,14 +5,15 @@ functions of a module's text and, for profiling, of the energy model,
 the instruction cap and the input vectors. Several techniques and
 budgets compile the same source module, so without a memo one process
 repeats both analyses for every (technique, budget) pair. Each result is
-stored under :meth:`repro.runner.cache.ArtifactCache.key` of exactly
-that content:
+stored under a key of exactly that content, whose first part is the
+module's :func:`source_key` (the
+:meth:`repro.runner.cache.ArtifactCache.key` of its printed text):
 
-- ``ranges``: the printed module -> the ``(function, header) -> trips``
+- ``ranges``: ``(source_key,)`` -> the ``(function, header) -> trips``
   map of :func:`repro.analysis.ranges.infer_module_bounds`, used by
   :func:`repro.analysis.ranges.apply_inferred_bounds`;
-- ``profile``: the printed module, ``repr(model)``, ``max_instructions``
-  and the materialised input vectors -> the
+- ``profile``: ``(source_key, ArtifactCache.key(repr(model),
+  max_instructions, materialised input vectors))`` -> the
   :class:`repro.core.tracing.Profile` of ``collect_profile``.
 
 Keying on the printed text is sound because printing is exact: a module
@@ -27,13 +28,16 @@ Like the transval memo (:mod:`repro.core.verify`) it is bounded, counts
 its hits and misses per kind (mirrored in the ``run_all --json``
 manifest and, when metrics are on, as ``placer.memo.<kind>.hits`` /
 ``.misses`` counters; misses are the analyses actually computed) and
-can be reset.
+can be reset, wholly or for one source module (:func:`forget`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.ir.module import Module
+from repro.ir.printer import print_module
+from repro.runner.cache import ArtifactCache
 from repro.telemetry import metrics
 
 KINDS = ("profile", "ranges")
@@ -43,11 +47,16 @@ _STATS: Dict[str, int] = {
 }
 
 #: (kind, content key) -> stored result, evicted oldest first.
-_MEMO: Dict[Tuple[str, str], Any] = {}
+_MEMO: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
 _MEMO_CAP = 256
 
 
-def lookup(kind: str, key: str) -> Optional[Any]:
+def source_key(module: Module) -> str:
+    """The first part of every key of results computed from ``module``."""
+    return ArtifactCache.key(print_module(module))
+
+
+def lookup(kind: str, key: Tuple[str, ...]) -> Optional[Any]:
     """The stored result for ``key``, or None; counts the outcome."""
     value = _MEMO.get((kind, key))
     outcome = "misses" if value is None else "hits"
@@ -56,7 +65,7 @@ def lookup(kind: str, key: str) -> Optional[Any]:
     return value
 
 
-def store(kind: str, key: str, value: Any) -> None:
+def store(kind: str, key: Tuple[str, ...], value: Any) -> None:
     if len(_MEMO) >= _MEMO_CAP:
         _MEMO.pop(next(iter(_MEMO)))
     _MEMO[(kind, key)] = value
@@ -67,9 +76,14 @@ def memo_stats() -> Dict[str, int]:
     return dict(_STATS)
 
 
-def forget() -> None:
-    """Drop every stored result; the counters keep counting."""
-    _MEMO.clear()
+def forget(source: Optional[str] = None) -> None:
+    """Drop every stored result, or only those computed from the module
+    whose :func:`source_key` is ``source``; the counters keep counting."""
+    if source is None:
+        _MEMO.clear()
+        return
+    for entry in [entry for entry in _MEMO if entry[1][0] == source]:
+        del _MEMO[entry]
 
 
 def reset_memo() -> None:

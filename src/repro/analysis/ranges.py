@@ -65,10 +65,8 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.ir.module import Module
-from repro.ir.printer import print_module
 from repro.ir.types import IntType
 from repro.ir.values import Const, Register, Value, Variable, VarRef
-from repro.runner.cache import ArtifactCache
 
 #: Inferred bounds above this are useless to the placer and the energy
 #: certifier alike; deriving them would only invite overflow-ish noise.
@@ -1308,7 +1306,7 @@ def apply_inferred_bounds(module: Module) -> Dict[Tuple[str, str], int]:
     (:mod:`repro.analysis.memo`), keyed on the module text, so each
     distinct source is range-analysed once per process.
     """
-    key = ArtifactCache.key(print_module(module))
+    key = (memo.source_key(module),)
     bounds = memo.lookup("ranges", key)
     if bounds is None:
         bounds = infer_module_bounds(module)

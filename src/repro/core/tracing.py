@@ -26,7 +26,6 @@ from repro.core.region import RegionGraph
 from repro.emulator.interpreter import run_continuous
 from repro.energy.model import EnergyModel
 from repro.ir.module import Module
-from repro.ir.printer import print_module
 from repro.runner.cache import ArtifactCache
 
 #: An input generator: run index -> {global name: values}.
@@ -125,8 +124,9 @@ def collect_profile(
         input_generator = default_gen
 
     run_inputs = [input_generator(run) for run in range(runs)]
-    key = ArtifactCache.key(
-        print_module(module), repr(model), max_instructions, repr(run_inputs)
+    key = (
+        memo.source_key(module),
+        ArtifactCache.key(repr(model), max_instructions, repr(run_inputs)),
     )
     cached = memo.lookup("profile", key)
     if cached is not None:

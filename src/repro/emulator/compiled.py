@@ -17,7 +17,7 @@ instructions. A segment carries
   instead of per step: total cycles plus the per-instruction energy
   lists whose left-folds reproduce the per-step ``+=`` sequences
   bit-identically (see :meth:`repro.emulator.power.PowerManager.
-  peek_block` for why batching cannot move a failure point);
+  admit_block` for why batching cannot move a failure point);
 - enough metadata (``widths``, ``costs``, ``start``) to reconcile the
   exact per-step state when a fused op raises mid-segment
   (:meth:`repro.emulator.interpreter.Interpreter.
@@ -31,10 +31,17 @@ Bit-identity ground rules the generated code obeys:
   (0/1) are never wrapped, matching ``IntType.wrap``'s identity there.
 - Error behaviour is byte-identical: register reads convert ``KeyError``
   into the interpreter's exact uninitialized-register message
-  (``raise ... from None``), and all memory traffic goes through the
-  live ``MemoryState.read``/``write`` bound methods so bounds checks,
-  unknown-variable and VM-residency diagnostics are the interpreter's
-  own.
+  (``raise ... from None``). A Load or Store indexes the live
+  ``MemoryState.nvm``/``vm`` dict of its resolved space directly, under
+  the inline test ``0 <= index < len(image)`` that ``read``/``write``
+  apply; every access that test does not pass (an unknown or
+  non-resident variable, an out-of-bounds or negative index) calls the
+  live ``MemoryState.read``/``write`` bound method instead, so every
+  diagnostic is the interpreter's own. An access whose space still
+  resolves to AUTO and a volatile environment input always take the
+  call. The image dicts are never rebound
+  (``MemoryState.restore_images`` refills them in place), so a chunk
+  compiled before a snapshot restore reads the restored values.
 - Evaluation order within an instruction (lhs before rhs, index before
   value) and across fused instructions is the interpreter's order, so a
   mid-segment exception fires at the same sub-instruction with the same
@@ -64,7 +71,7 @@ from repro.ir.instructions import (
     UnOp,
     UnaryOpcode,
 )
-from repro.ir.values import Const, Register, VarRef
+from repro.ir.values import Const, MemorySpace, Register, VarRef
 
 __all__ = ["Segment", "compile_blocks"]
 
@@ -151,10 +158,10 @@ class Segment:
         self.n = sum(widths)
         self.cycles = sum(c[0] for c in costs)
         # Per-instruction energy streams: the interpreter folds these
-        # with sum(list, start) — the same left-to-right C-double adds
-        # the per-step loop performs — so batched accounting is
-        # bit-identical to stepping (floats are not associative; the
-        # *order* is what these tuples preserve).
+        # with power.fold(stream, start) — the same left-to-right
+        # C-double adds the per-step loop performs — so batched
+        # accounting is bit-identical to stepping (floats are not
+        # associative; the *order* is what these tuples preserve).
         self.energies = tuple(float(c[1]) for c in costs)
         self.cpu = tuple(
             float(c[1] - c[2]) if c[4] else float(c[1]) for c in costs
@@ -174,6 +181,7 @@ _RUNNER_CACHE: Dict[int, Callable] = {}
 _EXEC_GLOBALS = {
     "_E": EmulationError,
     "_int": int,
+    "len": len,
     "_cdiv": _cdiv,
     "_crem": _crem,
     "KeyError": KeyError,
@@ -342,23 +350,64 @@ def _emit_move(ctx: _Ctx, inst: Move) -> None:
         ctx.lines.append(f"r[{dtok}] = {_wrap_expr(src, inst.dest.type)}")
 
 
+def _access(ctx: _Ctx, interp, inst):
+    """Common operands of an inline memory access: the live image dict
+    the resolved space indexes (None when only the diagnostic path can
+    handle the access: an AUTO space, a negative constant index), the
+    variable-name expression and the index expression. A by-reference
+    name or a register index is evaluated once, into ``_n`` or ``_j``,
+    in the interpreter's order (name before index)."""
+    space = interp._space_of(inst)
+    images = None
+    if not (isinstance(inst.index, Const) and inst.index.value < 0):
+        if space is MemorySpace.VM:
+            images = interp.memory.vm
+        elif space is MemorySpace.NVM:
+            images = interp.memory.nvm
+    name = _name_expr(ctx, interp, inst)
+    if inst.var.is_ref:
+        ctx.lines.append(f"_n = {name}")
+        name = "_n"
+    index = _index_expr(ctx, inst)
+    if isinstance(inst.index, Register):
+        ctx.lines.append(f"_j = {index}")
+        index = "_j"
+    return images, name, index, ctx.bind(space)
+
+
+def _in_bounds(ctx: _Ctx, images, name: str, inst, index: str) -> str:
+    """Fetch the live image into ``_m`` and test the index against it —
+    the success condition of ``MemoryState.read``/``write``. Everything
+    else (an unknown or non-resident variable, an out-of-bounds or
+    negative index) takes the ``MemoryState`` call, so every diagnostic
+    stays its own."""
+    ctx.lines.append(f"_m = {ctx.bind(images)}.get({name})")
+    if inst.index is None:
+        return "_m"  # index 0: any non-empty image
+    if isinstance(inst.index, Const):
+        return f"_m is not None and {index} < len(_m)"
+    return f"_m is not None and 0 <= {index} < len(_m)"
+
+
 def _emit_load(ctx: _Ctx, interp, inst: Load) -> None:
     read = ctx.bind(interp.memory.read)
-    space = ctx.bind(interp._space_of(inst))
-    name = _name_expr(ctx, interp, inst)
-    index = _index_expr(ctx, inst)
+    images, name, index, space = _access(ctx, interp, inst)
     dtok = ctx.bind(inst.dest.name)
+    call = f"{read}({name}, {index}, {space})"
     if inst.var.volatile_input:
         counts = ctx.bind(interp._env_counts)
-        ctx.lines.append(f"_n = {name}")
-        ctx.lines.append(f"_v = {read}(_n, {index}, {space})")
-        ctx.lines.append(f"_c = {counts}.get(_n, 0)")
-        ctx.lines.append(f"{counts}[_n] = _c + 1")
+        ctx.lines.append(f"_v = {call}")
+        ctx.lines.append(f"_c = {counts}.get({name}, 0)")
+        ctx.lines.append(f"{counts}[{name}] = _c + 1")
         ctx.lines.append(
             f"r[{dtok}] = {_wrap_expr('(_v + _c)', inst.dest.type)}"
         )
         return
-    expr = f"{read}({name}, {index}, {space})"
+    if images is None:
+        expr = call
+    else:
+        cond = _in_bounds(ctx, images, name, inst, index)
+        expr = f"(_m[{index}] if {cond} else {call})"
     if inst.dest.type == inst.var.type:  # stored values are in-range
         ctx.lines.append(f"r[{dtok}] = {expr}")
     else:
@@ -367,16 +416,22 @@ def _emit_load(ctx: _Ctx, interp, inst: Load) -> None:
 
 def _emit_store(ctx: _Ctx, interp, inst: Store) -> None:
     write = ctx.bind(interp.memory.write)
-    space = ctx.bind(interp._space_of(inst))
-    name = _name_expr(ctx, interp, inst)
-    index = _index_expr(ctx, inst)
+    images, name, index, space = _access(ctx, interp, inst)
     if isinstance(inst.value, Const):
         value = ctx.bind(inst.var.type.wrap(inst.value.value))
     else:
         value = _reg_tok(ctx, inst.value.name)
         if inst.value.type != inst.var.type:
             value = _wrap_expr(value, inst.var.type)
-    ctx.lines.append(f"{write}({name}, {index}, {value}, {space})")
+    # Either branch evaluates the value before any memory effect, as
+    # the interpreter's argument evaluation does.
+    call = f"{write}({name}, {index}, {value}, {space})"
+    if images is None:
+        ctx.lines.append(call)
+        return
+    cond = _in_bounds(ctx, images, name, inst, index)
+    ctx.lines.append(f"if {cond}: _m[{index}] = {value}")
+    ctx.lines.append(f"else: {call}")
 
 
 def _emit_jump(ctx: _Ctx, inst: Jump) -> None:

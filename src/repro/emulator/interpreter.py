@@ -92,6 +92,63 @@ class _Frame:
         self.ret_target = ret_target
 
 
+class _CheckpointPlan:
+    """What one checkpoint instruction saves, restores and costs: pure
+    functions of the instruction, the variable sizes and the energy
+    model, so each is computed once per interpreter, on the
+    checkpoint's first execution (:meth:`Interpreter._plan`)."""
+
+    __slots__ = (
+        "counter_key", "voltcheck", "save_payload", "save_energy",
+        "save_cycles", "restore_payload", "restore_energy",
+        "restore_cycles", "vm_after", "vm_loads",
+    )
+
+    def __init__(self, interp: "Interpreter", inst) -> None:
+        memory, model = interp.memory, interp.model
+        #: The iteration counter's register (conditional checkpoints).
+        self.counter_key = (
+            f"__ckpt{inst.ckpt_id}"
+            if isinstance(inst, CondCheckpoint) else None
+        )
+        #: Whether the runtime measures the charge to decide on a skip.
+        self.voltcheck = interp.policy.skip_threshold is not None and (
+            getattr(inst, "skippable", True)
+        )
+        self.save_payload = sum(memory.size_of(n) for n in inst.save_vars)
+        self.save_energy = model.save_energy(self.save_payload)
+        self.save_cycles = model.save_cycles(self.save_payload)
+        #: Billed by every restore, and the snapshot's payload.
+        self.restore_payload = sum(
+            memory.size_of(n) for n in inst.restore_vars
+        )
+        self.restore_energy = model.restore_energy(self.restore_payload)
+        self.restore_cycles = model.restore_cycles(self.restore_payload)
+        #: The VM set after the checkpoint (what a migration moves to).
+        self.vm_after = {
+            name
+            for name, space in inst.alloc_after.items()
+            if space is MemorySpace.VM
+        }
+        #: ``(name, poison)`` per VM-mapped variable, in ``alloc_after``
+        #: order: the restore loads each one and, unless it is restored
+        #: or const (a const's immutable NVM home can always be
+        #: refetched), overwrites it with ``poison``. An unknown name
+        #: keeps None; loading it raises the memory's own diagnostic.
+        restored = set(inst.restore_vars)
+        loads = []
+        for name, space in inst.alloc_after.items():
+            if space is not MemorySpace.VM:
+                continue
+            poison = None
+            if name not in restored and name in memory.nvm:
+                var = interp.module.find_variable(name)
+                if not var.is_const:
+                    poison = var.type.wrap(RESTORE_POISON)
+            loads.append((name, poison))
+        self.vm_loads = tuple(loads)
+
+
 @dataclass
 class InterpreterConfig:
     """Knobs of one emulation run."""
@@ -217,6 +274,8 @@ class Interpreter:
         self.peak_vm_bytes = 0
         self._snapshot: Optional[Snapshot] = None  # None = restart from boot
         self._snapshot_inst: Optional[Instruction] = None
+        #: id(checkpoint instruction) -> its _CheckpointPlan.
+        self._plans: Dict[int, _CheckpointPlan] = {}
         self._attempts_on_snapshot = 0
         # Telemetry is bound once here and only consulted on the cold
         # paths (checkpoints, power failures) — the hot loop is untouched,
@@ -481,11 +540,12 @@ class Interpreter:
         The batch is provably equivalent to stepping: the per-field
         energy folds replay the per-step ``+=`` sequences in order
         (:class:`repro.emulator.compiled.Segment`), and
-        :meth:`PowerManager.peek_block` admits a segment only when no
-        per-step failure predicate could fire inside it — nonnegative
-        float addition is monotone under IEEE round-to-nearest, so a
-        final consumption within budget bounds every prefix, and the
-        cycle-denominated modes compare exact integers. Block tracing,
+        :meth:`PowerManager.admit_block` admits (and commits) a segment
+        only when no per-step failure predicate could fire inside it —
+        nonnegative float addition is monotone under IEEE
+        round-to-nearest, so a final consumption within budget bounds
+        every prefix, and the cycle-denominated modes compare exact
+        integers. Block tracing,
         telemetry and metrics do not turn segments off: their events
         come from handlers on the cold paths, which run one step at a
         time with meter and power state reconciled, and the loop itself
@@ -513,8 +573,7 @@ class Interpreter:
         ccode = self._ccode
         power = self.power
         consume = power.consume
-        peek_block = power.peek_block
-        commit_block = power.commit_block
+        admit_block = power.admit_block
         meter = self.meter
         charge = meter.charge_compute
         charge_block = meter.charge_block
@@ -545,18 +604,13 @@ class Interpreter:
                     seg is not None
                     and self.instructions_executed + seg.n <= max_instructions
                 ):
-                    new_consumed = peek_block(seg.energies, seg.cycles)
-                    if new_consumed is not None:
+                    if admit_block(seg.energies, seg.cycles):
                         try:
                             seg.run(frame)
                         except BaseException as exc:
                             self._reconcile_segment_fault(frame, seg, exc)
                             raise
-                        commit_block(new_consumed, seg.cycles)
-                        charge_block(
-                            seg.energies, seg.cpu, seg.vm_e, seg.nvm_e,
-                            seg.vm_n, seg.nvm_n,
-                        )
+                        charge_block(seg)
                         self.active_cycles += seg.cycles
                         self.instructions_executed += seg.n
                         end = seg.end_index
@@ -595,17 +649,23 @@ class Interpreter:
         return True, ""
 
     def _reconcile_segment_fault(self, frame, seg, exc) -> None:
-        """A fused op raised mid-segment before the batch was applied:
-        replay per-step accounting for the completed prefix *plus* the
-        faulting instruction (the per-step path consumes and charges
-        before the handler runs), and point ``frame.index`` at the
-        faulting instruction — exactly the state the per-step path
-        leaves behind when a handler raises. peek_block admitted the
-        whole segment, so no consume in this prefix can fail."""
+        """A fused op raised mid-segment after admission committed the
+        segment's consumption but before the meter was charged: take the
+        admission back, replay per-step accounting for the completed
+        prefix *plus* the faulting instruction (the per-step path
+        consumes and charges before the handler runs), and point
+        ``frame.index`` at the faulting instruction — exactly the state
+        the per-step path leaves behind when a handler raises.
+        admit_block admitted the whole segment, so no consume in this
+        prefix can fail."""
         pos = getattr(exc, "_seg_pos", 0)
         sub = getattr(exc, "_seg_sub", 0)
         fault = sum(seg.widths[:pos]) + sub
-        consume = self.power.consume
+        power = self.power
+        power.consumed_since_recharge = power.admitted_from
+        power.cycles_since_recharge -= seg.cycles
+        power.timeline -= seg.cycles
+        consume = power.consume
         charge = self.meter.charge_compute
         for cycles, energy, access_energy, is_vm, has_access in (
             seg.costs[: fault + 1]
@@ -779,21 +839,23 @@ class Interpreter:
     ) -> Optional[Tuple[bool, str]]:
         """Execute a (conditional) checkpoint. Returns a (completed, reason)
         pair to abort the run, or None to continue."""
-        model = self.model
         step_hook = self.config.step_hook
+        power = self.power
+        meter = self.meter
+        plan = self._plan(inst)
 
-        if isinstance(inst, CondCheckpoint):
-            counter_key = f"__ckpt{inst.ckpt_id}"
+        counter_key = plan.counter_key
+        if counter_key is not None:
             count = frame.registers.get(counter_key, 0) + 1
-            check_energy = COND_CHECK_CYCLES * model.energy_per_cycle
+            check_energy = COND_CHECK_CYCLES * self.model.energy_per_cycle
             if step_hook is not None:
                 step_hook(f"ckpt{inst.ckpt_id}:itercheck", COND_CHECK_CYCLES)
-            if self.power.consume(check_energy, COND_CHECK_CYCLES):
+            if power.consume(check_energy, COND_CHECK_CYCLES):
                 if not self._handle_power_failure():
                     return False, "no forward progress"
                 return None
             self.active_cycles += COND_CHECK_CYCLES
-            self.meter.charge_compute(check_energy)
+            meter.charge_compute(check_energy)
             if count < inst.every:
                 frame.registers[counter_key] = count
                 frame.index += 1
@@ -801,19 +863,17 @@ class Interpreter:
             frame.registers[counter_key] = 0
 
         # MEMENTOS-style dynamic skip decision.
-        if self.policy.skip_threshold is not None and getattr(
-            inst, "skippable", True
-        ):
+        if plan.voltcheck:
             check_energy = self.policy.check_energy
             if step_hook is not None:
                 step_hook(f"ckpt{inst.ckpt_id}:voltcheck", COND_CHECK_CYCLES)
-            if self.power.consume(check_energy, COND_CHECK_CYCLES):
+            if power.consume(check_energy, COND_CHECK_CYCLES):
                 if not self._handle_power_failure():
                     return False, "no forward progress"
                 return None
             self.active_cycles += COND_CHECK_CYCLES
-            self.meter.charge_compute(check_energy)
-            if self.power.remaining_fraction > self.policy.skip_threshold:
+            meter.charge_compute(check_energy)
+            if power.remaining_fraction > self.policy.skip_threshold:
                 self.checkpoints_skipped += 1
                 if self._mm is not None:
                     self._mm.counter("interp.ckpt_skips").add(1)
@@ -831,21 +891,21 @@ class Interpreter:
         # checkpoint area): the energy is consumed first, and the NVM image
         # is updated only if the save completes — a failure mid-save leaves
         # the previous consistent state in place.
-        payload = sum(self.memory.size_of(name) for name in inst.save_vars)
-        save_energy = model.save_energy(payload)
-        save_cycles = model.save_cycles(payload)
+        payload = plan.save_payload
+        save_energy = plan.save_energy
+        save_cycles = plan.save_cycles
         if step_hook is not None:
             step_hook(f"ckpt{inst.ckpt_id}:save", save_cycles)
-        if self.power.consume(save_energy, save_cycles):
-            self.meter.charge_save(save_energy)  # energy was spent anyway
+        if power.consume(save_energy, save_cycles):
+            meter.charge_save(save_energy)  # energy was spent anyway
             if not self._handle_power_failure():
                 return False, "no forward progress"
             return None
         for name in inst.save_vars:
             self.memory.save_to_nvm(name)
         self.active_cycles += save_cycles
-        self.meter.charge_save(save_energy)
-        self.meter.commit()
+        meter.charge_save(save_energy)
+        meter.commit()
         if self._mm is not None:
             self._mm.counter("interp.ckpt_saves").add(1)
         if self._fr is not None:
@@ -864,60 +924,64 @@ class Interpreter:
                     if self._snapshot is not None else None
                 ),
                 window_nj=round(
-                    self.meter.breakdown.total - self._seg_anchor, 6
+                    meter.breakdown.total - self._seg_anchor, 6
                 ),
                 save_nj=round(save_energy, 6),
                 payload_bytes=payload,
             )
-        self._seg_anchor = self.meter.breakdown.total
+        self._seg_anchor = meter.breakdown.total
 
         # Snapshot resumes immediately after this checkpoint instruction.
         frame.index += 1
-        self._snapshot = Snapshot(
-            ckpt_id=inst.ckpt_id,
-            frames=[
-                FrameSnapshot(
-                    function=f.function.name,
-                    block=f.block,
-                    index=f.index,
-                    registers=dict(f.registers),
-                    ref_bindings=dict(f.ref_bindings),
-                    ret_target=f.ret_target,
-                )
-                for f in self.frames
-            ],
-            payload_bytes=sum(
-                self.memory.size_of(n) for n in inst.restore_vars
-            ),
-        )
-        self._snapshot_inst = inst
-        self._attempts_on_snapshot = 0
+        self._take_snapshot(inst, plan)
 
         if self.policy.wait_for_full_recharge:
             # Fig. 3 semantics: deep sleep until the capacitor is full; VM
             # is conservatively assumed lost, so everything is restored.
-            self.power.recharge_full()
-            if not self._apply_restore(inst):
+            power.recharge_full()
+            if not self._apply_restore(inst, plan):
                 return False, "no forward progress"
         # Roll-back mode: execution continues with VM intact; only an
         # allocation *change* moves data (none for the baselines).
-        elif not self._apply_migration(inst):
+        elif not self._apply_migration(inst, plan):
             return False, "no forward progress"
         if self.config.commit_hook is not None:
             self.config.commit_hook(self, inst.ckpt_id)
         return None
 
-    def _apply_migration(self, inst) -> bool:
+    def _take_snapshot(self, inst, plan: _CheckpointPlan) -> None:
+        """Commit the rollback point: the call stack just past ``inst``,
+        whose save has persisted."""
+        self._snapshot = Snapshot(
+            ckpt_id=inst.ckpt_id,
+            frames=[
+                FrameSnapshot(
+                    f.function.name, f.block, f.index, dict(f.registers),
+                    dict(f.ref_bindings), f.ret_target,
+                )
+                for f in self.frames
+            ],
+            payload_bytes=plan.restore_payload,
+        )
+        self._snapshot_inst = inst
+        self._attempts_on_snapshot = 0
+
+    def _plan(self, inst) -> _CheckpointPlan:
+        """``inst``'s plan, computed on its first execution."""
+        plan = self._plans.get(id(inst))
+        if plan is None:
+            plan = self._plans[id(inst)] = _CheckpointPlan(self, inst)
+        return plan
+
+    def _apply_migration(self, inst, plan: _CheckpointPlan) -> bool:
         """Adjust VM residency to ``inst.alloc_after`` without a sleep:
         load newly-VM variables, drop newly-NVM ones (whose values the save
         just flushed). Only the moved bytes are billed."""
         model = self.model
-        target = {
-            name
-            for name, space in inst.alloc_after.items()
-            if space is MemorySpace.VM
-        }
-        current = set(self.memory.vm_residents())
+        target = plan.vm_after
+        if not target and not self.memory.vm:
+            return True  # all-NVM before and after: nothing moves
+        current = set(self.memory.vm)
         to_drop = current - target
         for name in to_drop:
             if name not in inst.save_vars:
@@ -949,36 +1013,25 @@ class Interpreter:
                 )
         return True
 
-    def _apply_restore(self, inst, reason: str = "wake") -> bool:
+    def _apply_restore(
+        self, inst, plan: _CheckpointPlan, reason: str = "wake"
+    ) -> bool:
         """Clear VM, rebuild the post-checkpoint VM set from the
         checkpoint's ``restore_vars``, charge the restore. A VM-mapped,
         non-const variable the restore set misses comes back poisoned
         (:data:`RESTORE_POISON`), so a read of state the metadata misses
         (static rule CONS003) is dynamically visible. Returns False when
         stuck (restore itself cannot fit the budget)."""
-        model = self.model
-        self.memory.clear_vm()
-        vm_vars = [
-            name
-            for name, space in inst.alloc_after.items()
-            if space is MemorySpace.VM
-        ]
-        payload = 0
-        restored = set(inst.restore_vars)
-        for name in vm_vars:
-            self.memory.load_into_vm(name)
-            if name in restored:
-                continue
-            var = self.module.find_variable(name)
-            if not var.is_const:
-                # A const's immutable NVM home can always be refetched.
-                poison = var.type.wrap(RESTORE_POISON)
-                self.memory.vm[name] = [poison] * len(self.memory.vm[name])
-        for name in inst.restore_vars:
-            payload += self.memory.size_of(name)
-        self.peak_vm_bytes = max(self.peak_vm_bytes, self.memory.vm_bytes_used())
-        restore_energy = model.restore_energy(payload)
-        restore_cycles = model.restore_cycles(payload)
+        memory = self.memory
+        memory.clear_vm()
+        vm = memory.vm
+        for name, poison in plan.vm_loads:
+            memory.load_into_vm(name)
+            if poison is not None:
+                vm[name] = [poison] * len(vm[name])
+        self.peak_vm_bytes = max(self.peak_vm_bytes, memory.vm_bytes_used())
+        restore_energy = plan.restore_energy
+        restore_cycles = plan.restore_cycles
         self.meter.charge_restore(restore_energy)
         if self.config.step_hook is not None:
             self.config.step_hook("restore", restore_cycles)
@@ -1062,7 +1115,8 @@ class Interpreter:
             )
             for f in snapshot.frames
         ]
-        return self._apply_restore(self._snapshot_inst, reason="rollback")
+        inst = self._snapshot_inst
+        return self._apply_restore(inst, self._plan(inst), reason="rollback")
 
     # -- snapshot / fork --------------------------------------------------------
 

@@ -8,6 +8,12 @@ from repro.errors import EmulationError, VMCapacityError
 from repro.ir.module import Module
 from repro.ir.values import MemorySpace
 
+# Module names for the members: on CPython 3.11 a member lookup on the
+# enum class costs several times the identity test it feeds, and every
+# per-step access resolves its image here.
+_VM = MemorySpace.VM
+_NVM = MemorySpace.NVM
+
 
 class MemoryState:
     """Values of every concrete (non-ref) variable in NVM and, for
@@ -26,6 +32,9 @@ class MemoryState:
         self.nvm: Dict[str, List[int]] = {}
         self.vm: Dict[str, List[int]] = {}
         self._sizes: Dict[str, int] = {}
+        #: Bytes held by ``vm`` (kept by the methods that add or drop a
+        #: resident).
+        self._vm_bytes = 0
         for var in module.all_variables():
             if var.is_ref:
                 continue
@@ -36,7 +45,7 @@ class MemoryState:
     # -- raw access ------------------------------------------------------------
 
     def _image(self, name: str, space: MemorySpace) -> List[int]:
-        if space is MemorySpace.VM:
+        if space is _VM:
             try:
                 return self.vm[name]
             except KeyError:
@@ -44,7 +53,7 @@ class MemoryState:
                     f"VM access to @{name}, which is not VM-resident "
                     "(placement bug in a transformation pass)"
                 ) from None
-        if space is MemorySpace.NVM:
+        if space is _NVM:
             try:
                 return self.nvm[name]
             except KeyError:
@@ -72,7 +81,7 @@ class MemoryState:
     # -- placement / checkpoint support ---------------------------------------
 
     def vm_bytes_used(self) -> int:
-        return sum(self._sizes[name] for name in self.vm)
+        return self._vm_bytes
 
     def load_into_vm(self, name: str) -> int:
         """Copy a variable's NVM values into VM; returns its size in bytes.
@@ -82,11 +91,12 @@ class MemoryState:
             raise EmulationError(f"unknown variable @{name}")
         if name not in self.vm:
             size = self._sizes[name]
-            if self.vm_bytes_used() + size > self.vm_size:
+            if self._vm_bytes + size > self.vm_size:
                 raise VMCapacityError(
                     f"loading @{name} ({size} B) exceeds VM size "
-                    f"{self.vm_size} B (used {self.vm_bytes_used()} B)"
+                    f"{self.vm_size} B (used {self._vm_bytes} B)"
                 )
+            self._vm_bytes += size
         self.vm[name] = list(self.nvm[name])
         return self._sizes[name]
 
@@ -100,11 +110,13 @@ class MemoryState:
         return self._sizes[name]
 
     def drop_from_vm(self, name: str) -> None:
-        self.vm.pop(name, None)
+        if self.vm.pop(name, None) is not None:
+            self._vm_bytes -= self._sizes[name]
 
     def clear_vm(self) -> None:
         """Power failure: all volatile contents are lost."""
         self.vm.clear()
+        self._vm_bytes = 0
 
     def vm_residents(self) -> List[str]:
         return sorted(self.vm)
@@ -118,15 +130,16 @@ class MemoryState:
         }
 
     def restore_images(self, images: Dict[str, Dict[str, List[int]]]) -> None:
-        """Replace both images with deep copies of a prior
+        """Refill both images with deep copies of a prior
         :meth:`snapshot_images` capture; the snapshot stays pristine for
-        reuse by later forks."""
-        self.nvm = {
-            name: list(values) for name, values in images["nvm"].items()
-        }
-        self.vm = {
-            name: list(values) for name, values in images["vm"].items()
-        }
+        reuse by later forks. The two dicts are refilled in place, never
+        rebound: compiled segments index them directly
+        (:mod:`repro.emulator.compiled`)."""
+        for live, kind in ((self.nvm, "nvm"), (self.vm, "vm")):
+            saved = images[kind]
+            live.clear()
+            live.update((name, list(values)) for name, values in saved.items())
+        self._vm_bytes = sum(self._sizes[name] for name in self.vm)
 
     def size_of(self, name: str) -> int:
         return self._sizes[name]

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.emulator.power import fold
+
 
 @dataclass
 class EnergyBreakdown:
@@ -104,32 +106,25 @@ class EnergyMeter:
         else:
             self.pending.cpu += energy
 
-    def charge_block(
-        self,
-        energies,
-        cpu,
-        vm_access,
-        nvm_access,
-        vm_count: int,
-        nvm_count: int,
-    ) -> None:
-        """Charge one compiled segment in a single transaction.
+    def charge_block(self, seg) -> None:
+        """Charge one compiled segment
+        (:class:`repro.emulator.compiled.Segment`) in a single transaction.
 
-        Each argument is the per-instruction stream (in execution order)
-        of one pending field: ``sum(stream, start)`` performs the same
+        The segment carries one per-instruction stream (in execution
+        order) per pending field: ``fold(stream, start)`` performs the same
         left-to-right float additions as the equivalent
         :meth:`charge_compute` calls, so the pending totals are
         bit-identical to per-step charging (the streams preserve the
         order float non-associativity makes significant)."""
         pending = self.pending
-        pending.computation = sum(energies, pending.computation)
-        pending.cpu = sum(cpu, pending.cpu)
-        if vm_count:
-            pending.vm_access = sum(vm_access, pending.vm_access)
-            pending.vm_accesses += vm_count
-        if nvm_count:
-            pending.nvm_access = sum(nvm_access, pending.nvm_access)
-            pending.nvm_accesses += nvm_count
+        pending.computation = fold(seg.energies, pending.computation)
+        pending.cpu = fold(seg.cpu, pending.cpu)
+        if seg.vm_n:
+            pending.vm_access = fold(seg.vm_e, pending.vm_access)
+            pending.vm_accesses += seg.vm_n
+        if seg.nvm_n:
+            pending.nvm_access = fold(seg.nvm_e, pending.nvm_access)
+            pending.nvm_accesses += seg.nvm_n
 
     def commit(self) -> None:
         """A checkpoint persisted the progress: pending work is real

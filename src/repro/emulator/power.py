@@ -42,8 +42,25 @@ from __future__ import annotations
 import enum
 import math
 import random
+import sys
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import List, Optional, Sequence
+
+if sys.version_info >= (3, 12):
+
+    def fold(stream: Sequence[float], start: float) -> float:
+        """``start`` plus each element of ``stream`` in order, in plain
+        C-double adds: exactly what the same ``+=`` sequence computes.
+        From Python 3.12 on ``sum`` compensates float rounding
+        (Neumaier summation), which is more accurate and so not the
+        per-step result."""
+        return reduce(add, stream, start)
+
+else:
+    #: Before Python 3.12, ``sum`` over floats is that same left fold.
+    fold = sum
 
 
 class PowerMode(enum.Enum):
@@ -52,6 +69,16 @@ class PowerMode(enum.Enum):
     PERIODIC_CYCLES = "periodic-cycles"
     SCHEDULED = "scheduled"
     STOCHASTIC = "stochastic"
+
+
+# Module names for the members: on CPython 3.11 a member lookup on the
+# enum class costs several times the identity test it feeds, and
+# admission runs once per compiled segment.
+_CONTINUOUS = PowerMode.CONTINUOUS
+_ENERGY_BUDGET = PowerMode.ENERGY_BUDGET
+_PERIODIC_CYCLES = PowerMode.PERIODIC_CYCLES
+_SCHEDULED = PowerMode.SCHEDULED
+_STOCHASTIC = PowerMode.STOCHASTIC
 
 
 @dataclass
@@ -95,10 +122,13 @@ class PowerManager:
     _window_anchor: int = 0  # timeline at the last recharge (SCHEDULED)
     _window: int = 0  # current stochastic inter-failure window
     _rng: Optional[random.Random] = None
+    #: ``consumed_since_recharge`` before the last admitted segment
+    #: (:meth:`admit_block`); a plain attribute, not a field.
+    admitted_from = 0.0
 
     def __post_init__(self) -> None:
         self.schedule = sorted(int(o) for o in self.schedule)
-        if self.mode is PowerMode.STOCHASTIC:
+        if self.mode is _STOCHASTIC:
             if not self.mean_cycles or self.mean_cycles <= 0:
                 raise ValueError("STOCHASTIC mode needs mean_cycles > 0")
             self._rng = random.Random(self.seed)
@@ -134,13 +164,13 @@ class PowerManager:
         self.consumed_since_recharge += energy
         self.cycles_since_recharge += cycles
         self.timeline += cycles
-        if self.mode is PowerMode.ENERGY_BUDGET:
+        if self.mode is _ENERGY_BUDGET:
             if self.consumed_since_recharge > self.eb:
                 return self._fail(cycles)
-        elif self.mode is PowerMode.PERIODIC_CYCLES:
+        elif self.mode is _PERIODIC_CYCLES:
             if self.tbpf > 0 and self.cycles_since_recharge > self.tbpf:
                 return self._fail(cycles)
-        elif self.mode is PowerMode.SCHEDULED:
+        elif self.mode is _SCHEDULED:
             if (
                 self._schedule_pos < len(self.schedule)
                 and self.timeline > self.schedule[self._schedule_pos]
@@ -149,25 +179,27 @@ class PowerManager:
                 # next step (an immediate failure during recovery).
                 self._schedule_pos += 1
                 return self._fail(cycles)
-        elif self.mode is PowerMode.STOCHASTIC:
+        elif self.mode is _STOCHASTIC:
             if self.cycles_since_recharge > self._window:
                 return self._fail(cycles)
         return False
 
-    def peek_block(
-        self, energies: Sequence[float], cycles: int
-    ) -> Optional[float]:
-        """Pure admission check for one compiled segment: would consuming
+    def admit_block(self, energies: Sequence[float], cycles: int) -> bool:
+        """Admission for one compiled segment: would consuming
         ``energies`` (one per instruction, in execution order, ``cycles``
-        total) step by step trigger *no* failure? Returns the
-        post-segment ``consumed_since_recharge`` to pass to
-        :meth:`commit_block`, or None when the segment must be executed
-        per step (a failure may strike inside it, or per-step recording
-        was requested). Nothing is mutated either way.
+        total) step by step trigger *no* failure? If so, the segment's
+        consumption is committed in one transaction and True returned;
+        otherwise (a failure may strike inside it, or per-step recording
+        was requested) nothing is mutated and the segment must be
+        executed per step. :attr:`admitted_from` keeps the
+        pre-admission ``consumed_since_recharge``, so a fault raised
+        inside an admitted segment can be taken back exactly
+        (:meth:`repro.emulator.interpreter.Interpreter.
+        _reconcile_segment_fault`).
 
         Why checking only the segment-final state is sound:
 
-        - The energy fold ``sum(energies, consumed_since_recharge)`` is
+        - The energy fold ``fold(energies, consumed_since_recharge)`` is
           the same left-to-right C-double addition sequence
           :meth:`consume` performs, so the final value is bit-identical
           to stepping. Adding nonnegative floats is monotone under IEEE
@@ -181,35 +213,32 @@ class PowerManager:
           (a cold path); no RNG advances during a segment.
         """
         if self.record is not None:
-            return None
-        new_consumed = sum(energies, self.consumed_since_recharge)
+            return False
+        consumed = self.consumed_since_recharge
+        new_consumed = fold(energies, consumed)
         mode = self.mode
-        if mode is PowerMode.ENERGY_BUDGET:
+        if mode is _ENERGY_BUDGET:
             if new_consumed > self.eb:
-                return None
-        elif mode is PowerMode.PERIODIC_CYCLES:
+                return False
+        elif mode is _PERIODIC_CYCLES:
             if self.tbpf > 0 and (
                 self.cycles_since_recharge + cycles > self.tbpf
             ):
-                return None
-        elif mode is PowerMode.SCHEDULED:
+                return False
+        elif mode is _SCHEDULED:
             if (
                 self._schedule_pos < len(self.schedule)
                 and self.timeline + cycles > self.schedule[self._schedule_pos]
             ):
-                return None
-        elif mode is PowerMode.STOCHASTIC:
+                return False
+        elif mode is _STOCHASTIC:
             if self.cycles_since_recharge + cycles > self._window:
-                return None
-        return new_consumed
-
-    def commit_block(self, new_consumed: float, cycles: int) -> None:
-        """Apply one admitted segment's consumption in a single
-        transaction; ``new_consumed`` is the value :meth:`peek_block`
-        returned (the bit-identical fold, not a re-summation)."""
+                return False
+        self.admitted_from = consumed
         self.consumed_since_recharge = new_consumed
         self.cycles_since_recharge += cycles
         self.timeline += cycles
+        return True
 
     @property
     def next_scheduled(self) -> Optional[int]:
@@ -223,10 +252,10 @@ class PowerManager:
         """Remaining capacitor energy (what MEMENTOS's voltage measurement
         observes). In the cycle-denominated modes the remaining window is
         converted to a fraction of ``eb`` when ``eb`` is finite."""
-        if self.mode is PowerMode.ENERGY_BUDGET:
+        if self.mode is _ENERGY_BUDGET:
             return max(self.eb - self.consumed_since_recharge, 0.0)
-        if self.mode in (PowerMode.CONTINUOUS,) or (
-            self.mode is PowerMode.PERIODIC_CYCLES and self.tbpf <= 0
+        if self.mode is _CONTINUOUS or (
+            self.mode is _PERIODIC_CYCLES and self.tbpf <= 0
         ):
             return float("inf")
         return self.remaining_fraction * (
@@ -241,19 +270,19 @@ class PowerManager:
         next scheduled offset, for ``STOCHASTIC`` it is the drawn
         inter-failure time — so a MEMENTOS-style voltage check sees the
         charge genuinely draining toward the injected failure."""
-        if self.mode is PowerMode.ENERGY_BUDGET and self.eb > 0:
+        if self.mode is _ENERGY_BUDGET and self.eb > 0:
             if self.eb == float("inf"):
                 return 1.0
             return max(1.0 - self.consumed_since_recharge / self.eb, 0.0)
-        if self.mode is PowerMode.PERIODIC_CYCLES and self.tbpf > 0:
+        if self.mode is _PERIODIC_CYCLES and self.tbpf > 0:
             return max(1.0 - self.cycles_since_recharge / self.tbpf, 0.0)
-        if self.mode is PowerMode.SCHEDULED:
+        if self.mode is _SCHEDULED:
             nxt = self.next_scheduled
             if nxt is None:
                 return 1.0
             window = max(nxt - self._window_anchor, 1)
             return max((nxt - self.timeline) / window, 0.0)
-        if self.mode is PowerMode.STOCHASTIC and self._window > 0:
+        if self.mode is _STOCHASTIC and self._window > 0:
             return max(1.0 - self.cycles_since_recharge / self._window, 0.0)
         return 1.0
 
@@ -270,7 +299,7 @@ class PowerManager:
         self.cycles_since_recharge = 0
         self.recharges += 1
         self._window_anchor = self.timeline
-        if self.mode is PowerMode.STOCHASTIC:
+        if self.mode is _STOCHASTIC:
             self._window = self._draw_window()
 
     def state_dict(self) -> dict:

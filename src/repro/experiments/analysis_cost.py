@@ -98,7 +98,7 @@ def run(
         bench = ctx.benchmark(name)
         profile = ctx.profile(name)
         # Time a full analysis: range analysis must not be a memo hit.
-        memo.forget()
+        memo.forget(memo.source_key(bench.module))
         start = time.perf_counter()
         compile_schematic(bench.module, platform, profile=profile)
         benchmark_times[name] = time.perf_counter() - start
@@ -109,7 +109,7 @@ def run(
         blocks = sum(len(f.blocks) for f in module.functions.values())
         insts = module.instruction_count()
         config = SchematicConfig(profile_runs=1)
-        memo.forget()
+        memo.forget(memo.source_key(module))
         start = time.perf_counter()
         compile_schematic(module, platform, config=config)
         scaling.append((blocks, insts, time.perf_counter() - start))

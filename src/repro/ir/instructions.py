@@ -117,7 +117,7 @@ class BinOp(Instruction):
         return [self.dest]
 
     def __str__(self) -> str:
-        return f"{self.dest} = {self.op} {self.lhs}, {self.rhs}"
+        return f"{self.dest} = {self.op.value} {self.lhs}, {self.rhs}"
 
 
 @dataclass
@@ -135,7 +135,7 @@ class UnOp(Instruction):
         return [self.dest]
 
     def __str__(self) -> str:
-        return f"{self.dest} = {self.op} {self.src}"
+        return f"{self.dest} = {self.op.value} {self.src}"
 
 
 @dataclass
@@ -162,7 +162,7 @@ class Load(Instruction):
 
     def __str__(self) -> str:
         idx = f"[{self.index}]" if self.index is not None else ""
-        return f"{self.dest} = load.{self.space} @{self.var.name}{idx}"
+        return f"{self.dest} = load.{self.space.value} @{self.var.name}{idx}"
 
 
 @dataclass
@@ -182,7 +182,7 @@ class Store(Instruction):
 
     def __str__(self) -> str:
         idx = f"[{self.index}]" if self.index is not None else ""
-        return f"store.{self.space} @{self.var.name}{idx} = {self.value}"
+        return f"store.{self.space.value} @{self.var.name}{idx} = {self.value}"
 
 
 @dataclass

@@ -43,7 +43,6 @@ from repro.emulator.report import ExecutionReport
 from repro.energy.model import EnergyModel
 from repro.energy.platform import Platform
 from repro.errors import EmulationError
-from repro.ir.values import MemorySpace
 from repro.staticcheck.common import FindingSink
 from repro.staticcheck.consistency import certify_idempotency
 from repro.staticcheck.findings import Finding
@@ -118,35 +117,35 @@ REPLAYABLE_FAULTS = (
 
 class _UndoInterpreter(Interpreter):
     """Each power failure also rolls the ``guarded`` variables' NVM
-    writes since the resumed snapshot back: the replay hazards made
-    idempotent. Both loops store through ``memory.write``, which is
-    wrapped before the run binds it. The schedule is finite, so the
-    stuck detector is off: a hazard-free replay redoes work the faulty
-    one skipped and may meet several scheduled failures in a segment."""
+    images back to their values at the resumed snapshot: the replay
+    hazards made idempotent. The images are copied at construction (the
+    boot state) and whenever a checkpoint commits a new snapshot, and
+    written back at each failure. Between two commits of a wait-mode
+    runtime (the only kind :class:`ContractCheck` replays) nothing but
+    a store writes an NVM home, so this undoes exactly the stores since
+    the snapshot, whichever path made them: a handler's
+    ``memory.write`` or a compiled segment's inline store. The schedule
+    is finite, so the stuck detector is off: a hazard-free replay redoes
+    work the faulty one skipped and may meet several scheduled failures
+    in a segment."""
 
     def __init__(self, *args, guarded: FrozenSet[str], **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._undo: Dict[Tuple[str, int], int] = {}
-        self._undo_epoch = self._snapshot
-        write = self.memory.write
+        self._guarded = sorted(guarded & self.memory.nvm.keys())
+        self._keep_images()
 
-        def logged_write(name, index, value, space):
-            if space is MemorySpace.NVM and name in guarded:
-                if self._snapshot is not self._undo_epoch:
-                    self._undo.clear()
-                    self._undo_epoch = self._snapshot
-                image = self.memory.nvm[name]
-                if 0 <= index < len(image):
-                    self._undo.setdefault((name, index), image[index])
-            write(name, index, value, space)
+    def _keep_images(self) -> None:
+        nvm = self.memory.nvm
+        self._kept = [(name, list(nvm[name])) for name in self._guarded]
 
-        self.memory.write = logged_write
+    def _take_snapshot(self, inst, plan) -> None:
+        super()._take_snapshot(inst, plan)
+        self._keep_images()
 
     def _handle_power_failure(self) -> bool:
-        if self._snapshot is self._undo_epoch:
-            for (name, index), value in self._undo.items():
-                self.memory.nvm[name][index] = value
-        self._undo.clear()
+        nvm = self.memory.nvm
+        for name, values in self._kept:
+            nvm[name] = list(values)
         self._attempts_on_snapshot = 0
         return super()._handle_power_failure()
 

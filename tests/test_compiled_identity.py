@@ -29,6 +29,7 @@ contract down from every angle the batching could break:
 
 import dataclasses
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -444,14 +445,70 @@ func @main() -> u32 {
 """
 
 
+#: Loads and stores in both spaces, then one faulting access: ``@v`` is
+#: VM-resident after the checkpoint's migration, ``@out`` never is. The
+#: generated code indexes the live images inline and leaves every
+#: failing access to ``MemoryState.read``/``write``, whose message must
+#: come out unchanged.
+MEMORY_IR = """module mem (entry @main)
+global @a:u32[4]
+global @v:u32[4]
+global @out:u32
+
+func @main() -> void {{
+.entry:
+    checkpoint #1 save=[] restore=[] vm_after=[v] nvm_after=[a, out]
+    store.nvm @a[1:i32] = 5:i32
+    store.vm @v[2:i32] = 6:i32
+    %t1:u32 = load.nvm @a[1:i32]
+    %t2:u32 = load.vm @v[2:i32]
+    %t3:u32 = add %t1:u32, %t2:u32
+    %t4:i32 = move {index}:i32
+    {access}
+    store.nvm @out = %t3:u32
+    ret
+}}
+"""
+
+MEMORY_CASES = [
+    # (id, faulting access, index register value, message)
+    ("oob-read-const", "%t9:u32 = load.nvm @a[4:i32]", 0,
+     "out-of-bounds read @a[4] (size 4)"),
+    ("oob-read-register", "%t9:u32 = load.nvm @a[%t4:i32]", 7,
+     "out-of-bounds read @a[7] (size 4)"),
+    ("oob-read-negative", "%t9:u32 = load.nvm @a[-1:i32]", 0,
+     "out-of-bounds read @a[-1] (size 4)"),
+    ("oob-read-negative-register", "%t9:u32 = load.vm @v[%t4:i32]", -2,
+     "out-of-bounds read @v[-2] (size 4)"),
+    ("oob-write-const", "store.vm @v[4:i32] = %t3:u32", 0,
+     "out-of-bounds write @v[4] (size 4)"),
+    ("oob-write-register", "store.nvm @a[%t4:i32] = %t3:u32", 4,
+     "out-of-bounds write @a[4] (size 4)"),
+    ("oob-write-negative", "store.nvm @a[-3:i32] = 1:i32", 0,
+     "out-of-bounds write @a[-3] (size 4)"),
+    ("oob-write-negative-register", "store.nvm @a[%t4:i32] = 1:i32", -1,
+     "out-of-bounds write @a[-1] (size 4)"),
+    ("vm-read-non-resident", "%t9:u32 = load.vm @out", 0,
+     "VM access to @out, which is not VM-resident"),
+    ("vm-write-non-resident", "store.vm @out = %t3:u32", 0,
+     "VM access to @out, which is not VM-resident"),
+    ("both-spaces-then-div-zero", "%t9:u32 = div %t3:u32, 0:i32", 0,
+     "division by zero"),
+]
+
+
 @pytest.mark.parametrize(
     "text,inputs,match",
     [
         (DIV_ZERO_IR, {"divisor": [0]}, "division by zero"),
         (UNINIT_IR, None, "uninitialized register %t9"),
         (VARREF_RET_IR, None, "is not a scalar value"),
+    ] + [
+        (MEMORY_IR.format(access=access, index=index), None, re.escape(msg))
+        for _id, access, index, msg in MEMORY_CASES
     ],
-    ids=["div-zero", "uninit-register", "varref-terminator"],
+    ids=["div-zero", "uninit-register", "varref-terminator"]
+    + [case[0] for case in MEMORY_CASES],
 )
 def test_crash_identity(text, inputs, match):
     """Faults raised from inside a fused closure must carry the same
@@ -459,11 +516,13 @@ def test_crash_identity(text, inputs, match):
     per-step loops (the reconciliation replay)."""
     module = parse_ir(text)
     states = {}
+    messages = {}
     for name, kw in LOOPS:
         trace, events = _recorder()
         interp = _interp(module, inputs, trace=trace, **kw)
-        with pytest.raises(EmulationError, match=match):
+        with pytest.raises(EmulationError, match=match) as excinfo:
             interp.run()
+        messages[name] = (str(excinfo.value), interp.memory.snapshot_images())
         states[name] = (
             events,
             interp.instructions_executed,
@@ -472,6 +531,7 @@ def test_crash_identity(text, inputs, match):
             interp.frames[-1].index if interp.frames else None,
         )
     assert states["compiled"] == states["predecoded"]
+    assert messages["compiled"] == messages["predecoded"]
 
 
 def test_handler_control_op_traces_once(monkeypatch):
@@ -637,3 +697,40 @@ def test_segment_structure_invariants():
 
 def test_compiled_flag_defaults_on():
     assert InterpreterConfig().compiled is True
+
+
+def test_resume_on_compiled_interpreter_reads_restored_images():
+    """Generated chunks bind the live ``MemoryState`` image dicts at
+    compile time, so a snapshot restore must refill those dicts, not
+    rebind them: resuming an interpreter whose segments were compiled by
+    an earlier run must replay the cold run's suffix exactly."""
+    bench = load_program("sumloop")
+    comp = compile_for(
+        "schematic", bench.module, PLAT,
+        input_generator=bench.input_generator(),
+    )
+    inputs = bench.default_inputs()
+    snapshots = []
+
+    def capture(interp, _ckpt_id):
+        if not snapshots:
+            snapshots.append(interp.capture_snapshot())
+
+    def build(**config):
+        return Interpreter(
+            comp.module, PLAT.model, comp.policy,
+            PowerManager.energy_budget(3000.0),
+            InterpreterConfig(
+                inputs=dict(inputs), vm_size=PLAT.vm_size, **config
+            ),
+        )
+
+    cold = build(commit_hook=capture).run()
+    assert snapshots
+    interp = build()
+    interp.run()
+    assert interp._ccode is not None, "segments compiled by the first run"
+    images = (interp.memory.nvm, interp.memory.vm)
+    resumed = interp.resume(snapshots[0])
+    assert interp.memory.nvm is images[0] and interp.memory.vm is images[1]
+    assert _asdict(resumed) == _asdict(cold)

@@ -23,6 +23,7 @@ from repro.ir import (
     Variable,
     VarRef,
 )
+from repro.ir.values import MemorySpace
 
 R1 = Register("r1", I32)
 R2 = Register("r2", I32)
@@ -110,3 +111,42 @@ class TestCheckpointInstructions:
     def test_str_forms(self):
         assert "checkpoint #3" in str(Checkpoint(3))
         assert "every=4" in str(CondCheckpoint(9, every=4))
+
+
+class TestPrintedForms:
+    """The printed text is the IR's text format and every memo and cache
+    key hashes it, so each opcode and memory space keeps its spelling."""
+
+    @pytest.mark.parametrize("op", list(Opcode))
+    def test_binop(self, op):
+        inst = BinOp(op, R1, R2, Const(1, I32))
+        assert str(inst) == f"%r1:i32 = {op.value} %r2:i32, 1:i32"
+
+    @pytest.mark.parametrize(
+        "op,text", [(UnaryOpcode.NEG, "neg"), (UnaryOpcode.NOT, "not"),
+                    (UnaryOpcode.LNOT, "lnot")],
+    )
+    def test_unop(self, op, text):
+        assert str(UnOp(op, R1, R2)) == f"%r1:i32 = {text} %r2:i32"
+
+    @pytest.mark.parametrize(
+        "space,text", [(MemorySpace.VM, "vm"), (MemorySpace.NVM, "nvm"),
+                       (MemorySpace.AUTO, "auto")],
+    )
+    def test_load_and_store(self, space, text):
+        assert str(Load(R1, ARR, index=R2, space=space)) == (
+            f"%r1:i32 = load.{text} @a[%r2:i32]"
+        )
+        assert str(Load(R1, VAR, space=space)) == f"%r1:i32 = load.{text} @x"
+        assert str(Store(ARR, Const(2, I32), R1, space=space)) == (
+            f"store.{text} @a[2:i32] = %r1:i32"
+        )
+        assert str(Store(VAR, None, Const(5, I32), space=space)) == (
+            f"store.{text} @x = 5:i32"
+        )
+
+    def test_binop_spellings(self):
+        assert [op.value for op in Opcode] == [
+            "add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl",
+            "shr", "eq", "ne", "lt", "le", "gt", "ge",
+        ]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.emulator.meter import EnergyMeter
-from repro.emulator.power import PowerManager, PowerMode
+from repro.emulator.power import PowerManager, PowerMode, fold
 
 
 # -- zero budgets ------------------------------------------------------------
@@ -165,6 +165,21 @@ def test_stochastic_redraws_window_on_recharge():
         windows.add(power._window)
         power.recharge_full()
     assert len(windows) > 1
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40),
+    st.floats(min_value=0.0, max_value=1e9),
+)
+def test_fold_is_the_per_step_addition_sequence(stream, start):
+    """Segment accounting folds each stream with ``fold``; it must give
+    exactly what one ``+=`` per instruction gives, on every Python (from
+    3.12 on ``sum`` compensates rounding and would not)."""
+    expected = start
+    for value in stream:
+        expected += value
+    assert fold(stream, start) == expected
+    assert fold([0.1] * 10, 0.0) == 0.9999999999999999
 
 
 def test_stochastic_requires_positive_mean():

@@ -477,3 +477,65 @@ def test_deep_fuzz():
     # else stayed clean.
     result = run_fuzz(seeds=5)
     assert result.ok, result.render()
+
+
+UNDO_IR = """module undo (entry @main)
+global @x:u32
+global @y:u32
+
+func @main() -> void {
+.entry:
+    checkpoint #1 save=[] restore=[] vm_after=[] nvm_after=[x, y]
+    %t1:u32 = load.nvm @x
+    %t2:u32 = add %t1:u32, 1:i32
+    store.nvm @x = %t2:u32
+    %t3:u32 = load.nvm @y
+    %t4:u32 = add %t3:u32, %t2:u32
+    store.nvm @y = %t4:u32
+    checkpoint #2 save=[] restore=[] vm_after=[] nvm_after=[x, y]
+    ret
+}
+"""
+
+
+def test_undo_rolls_back_a_store_made_inside_a_compiled_segment():
+    """The undo replay of :class:`ContractCheck` must roll back a guarded
+    NVM store that a compiled segment made inline, without
+    ``memory.write``. A failure at checkpoint #2's save replays the
+    read-modify-write of @x: without the undo @x ends at 2, with it at 1.
+    @y is not guarded, so its own read-modify-write still replays (it
+    adds the replayed @x: 1 + 2 unguarded, 1 + 1 guarded)."""
+    from repro.emulator.interpreter import Interpreter, InterpreterConfig
+    from repro.emulator.runtime import CheckpointPolicy
+    from repro.ir.textparser import parse_ir
+    from repro.testkit.oracle import _UndoInterpreter
+
+    model = msp430fr5969_platform(eb=3000.0).model
+    module = parse_ir(UNDO_IR)
+    policy = CheckpointPolicy.wait_mode("undo")
+    labels = []
+    recording = PowerManager.recording()
+    Interpreter(
+        module, model, policy, recording,
+        InterpreterConfig(step_hook=lambda label, _c: labels.append(label)),
+    ).run()
+    offset = recording.record[labels.index("ckpt2:save")]
+
+    def run(cls, **kwargs):
+        interp = cls(
+            module, model, policy, PowerManager.scheduled((offset,)),
+            InterpreterConfig(), **kwargs,
+        )
+        calls = []
+        write = interp.memory.write
+        interp.memory.write = lambda *args: calls.append(args) or write(*args)
+        report = interp.run()
+        assert interp.loop_used == "compiled"
+        assert calls == [], "every store must take the inline path"
+        assert report.completed and report.power_failures == 1
+        return report.outputs
+
+    assert run(Interpreter) == {"x": [2], "y": [3]}
+    assert run(_UndoInterpreter, guarded=frozenset({"x"})) == {
+        "x": [1], "y": [2],
+    }
