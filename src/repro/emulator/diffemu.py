@@ -54,6 +54,8 @@ falls back to cold emulation instead of resuming from wrong state.
 from __future__ import annotations
 
 import hashlib
+import io
+import pickle
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,9 +71,10 @@ from repro.energy.model import EnergyModel
 from repro.errors import EmulationError
 from repro.ir.module import Module
 
-#: Bump when the tape layout or planning semantics change: tapes from
-#: older code carry the old value in :attr:`SnapshotTape.schema`.
-TAPE_SCHEMA = 1
+#: Bump when the tape layout, its digest or planning semantics change:
+#: tapes from older code carry the old value in
+#: :attr:`SnapshotTape.schema`.
+TAPE_SCHEMA = 2
 
 #: Snapshots kept per tape. Thinning is stride doubling: the tape always
 #: holds commits ``0, s, 2s, ...`` for the smallest power-of-two stride
@@ -80,6 +83,15 @@ DEFAULT_MAX_SNAPSHOTS = 32
 
 
 # -- power specifications ---------------------------------------------------------
+
+# Module names for the mode strings: on CPython 3.11 each
+# ``PowerMode.X.value`` is an enum member lookup plus a property call,
+# and the planner tests the mode once per recharge window.
+_CONTINUOUS = PowerMode.CONTINUOUS.value
+_ENERGY_BUDGET = PowerMode.ENERGY_BUDGET.value
+_PERIODIC_CYCLES = PowerMode.PERIODIC_CYCLES.value
+_SCHEDULED = PowerMode.SCHEDULED.value
+_STOCHASTIC = PowerMode.STOCHASTIC.value
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ class PowerSpec:
     equal numbers must never share a snapshot or a cached run.
     """
 
-    mode: str = PowerMode.CONTINUOUS.value
+    mode: str = _CONTINUOUS
     eb: float = float("inf")
     tbpf: int = 0
     mean_cycles: float = 0.0
@@ -101,22 +113,22 @@ class PowerSpec:
 
     @classmethod
     def continuous(cls) -> "PowerSpec":
-        return cls(mode=PowerMode.CONTINUOUS.value)
+        return cls(mode=_CONTINUOUS)
 
     @classmethod
     def energy_budget(cls, eb: float) -> "PowerSpec":
-        return cls(mode=PowerMode.ENERGY_BUDGET.value, eb=eb)
+        return cls(mode=_ENERGY_BUDGET, eb=eb)
 
     @classmethod
     def periodic(cls, tbpf: int, eb: float = float("inf")) -> "PowerSpec":
-        return cls(mode=PowerMode.PERIODIC_CYCLES.value, tbpf=tbpf, eb=eb)
+        return cls(mode=_PERIODIC_CYCLES, tbpf=tbpf, eb=eb)
 
     @classmethod
     def scheduled(
         cls, offsets: Sequence[int], eb: float = float("inf")
     ) -> "PowerSpec":
         return cls(
-            mode=PowerMode.SCHEDULED.value,
+            mode=_SCHEDULED,
             schedule=tuple(sorted(int(o) for o in offsets)),
             eb=eb,
         )
@@ -126,7 +138,7 @@ class PowerSpec:
         cls, mean_cycles: float, seed: int = 0, eb: float = float("inf")
     ) -> "PowerSpec":
         return cls(
-            mode=PowerMode.STOCHASTIC.value,
+            mode=_STOCHASTIC,
             mean_cycles=mean_cycles,
             seed=seed,
             eb=eb,
@@ -156,13 +168,13 @@ class PowerSpec:
         )
 
     def describe(self) -> str:
-        if self.mode == PowerMode.ENERGY_BUDGET.value:
+        if self.mode == _ENERGY_BUDGET:
             return f"energy eb={self.eb:.0f}"
-        if self.mode == PowerMode.PERIODIC_CYCLES.value:
+        if self.mode == _PERIODIC_CYCLES:
             return f"periodic tbpf={self.tbpf}"
-        if self.mode == PowerMode.SCHEDULED.value:
+        if self.mode == _SCHEDULED:
             return f"scheduled x{len(self.schedule)}"
-        if self.mode == PowerMode.STOCHASTIC.value:
+        if self.mode == _STOCHASTIC:
             return f"stochastic mean={self.mean_cycles:.0f} seed={self.seed}"
         return self.mode
 
@@ -206,11 +218,18 @@ class SnapshotTape:
     digest: str = ""
 
     def _compute_digest(self) -> str:
-        h = hashlib.sha256()
-
-        def feed(obj) -> None:
-            h.update(repr(obj).encode("utf-8"))
-            h.update(b"\x00")
+        """SHA-256 over the pickles of the parts below, one after the
+        other. The encoding is injective: ``pickle.loads`` inverts it
+        exactly for these types (ints, floats as their 8 IEEE bytes,
+        strings, tuples, lists, dicts in order, dataclasses as their
+        fields), so two different values cannot share bytes, and a
+        stream of pickles parses back part by part. Fast mode turns the
+        memo off, so the bytes depend on the values alone, never on
+        which objects a tape shares."""
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, 5)
+        pickler.fast = True
+        feed = pickler.dump
 
         feed((self.schema, self.policy_name, self.wait_mode, self.commits))
         feed(self.recharge_spans)
@@ -234,7 +253,7 @@ class SnapshotTape:
             feed(snap.images)
             feed(snap.meter_state)
             feed(snap.power_state)
-        return h.hexdigest()
+        return hashlib.sha256(buf.getvalue()).hexdigest()
 
     def seal(self) -> "SnapshotTape":
         self.digest = self._compute_digest()
@@ -364,7 +383,7 @@ class _WindowSizes:
     def __init__(self, spec: PowerSpec):
         self._sizes: List[int] = []
         self._manager: Optional[PowerManager] = None
-        if spec.mode == PowerMode.STOCHASTIC.value:
+        if spec.mode == _STOCHASTIC:
             self._manager = spec.build()
             self._sizes.append(self._manager._window)
 
@@ -386,13 +405,13 @@ def _fires(
     """Replay :meth:`PowerManager.consume`'s failure predicate (strict
     ``>``, inclusive budgets) against recorded aggregates."""
     mode = spec.mode
-    if mode == PowerMode.ENERGY_BUDGET.value:
+    if mode == _ENERGY_BUDGET:
         return consumed > spec.eb
-    if mode == PowerMode.PERIODIC_CYCLES.value:
+    if mode == _PERIODIC_CYCLES:
         return spec.tbpf > 0 and cycles > spec.tbpf
-    if mode == PowerMode.SCHEDULED.value:
+    if mode == _SCHEDULED:
         return bool(spec.schedule) and timeline > spec.schedule[0]
-    if mode == PowerMode.STOCHASTIC.value:
+    if mode == _STOCHASTIC:
         return cycles > window
     return False  # CONTINUOUS never fails
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.emulator.power import fold
-
 
 @dataclass
 class EnergyBreakdown:
@@ -105,26 +103,6 @@ class EnergyMeter:
             self.pending.cpu += energy - access_energy
         else:
             self.pending.cpu += energy
-
-    def charge_block(self, seg) -> None:
-        """Charge one compiled segment
-        (:class:`repro.emulator.compiled.Segment`) in a single transaction.
-
-        The segment carries one per-instruction stream (in execution
-        order) per pending field: ``fold(stream, start)`` performs the same
-        left-to-right float additions as the equivalent
-        :meth:`charge_compute` calls, so the pending totals are
-        bit-identical to per-step charging (the streams preserve the
-        order float non-associativity makes significant)."""
-        pending = self.pending
-        pending.computation = fold(seg.energies, pending.computation)
-        pending.cpu = fold(seg.cpu, pending.cpu)
-        if seg.vm_n:
-            pending.vm_access = fold(seg.vm_e, pending.vm_access)
-            pending.vm_accesses += seg.vm_n
-        if seg.nvm_n:
-            pending.nvm_access = fold(seg.nvm_e, pending.nvm_access)
-            pending.nvm_accesses += seg.nvm_n
 
     def commit(self) -> None:
         """A checkpoint persisted the progress: pending work is real

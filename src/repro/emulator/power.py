@@ -42,26 +42,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-import sys
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
-from typing import List, Optional, Sequence
-
-if sys.version_info >= (3, 12):
-
-    def fold(stream: Sequence[float], start: float) -> float:
-        """``start`` plus each element of ``stream`` in order, in plain
-        C-double adds: exactly what the same ``+=`` sequence computes.
-        From Python 3.12 on ``sum`` compensates float rounding
-        (Neumaier summation), which is more accurate and so not the
-        per-step result."""
-        return reduce(add, stream, start)
-
-else:
-    #: Before Python 3.12, ``sum`` over floats is that same left fold.
-    fold = sum
-
+from typing import List, Optional, Sequence, Tuple
 
 class PowerMode(enum.Enum):
     CONTINUOUS = "continuous"  # never fails (reference/profiling runs)
@@ -73,12 +55,13 @@ class PowerMode(enum.Enum):
 
 # Module names for the members: on CPython 3.11 a member lookup on the
 # enum class costs several times the identity test it feeds, and
-# admission runs once per compiled segment.
+# consume runs once per step.
 _CONTINUOUS = PowerMode.CONTINUOUS
 _ENERGY_BUDGET = PowerMode.ENERGY_BUDGET
 _PERIODIC_CYCLES = PowerMode.PERIODIC_CYCLES
 _SCHEDULED = PowerMode.SCHEDULED
 _STOCHASTIC = PowerMode.STOCHASTIC
+_INF = math.inf
 
 
 @dataclass
@@ -122,9 +105,6 @@ class PowerManager:
     _window_anchor: int = 0  # timeline at the last recharge (SCHEDULED)
     _window: int = 0  # current stochastic inter-failure window
     _rng: Optional[random.Random] = None
-    #: ``consumed_since_recharge`` before the last admitted segment
-    #: (:meth:`admit_block`); a plain attribute, not a field.
-    admitted_from = 0.0
 
     def __post_init__(self) -> None:
         self.schedule = sorted(int(o) for o in self.schedule)
@@ -184,61 +164,35 @@ class PowerManager:
                 return self._fail(cycles)
         return False
 
-    def admit_block(self, energies: Sequence[float], cycles: int) -> bool:
-        """Admission for one compiled segment: would consuming
-        ``energies`` (one per instruction, in execution order, ``cycles``
-        total) step by step trigger *no* failure? If so, the segment's
-        consumption is committed in one transaction and True returned;
-        otherwise (a failure may strike inside it, or per-step recording
-        was requested) nothing is mutated and the segment must be
-        executed per step. :attr:`admitted_from` keeps the
-        pre-admission ``consumed_since_recharge``, so a fault raised
-        inside an admitted segment can be taken back exactly
-        (:meth:`repro.emulator.interpreter.Interpreter.
-        _reconcile_segment_fault`).
+    def admission_limits(self) -> Tuple[float, float, float]:
+        """The ``(energy, cycles since recharge, timeline)`` values a
+        compiled region must stay within for no failure predicate of
+        :meth:`consume` to fire: ``inf`` where the mode has none. A region
+        reads them once at entry (:mod:`repro.emulator.compiled`); only
+        cold paths change them (:meth:`recharge_full` redraws a
+        stochastic window, a failing :meth:`consume` advances the
+        schedule).
 
-        Why checking only the segment-final state is sound:
-
-        - The energy fold ``fold(energies, consumed_since_recharge)`` is
-          the same left-to-right C-double addition sequence
-          :meth:`consume` performs, so the final value is bit-identical
-          to stepping. Adding nonnegative floats is monotone under IEEE
-          round-to-nearest, so every intermediate prefix is <= the final
-          value: final <= eb implies no prefix exceeded eb (the
-          ENERGY_BUDGET predicate is strict ``>``).
-        - The cycle-denominated modes compare exact integers, and cycle
-          counts are monotone, so the segment-final comparison bounds
-          every prefix exactly.
-        - STOCHASTIC windows are redrawn only in :meth:`recharge_full`
-          (a cold path); no RNG advances during a segment.
-        """
-        if self.record is not None:
-            return False
-        consumed = self.consumed_since_recharge
-        new_consumed = fold(energies, consumed)
+        Why testing only a segment's final values is sound: the region
+        folds a segment's energies onto ``consumed_since_recharge`` in
+        the same left-to-right C-double additions :meth:`consume`
+        performs, so the final value is bit-identical to stepping, and
+        adding nonnegative floats is monotone under IEEE
+        round-to-nearest, so every prefix is <= the final value: final
+        <= limit means no prefix exceeded it (the predicates are strict
+        ``>``). The cycle counters are exact, monotone integers."""
         mode = self.mode
         if mode is _ENERGY_BUDGET:
-            if new_consumed > self.eb:
-                return False
-        elif mode is _PERIODIC_CYCLES:
-            if self.tbpf > 0 and (
-                self.cycles_since_recharge + cycles > self.tbpf
-            ):
-                return False
-        elif mode is _SCHEDULED:
-            if (
-                self._schedule_pos < len(self.schedule)
-                and self.timeline + cycles > self.schedule[self._schedule_pos]
-            ):
-                return False
-        elif mode is _STOCHASTIC:
-            if self.cycles_since_recharge + cycles > self._window:
-                return False
-        self.admitted_from = consumed
-        self.consumed_since_recharge = new_consumed
-        self.cycles_since_recharge += cycles
-        self.timeline += cycles
-        return True
+            return self.eb, _INF, _INF
+        if mode is _PERIODIC_CYCLES:
+            return _INF, (self.tbpf if self.tbpf > 0 else _INF), _INF
+        if mode is _SCHEDULED:
+            if self._schedule_pos < len(self.schedule):
+                return _INF, _INF, self.schedule[self._schedule_pos]
+            return _INF, _INF, _INF
+        if mode is _STOCHASTIC:
+            return _INF, self._window, _INF
+        return _INF, _INF, _INF
 
     @property
     def next_scheduled(self) -> Optional[int]:

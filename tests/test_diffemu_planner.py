@@ -13,6 +13,11 @@ exercises only end-to-end:
   :func:`run_cell` falls back to cold emulation with the correct report.
 """
 
+import copy
+import pickle
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.emulator import run_continuous, run_intermittent
@@ -220,6 +225,83 @@ def test_corrupt_snapshot_falls_back_to_cold(column):
         vm_size=plat.vm_size, inputs=inputs,
     )
     assert repr(got) == repr(cold)
+
+
+def _corrupt_register(tape):
+    frame = next(
+        f for e in reversed(tape.entries) for f in e.snapshot.frames
+        if f.registers
+    )
+    name = sorted(frame.registers)[0]
+    frame.registers[name] ^= 1
+
+
+def _corrupt_meter(tape):
+    tape.entries[-1].snapshot.meter_state["breakdown"]["save"] += 1.0
+
+
+def _corrupt_rng(tape):
+    # The recording runs under continuous power, so every power state
+    # holds no RNG state; any RNG state is a corruption.
+    power_state = tape.entries[-1].snapshot.power_state
+    assert power_state["_rng_state"] is None
+    power_state["_rng_state"] = random.Random(0).getstate()
+
+
+def _corrupt_point(tape):
+    entry = tape.entries[-1]
+    entry.point = replace(entry.point, consumed=entry.point.consumed * 2)
+
+
+def _corrupt_spans(tape):
+    consumed, cycles, timeline = tape.recharge_spans[0]
+    tape.recharge_spans[0] = (consumed, cycles + 1, timeline)
+
+
+def _corrupt_report(tape):
+    tape.report.energy.computation += 1.0
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_register, _corrupt_meter, _corrupt_rng, _corrupt_point,
+    _corrupt_spans, _corrupt_report,
+], ids=["frame-register", "meter-state", "power-state-rng", "power-point",
+        "recharge-spans", "report"])
+def test_each_digest_part_is_covered(column, corrupt):
+    """Corrupting any one part the digest covers fails verification, and
+    the cell then runs cold with the correct report."""
+    plat, bench, compiled, eb, tape = column
+    tape = copy.deepcopy(tape)
+    assert tape.verify()
+    corrupt(tape)
+    assert not tape.verify()
+    inputs = bench.default_inputs()
+    spec = PowerSpec.energy_budget(eb)
+    got, plan = run_cell(
+        compiled.module, plat.model, compiled.policy, spec, tape,
+        vm_size=plat.vm_size, inputs=inputs,
+    )
+    assert plan.kind == "cold"
+    assert "verification" in plan.reason
+    cold = run_intermittent(
+        compiled.module, plat.model, compiled.policy, spec.build(),
+        vm_size=plat.vm_size, inputs=inputs,
+    )
+    assert repr(got) == repr(cold)
+
+
+def test_digest_does_not_depend_on_object_sharing(column):
+    """Equal values verify whichever objects they share: a pickle
+    round trip (the artifact cache's) and fresh, unshared copies of
+    every frame's strings keep a sound tape sound."""
+    *_, tape = column
+    loaded = pickle.loads(pickle.dumps(tape))
+    assert loaded.verify()
+    for entry in loaded.entries:
+        for frame in entry.snapshot.frames:
+            frame.function = "".join(list(frame.function))
+            frame.block = "".join(list(frame.block))
+    assert loaded.verify()
 
 
 def test_cross_module_snapshot_is_rejected_not_miscomputed(column):

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.emulator.meter import EnergyMeter
-from repro.emulator.power import PowerManager, PowerMode, fold
+from repro.emulator.compiled import fold_source
+from repro.emulator.power import PowerManager, PowerMode
 
 
 # -- zero budgets ------------------------------------------------------------
@@ -172,14 +173,22 @@ def test_stochastic_redraws_window_on_recharge():
     st.floats(min_value=0.0, max_value=1e9),
 )
 def test_fold_is_the_per_step_addition_sequence(stream, start):
-    """Segment accounting folds each stream with ``fold``; it must give
-    exactly what one ``+=`` per instruction gives, on every Python (from
-    3.12 on ``sum`` compensates rounding and would not)."""
+    """A compiled region folds each accounting stream with a generated
+    expression (``fold_source``); evaluated, it must give exactly what
+    one ``+=`` per instruction gives, on every Python (from 3.12 on
+    ``sum`` compensates rounding and would not)."""
     expected = start
     for value in stream:
         expected += value
-    assert fold(stream, start) == expected
-    assert fold([0.1] * 10, 0.0) == 0.9999999999999999
+    assert _fold(stream, start) == expected
+    # A compensated sum differs on both streams below; the fold must not.
+    assert _fold([0.1] * 10, 0.0) == 0.9999999999999999
+    assert _fold([1e16, 1.0, 1.0], 0.0) == 1e16
+
+
+def _fold(stream, start):
+    """Evaluate the generated fold of ``stream`` onto ``start``."""
+    return eval(fold_source("c", stream), {"__builtins__": {}}, {"c": start})
 
 
 def test_stochastic_requires_positive_mean():
