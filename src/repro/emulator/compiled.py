@@ -16,13 +16,21 @@ segments), each executed by one generated function:
   resolution, wrap masks and constant operands resolved at compile time;
   a comparison feeding the block's branch becomes one compare-and-branch
   superinstruction that returns the branch condition.
+- A conditional checkpoint is a zero-instruction *check segment*: the
+  iteration-count test of SCHEMATIC's loop scheme, which runs on every
+  pass through a loop latch and fires once every ``every`` passes. It
+  runs inside the region exactly as the prefix of
+  ``Interpreter._do_checkpoint`` does when the count stays below
+  ``every`` (``COND_CHECK_CYCLES`` cycles and their energy, consumed
+  and charged, and the count stored); a check that fires or is not
+  admitted takes the per-step path with nothing charged.
 - The region runs segment after segment, following generated Jump and
   Branch targets inside the function, and can be entered at any segment
-  start. It goes back to ``Interpreter._execute`` only at a checkpoint
-  index, after a Call or Ret, after a control instruction the
-  interpreter's own handler ran (:func:`_ref_op`), at a jump into
-  another region, at the ``max_instructions`` edge, or when a segment
-  is not admitted.
+  start. It goes back to ``Interpreter._execute`` only at a plain
+  checkpoint, at an iteration check that fires, after a Call or Ret,
+  after a control instruction the interpreter's own handler ran
+  (:func:`_ref_op`), at a jump into another region, at the
+  ``max_instructions`` edge, or when a segment is not admitted.
 - The region keeps the power manager's consumption, cycle and timeline
   counters, the meter's six pending fields, ``active_cycles`` and
   ``instructions_executed`` in locals, and writes them back on every
@@ -79,8 +87,9 @@ labels) instead of spelling it, so a factory is keyed by its source
 text alone: superinstructions of the same shape, and regions of the
 same shape, share one factory across functions and modules. A
 function's regions are keyed by its content (every instruction's text
-and cost, the variable attributes codegen reads, the AUTO default space
-and whether the run is traced), so an interpreter over a module another
+and cost, the variable attributes codegen reads, the AUTO default space,
+whether the run is traced and the iteration-check energy, a literal in
+the generated source), so an interpreter over a module another
 interpreter already compiled only instantiates closures: it generates
 no source and runs no ``exec``.
 """
@@ -91,11 +100,13 @@ import hashlib
 import math
 from typing import Callable, Dict, List, Tuple
 
+from repro.emulator.runtime import COND_CHECK_CYCLES
 from repro.errors import EmulationError
 from repro.ir.instructions import (
     BinOp,
     Branch,
     Call,
+    CondCheckpoint,
     Jump,
     Load,
     Move,
@@ -172,8 +183,10 @@ def _crem(a: int, b: int) -> int:
 class Segment:
     """One straight-line run of a basic block inside a region: the unit
     a region admits and charges, and what
-    ``Interpreter._reconcile_segment_fault`` replays when it faults.
-    Depends only on the function's content, so interpreters share it."""
+    ``Interpreter._reconcile_segment_fault`` replays when it faults. A
+    check segment (a conditional checkpoint's iteration check) runs no
+    instruction: ``n`` is 0. Depends only on the function's content, so
+    interpreters share it."""
 
     __slots__ = (
         "label",
@@ -190,7 +203,8 @@ class Segment:
         self.label = label
         self.start = start
         #: Index the frame resumes at when the segment ends without a
-        #: control transfer (just before a checkpoint); None otherwise.
+        #: control transfer: the checkpoint it stops before or, for a
+        #: check segment, the index after its own; None otherwise.
         self.end_index = end_index
         #: True when the segment ends in a generated control transfer,
         #: which skips the interpreter's handlers: the region then emits
@@ -236,8 +250,9 @@ class Region:
     """One region of one interpreter: ``run(frame, sid,
     max_instructions)`` executes from segment ``sid`` and returns True
     when the instruction at ``frame.index`` must take the per-step path
-    next, False after a Call, Ret, handler-run transfer or a jump into
-    another region."""
+    next (a plain checkpoint, an iteration check that fires, a segment
+    not admitted), False after a Call, Ret, handler-run transfer or a
+    jump into another region."""
 
     __slots__ = ("run", "entries", "segments")
 
@@ -892,15 +907,17 @@ _REGION_TAIL = """\
 """
 
 
-def _region_source(fname, segments, plans, entries, traced, n_ops):
+def _region_source(fname, segments, plans, entries, traced, check_energy,
+                   n_ops):
     """The region factory's source and its bound constants.
 
     ``s`` is the current segment id; ids from ``len(segments)`` on name
-    exits, and every exit (and a segment that is not admitted) leaves
-    through one tail that sets ``frame.block``/``frame.index`` from
-    ``_XL``/``_XI`` and returns ``_XR``: True when the instruction there
-    takes the per-step path next (a checkpoint, an unadmitted segment),
-    False when ``_execute`` must dispatch again (another region's block).
+    exits, and every exit (and a segment or check that is not admitted)
+    leaves through one tail that sets ``frame.block``/``frame.index``
+    from ``_XL``/``_XI`` and returns ``_XR``: True when the instruction
+    there takes the per-step path next (a plain checkpoint, an
+    unadmitted segment, a check that fires or is not admitted), False
+    when ``_execute`` must dispatch again (another region's block).
     ``c`` is the power manager's consumption; ``cy`` the cycles run so
     far, which the cycles-since-recharge counter, the timeline and
     ``active_cycles`` all advance by, so ``cl`` (the tighter of the
@@ -924,14 +941,17 @@ def _region_source(fname, segments, plans, entries, traced, n_ops):
             exits.append(key)
         return exit_ids[key]
 
+    def resume(label, index) -> int:
+        """The id that runs block ``label`` from ``index``: its segment,
+        or the per-step path at a checkpoint without one."""
+        sid = entries[label].get(index)
+        return exit_to(label, index, True) if sid is None else sid
+
     def target(label) -> int:
         """The id that enters block ``label``."""
-        starts = entries.get(label)
-        if starts is None:  # another region's block: dispatch again
+        if label not in entries:  # another region's block: dispatch again
             return exit_to(label, 0, False)
-        if 0 not in starts:  # a checkpoint: the per-step path
-            return exit_to(label, 0, True)
-        return starts[0]
+        return resume(label, 0)
 
     labels: Dict[str, str] = {}
 
@@ -947,10 +967,34 @@ def _region_source(fname, segments, plans, entries, traced, n_ops):
             lines.insert(0, f"_trace({fn_tok}, {lab(label)})")
         return lines
 
+    def check(seg, key, every):
+        """A conditional checkpoint's iteration check, as the prefix of
+        ``Interpreter._do_checkpoint`` runs it when the count stays
+        below ``every``: consume and charge ``check_energy`` over
+        ``COND_CHECK_CYCLES`` cycles and store the count. A check that
+        fires, is not admitted or sits at the instruction-budget edge
+        leaves for the per-step path with nothing charged."""
+        tok = ctx.bind(key)
+        return [
+            "r = frame.registers",
+            f"_k = r.get({tok}, 0) + 1",
+            f"_c = {fold_source('c', (check_energy,))}",
+            f"if _k >= {ctx.bind(every)} or _c > el or "
+            f"cy + {COND_CHECK_CYCLES} > cl or n >= nl: break",
+            f"r[{tok}] = _k",
+            "c = _c",
+            f"cy += {COND_CHECK_CYCLES}",
+            f"pc = {fold_source('pc', (check_energy,))}",
+            f"pu = {fold_source('pu', (check_energy,))}",
+            f"s = {resume(seg.label, seg.end_index)}",
+        ]
+
     def leaf(sid):
         seg = segments[sid]
         calls, transfer = plans[sid]
         kind = transfer[0]
+        if kind == "check":
+            return check(seg, *transfer[1:])
         lines = [
             f"_c = {fold_source('c', seg.energies)}",
             f"if _c > el or cy + {seg.cycles} > cl or n + {seg.n} > nl: "
@@ -988,7 +1032,7 @@ def _region_source(fname, segments, plans, entries, traced, n_ops):
                     f"{target(transfer[2])}"
                 )
         elif kind == "fall":
-            lines.append(f"s = {exit_to(seg.label, transfer[1], True)}")
+            lines.append(f"s = {resume(seg.label, transfer[1])}")
         else:
             if traced and kind == "call":
                 lines += ["_f = _interp.frames[-1]",
@@ -1040,7 +1084,8 @@ class _Program:
 
     __slots__ = ("fname", "segments", "entries", "ops", "make", "consts")
 
-    def __init__(self, fname, space, traced, segments, plans, entries, ops):
+    def __init__(self, fname, space, traced, check_energy, segments, plans,
+                 entries, ops):
         """Generate and compile the region's superinstructions and the
         region function over them, from the plan of its ``segments``
         (``_plan_segment``)."""
@@ -1056,7 +1101,7 @@ class _Program:
             for recipe in ops
         )
         src, self.consts = _region_source(
-            fname, segments, plans, entries, traced, len(ops)
+            fname, segments, plans, entries, traced, check_energy, len(ops)
         )
         # Functions that differ only in bound values (register and
         # variable names, labels) share one region factory.
@@ -1098,13 +1143,14 @@ class _Program:
 _COST_TEXT: Dict[tuple, str] = {}
 
 
-def _function_key(fname, blocks, space, traced) -> tuple:
+def _function_key(fname, blocks, space, traced, check_energy) -> tuple:
     """Everything codegen reads of one function: each instruction's text
     (operands with their types, spaces, labels, callee) and cost, the
     variable attributes a Load or Store compiles against, the AUTO
-    default space and whether the run is traced. The text is hashed, so
-    the cache holds a digest, not the text."""
-    parts = [repr(space), repr(traced)]
+    default space, whether the run is traced and the iteration-check
+    energy. The text is hashed, so the cache holds a digest, not the
+    text."""
+    parts = [repr(space), repr(traced), repr(check_energy)]
     for label, code in blocks:
         parts.append("." + label)
         for _handler, cost, inst, _label in code:
@@ -1122,12 +1168,22 @@ def _function_key(fname, blocks, space, traced) -> tuple:
     return fname, digest
 
 
-def _segments_of(label, code, space, segments, plans, ops, starts):
-    """Plan the segments of one block into the region's lists."""
+def _segments_of(label, code, space, checks, segments, plans, ops, starts):
+    """Plan the segments of one block into the region's lists; returns
+    how many of them run instructions. With ``checks`` set, each
+    conditional checkpoint gets a check segment; every other checkpoint
+    is left to the per-step path."""
+    planned = 0
     i = 0
     n = len(code)
     while i < n:
-        if code[i][0] is None:  # checkpoints: cold path only
+        if code[i][0] is None:
+            inst = code[i][2]
+            if checks and type(inst) is CondCheckpoint:
+                starts[i] = len(segments)
+                segments.append(Segment(label, i, (), (), i + 1, False))
+                plans.append(((), ("check", f"__ckpt{inst.ckpt_id}",
+                                   inst.every)))
             i += 1
             continue
         insts = []
@@ -1142,12 +1198,19 @@ def _segments_of(label, code, space, segments, plans, ops, starts):
         segment, plan = _plan_segment(label, i, insts, space, ops)
         segments.append(segment)
         plans.append(plan)
+        planned += 1
         i = j
+    return planned
 
 
-def _compile_function(fname, blocks, space, traced) -> Tuple[_Program, ...]:
+def _compile_function(
+    fname, blocks, space, traced, check_energy
+) -> Tuple[_Program, ...]:
     """Cut the function's blocks, in order, into regions of at most
-    ``REGION_LIMIT`` segments (a block is never split) and compile each."""
+    ``REGION_LIMIT`` instruction segments (a block is never split; check
+    segments do not count) and compile each. ``check_energy`` is None
+    when the function's iteration checks take the per-step path."""
+    checks = check_energy is not None
     programs = []
     k = 0
     while k < len(blocks):
@@ -1155,42 +1218,73 @@ def _compile_function(fname, blocks, space, traced) -> Tuple[_Program, ...]:
         plans: List[tuple] = []
         ops: List[tuple] = []
         entries: Dict[str, Dict[int, int]] = {}
+        size = 0
         while k < len(blocks):
             label, code = blocks[k]
             starts: Dict[int, int] = {}
             mark = (len(segments), len(plans), len(ops))
-            _segments_of(label, code, space, segments, plans, ops, starts)
-            if len(segments) > REGION_LIMIT and entries:
+            size += _segments_of(label, code, space, checks, segments, plans,
+                                 ops, starts)
+            if size > REGION_LIMIT and entries:
                 # Over the limit: this block opens the next region.
                 del segments[mark[0]:], plans[mark[1]:], ops[mark[2]:]
                 break
             entries[label] = starts
             k += 1
         programs.append(_Program(
-            fname, space, traced, tuple(segments), tuple(plans), entries,
-            tuple(ops),
+            fname, space, traced, check_energy, tuple(segments),
+            tuple(plans), entries, tuple(ops),
         ))
     return tuple(programs)
+
+
+def _checks_planned(interp, fname, programs) -> bool:
+    """Plan the conditional checkpoint of every check segment now, as
+    its first execution would; False when one cannot be planned (a save
+    or restore variable the memory does not hold)."""
+    code = interp._code
+    try:
+        for program in programs:
+            for seg in program.segments:
+                if not seg.n:
+                    interp._plan(code[(fname, seg.label)][seg.start][2])
+    except Exception:
+        # Whatever planning raises, the per-step path raises at the
+        # check itself: defer it there rather than raise before the run.
+        return False
+    return True
 
 
 def compile_blocks(interp, frame_cls) -> Dict[Tuple[str, str], tuple]:
     """Compile every function of ``interp``'s pre-decoded module into
     regions: ``{(function, label): (Region, {start index: segment id})}``
-    for every block. Indices no segment starts at (checkpoints,
+    for every block. Indices no segment starts at (plain checkpoints,
     mid-segment resume points) are executed by the interpreter's
     per-step path."""
     config = interp.config
     traced = config.trace is not None
     space = config.default_space
+    energy = COND_CHECK_CYCLES * interp.model.energy_per_cycle
     code = interp._code
     ccode: Dict[Tuple[str, str], tuple] = {}
     for func in interp.module.functions.values():
         fname = func.name
         blocks = [(label, code[(fname, label)]) for label in func.blocks]
-        programs = _cached(
-            _PROGRAMS, _function_key(fname, blocks, space, traced),
-            lambda: _compile_function(fname, blocks, space, traced),
-        )
+
+        def programs_for(check_energy):
+            return _cached(
+                _PROGRAMS,
+                _function_key(fname, blocks, space, traced, check_energy),
+                lambda: _compile_function(
+                    fname, blocks, space, traced, check_energy
+                ),
+            )
+
+        programs = programs_for(energy)
+        if not _checks_planned(interp, fname, programs):
+            # Its checks take the per-step path, which raises the
+            # planning error at the first check, as with segments off.
+            programs = programs_for(None)
         for program in programs:
             region = Region(program.instantiate(interp, frame_cls), program)
             for label, starts in program.entries.items():

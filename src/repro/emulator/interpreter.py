@@ -29,6 +29,7 @@ from repro.emulator.meter import EnergyMeter
 from repro.emulator.power import PowerManager
 from repro.emulator.report import ExecutionReport
 from repro.emulator.runtime import (
+    COND_CHECK_CYCLES,
     CheckpointPolicy,
     FrameSnapshot,
     Snapshot,
@@ -54,9 +55,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.values import Const, MemorySpace, Register, VarRef
-
-#: Cycles charged for the iteration-count test of a conditional checkpoint.
-COND_CHECK_CYCLES = 2
 
 #: Consecutive failed attempts from one snapshot before declaring the
 #: execution stuck (2 identical deterministic failures imply forever).
@@ -540,9 +538,12 @@ class Interpreter:
         compiled region (:mod:`repro.emulator.compiled`) whenever
         ``frame.index`` starts a segment. The region runs segment after
         segment across the function's generated jumps and branches, with
-        the accounting in locals, and returns at a checkpoint index,
-        after a Call or Ret, after a handler-run control instruction, at
-        the instruction-budget edge or at a segment it does not admit.
+        the accounting in locals, and runs each conditional checkpoint's
+        iteration check that does not fire as the prefix of
+        :meth:`_do_checkpoint` would. It returns at a plain checkpoint,
+        at an iteration check that fires, after a Call or Ret, after a
+        handler-run control instruction, at the instruction-budget edge
+        or at a segment or check it does not admit.
         Its admission and charges are provably equal to stepping: the
         generated folds replay the per-step ``+=`` sequences in order,
         and a segment is admitted only when its final consumption and
@@ -556,9 +557,10 @@ class Interpreter:
         enter.
 
         Every instruction no segment covers — all of them when segments
-        are off; otherwise checkpoints, the instruction a region did not
-        admit, the instruction-budget edge and mid-segment resume
-        indices — takes the per-step path: the decoded handler plus
+        are off; otherwise plain checkpoints, iteration checks that fire,
+        the instruction or check a region did not admit, the
+        instruction-budget edge and mid-segment resume indices — takes
+        the per-step path: the decoded handler plus
         per-step accounting, with ``step_hook`` called just before
         ``consume``. Segments-off is the differential reference of
         segments-on."""
@@ -831,6 +833,9 @@ class Interpreter:
 
         counter_key = plan.counter_key
         if counter_key is not None:
+            # Compiled regions run this prefix themselves while the
+            # count stays below ``every`` (check segments in
+            # repro.emulator.compiled): keep the two in step.
             count = frame.registers.get(counter_key, 0) + 1
             check_energy = COND_CHECK_CYCLES * self.model.energy_per_cycle
             if step_hook is not None:

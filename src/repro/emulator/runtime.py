@@ -21,6 +21,9 @@ from typing import Dict, List, Optional
 #: emulated on the energy budget).
 MEMENTOS_THRESHOLD = 0.5
 
+#: Cycles charged for the iteration-count test of a conditional checkpoint.
+COND_CHECK_CYCLES = 2
+
 
 @dataclass(frozen=True)
 class CheckpointPolicy:

@@ -7,7 +7,7 @@ from typing import Dict, List
 
 from repro.errors import IRError
 from repro.ir.function import Function
-from repro.ir.values import Variable
+from repro.ir.values import Variable, VarRef
 
 
 class Module:
@@ -89,9 +89,57 @@ class Module:
         return total
 
     def clone(self) -> "Module":
-        """Deep-copy the module so a transformation pass can rewrite it
-        without mutating the caller's program."""
-        return copy.deepcopy(self)
+        """Copy the module so a transformation pass can rewrite it
+        without mutating the caller's program.
+
+        The copy is structural: frozen leaves (registers, constants,
+        types, parameters, enum members, strings) are shared; every
+        variable is copied once and every reference to it (a Load's or
+        Store's ``var``, a ``VarRef`` argument) points at the copy; every
+        list and dict is copied. The result prints as the original and
+        shares no mutable object with it."""
+        copies: Dict[int, Variable] = {}
+
+        def var(v: Variable) -> Variable:
+            c = copies.get(id(v))
+            if c is None:
+                c = copies[id(v)] = copy.copy(v)
+                if v.init is not None:
+                    c.init = list(v.init)
+            return c
+
+        def value(v):
+            if isinstance(v, Variable):
+                return var(v)
+            if isinstance(v, VarRef):
+                return VarRef(var(v.variable))
+            if isinstance(v, list):
+                return [value(item) for item in v]
+            if isinstance(v, dict):
+                return dict(v)
+            return v
+
+        def instruction(inst):
+            c = object.__new__(type(inst))
+            c.__dict__.update(
+                (name, value(field)) for name, field in vars(inst).items()
+            )
+            return c
+
+        module = copy.copy(self)
+        module.globals = {k: var(v) for k, v in self.globals.items()}
+        module.functions = {}
+        for name, func in self.functions.items():
+            f = module.functions[name] = copy.copy(func)
+            f.params = list(func.params)
+            f.variables = {k: var(v) for k, v in func.variables.items()}
+            f.blocks = {}
+            for label, block in func.blocks.items():
+                b = f.blocks[label] = copy.copy(block)
+                b.instructions = [instruction(i) for i in block.instructions]
+            f.loop_maxiter = dict(func.loop_maxiter)
+            f.atomic_ranges = list(func.atomic_ranges)
+        return module
 
     def instruction_count(self) -> int:
         return sum(f.instruction_count() for f in self.functions.values())

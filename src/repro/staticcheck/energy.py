@@ -33,7 +33,7 @@ The certification is compositional:
 
 Unlike Algorithm 1's placement-time accounting, the certifier charges
 the conditional checkpoint's iteration-count test
-(:data:`~repro.emulator.interpreter.COND_CHECK_CYCLES`) to the enclosing
+(:data:`~repro.emulator.runtime.COND_CHECK_CYCLES`) to the enclosing
 window, because the interpreter does; the placement leaves enough slack
 for this in practice, and a disagreement here is exactly what the
 checker exists to surface.
@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG
 from repro.analysis.loops import Loop, LoopNest
-from repro.emulator.interpreter import COND_CHECK_CYCLES
+from repro.emulator.runtime import COND_CHECK_CYCLES
 from repro.energy.model import EnergyModel
 from repro.ir.function import Function
 from repro.ir.instructions import Call, Checkpoint, CondCheckpoint

@@ -24,6 +24,9 @@ contract down from every angle the batching could break:
   must surface at the same instruction with the same accounting and
   trace prefix, even when they fire mid-segment;
 - snapshot/fork (diffemu) resume with segments on;
+- conditional checkpoints' iteration checks run inside regions: every
+  check position, each power mode and policy, a failure on the check's
+  own cycles, the instruction-budget edge at a check, diffemu tapes;
 - the segment-structure invariants the codegen relies on.
 """
 
@@ -662,11 +665,13 @@ def _segments(interp):
 
 def test_segment_structure_invariants():
     """compile_blocks must cover exactly the non-checkpoint instruction
-    runs: every block belongs to one region, segments start where the
-    per-step path hands over, never span a checkpoint, respect the fuse
-    limit per closure, carry accounting streams of the segment's exact
-    length, and trace a block entry exactly when their control transfer
-    is generated."""
+    runs plus one zero-instruction check segment per conditional
+    checkpoint: every block belongs to one region, segments start where
+    the per-step path hands over, never span a checkpoint, respect the
+    fuse limit per closure, carry accounting streams of the segment's
+    exact length, and trace a block entry exactly when their control
+    transfer is generated. Check segments do not count toward
+    ``REGION_LIMIT``."""
     bench = load_program("calls")
     comp = compile_for(
         "schematic", bench.module, PLAT,
@@ -677,8 +682,9 @@ def test_segment_structure_invariants():
     assert interp.loop_used == "compiled"
     ccode = interp._ccode
     assert set(ccode) == set(interp._code), "every decoded block compiles"
+    conds = 0
     for region in _regions(interp):
-        assert len(region.segments) <= REGION_LIMIT
+        assert sum(1 for seg in region.segments if seg.n) <= REGION_LIMIT
         ids = sorted(
             sid for starts in region.entries.values()
             for sid in starts.values()
@@ -688,10 +694,19 @@ def test_segment_structure_invariants():
         assert region.entries[key[1]] is starts
         entries = interp._code[key]
         covered = set()
+        checked = set()
         for start, sid in starts.items():
             seg = region.segments[sid]
             assert isinstance(seg, Segment)
             assert (seg.label, seg.start) == (key[1], start)
+            if isinstance(entries[start][2], CondCheckpoint):
+                # A check segment: the iteration check, no instruction.
+                assert seg.n == 0 and seg.costs == () and seg.widths == ()
+                assert seg.end_index == start + 1
+                assert not seg.traces_entry
+                checked.add(start)
+                continue
+            assert seg.n > 0
             assert seg.n == len(seg.costs) == len(seg.energies)
             assert seg.n == sum(seg.widths)
             assert len(seg.cpu) == seg.n
@@ -727,6 +742,13 @@ def test_segment_structure_invariants():
         # Segments and checkpoints partition the block.
         assert covered | ckpt_indices == set(range(len(entries)))
         assert covered.isdisjoint(ckpt_indices)
+        # Check segments cover exactly the conditional checkpoints.
+        assert checked == {
+            i for i in ckpt_indices
+            if isinstance(entries[i][2], CondCheckpoint)
+        }
+        conds += len(checked)
+    assert conds, "the placement has a conditional checkpoint"
 
 
 def test_compiled_flag_defaults_on():
@@ -1104,3 +1126,277 @@ def test_branch_arm_taken_late_runs_inside_the_region(monkeypatch):
     assert _asdict(report) == _asdict(
         run_continuous(module, PLAT.model, compiled=False)
     )
+
+
+# -- iteration checks inside regions --------------------------------------------
+
+#: Conditional checkpoints in every position a region meets one: first
+#: in a branch target (``.body``), after a segment that falls through
+#: into it, two in a row, and one followed by a plain checkpoint.
+COND_IR = """module cond (entry @main)
+global @acc:u32
+global @out:u32
+
+func @main() -> void {{
+.entry:
+    checkpoint #1 save=[] restore=[] vm_after=[] nvm_after=[acc, out]
+    %i:u32 = move 0:i32
+    %s:u32 = move 0:i32
+    jump .head
+.head:
+    %c:u8 = lt %i:u32, 40:i32
+    branch %c:u8 ? .body : .done
+.body:
+    cond_checkpoint #2 every={every} save=[] restore=[] vm_after=[] nvm_after=[acc, out]
+    %t:u32 = load.nvm @acc
+    %u:u32 = add %t:u32, %i:u32
+    store.nvm @acc = %u:u32
+    %s:u32 = xor %s:u32, %u:u32
+    cond_checkpoint #3 every={every} save=[] restore=[] vm_after=[] nvm_after=[acc, out]
+    cond_checkpoint #4 every=3 save=[] restore=[] vm_after=[] nvm_after=[acc, out]
+    %i:u32 = add %i:u32, 1:i32
+    jump .head
+.done:
+    store.nvm @out = %s:u32
+    cond_checkpoint #5 every=2 save=[] restore=[] vm_after=[] nvm_after=[acc, out]
+    checkpoint #6 save=[] restore=[] vm_after=[] nvm_after=[]
+    ret
+}}
+"""
+
+COND_POLICIES = {
+    "wait": CheckpointPolicy.wait_mode("cond"),
+    "rollback": CheckpointPolicy.rollback_mode("cond"),
+    # MEMENTOS: a check that fires then measures the charge.
+    "voltcheck": CheckpointPolicy.rollback_mode("cond", skip_threshold=0.5),
+}
+
+
+def _checkpoint_calls(monkeypatch):
+    """Count ``Interpreter._do_checkpoint`` calls per loop."""
+    calls = {"compiled": 0, "predecoded": 0}
+    do_checkpoint = Interpreter._do_checkpoint
+
+    def counting(self, frame, inst):
+        calls[self.loop_used] += 1
+        return do_checkpoint(self, frame, inst)
+
+    monkeypatch.setattr(Interpreter, "_do_checkpoint", counting)
+    return calls
+
+
+def _check_visits(module, policy, **config):
+    """``(label, index, consumed, cycles since recharge, timeline,
+    instructions executed)`` before every iteration check of a
+    failure-free per-step run, from its ``step_hook`` stream."""
+    visits = []
+    interp = None
+
+    def hook(label, _cycles):
+        if label.endswith(":itercheck"):
+            ckpt = int(label[len("ckpt"):-len(":itercheck")])
+            frame = interp.frames[-1]
+            inst = interp._code[(frame.function.name, frame.block)][
+                frame.index][2]
+            assert inst.ckpt_id == ckpt
+            power = interp.power
+            visits.append((
+                frame.block, frame.index, power.consumed_since_recharge,
+                power.cycles_since_recharge, power.timeline,
+                interp.instructions_executed,
+            ))
+
+    interp = Interpreter(
+        module, PLAT.model, policy, PowerManager.continuous(),
+        InterpreterConfig(step_hook=hook, **config),
+    )
+    assert interp.run().completed
+    return visits
+
+
+@pytest.mark.parametrize("every", [1, 2, 7])
+@pytest.mark.parametrize("policy", sorted(COND_POLICIES))
+@pytest.mark.parametrize("mode", ["continuous", "energy", "periodic",
+                                  "scheduled", "stochastic"])
+def test_iteration_checks_identity(every, policy, mode, monkeypatch):
+    """Iteration checks run inside the region: reports, trace streams,
+    meter and power state, counts and memory equal the per-step loop's
+    under every power mode and checkpoint policy, and an untraced run
+    reports the same. Only checks that fire reach ``_do_checkpoint``
+    with segments on."""
+    module = parse_ir(COND_IR.format(every=every))
+    cont = run_continuous(module, PLAT.model, compiled=False)
+    assert cont.completed
+    quarter = cont.active_cycles // 4
+    powers = {
+        "continuous": PowerManager.continuous,
+        "energy": lambda: PowerManager.energy_budget(
+            cont.energy.total / 3
+        ),
+        "periodic": lambda: PowerManager.periodic(tbpf=quarter),
+        "scheduled": lambda: PowerManager.scheduled(
+            (quarter, 2 * quarter + 1)
+        ),
+        "stochastic": lambda: PowerManager.stochastic(
+            mean_cycles=quarter, seed=5
+        ),
+    }
+    calls = _checkpoint_calls(monkeypatch)
+    runs = _run_both(module, powers[mode], policy=COND_POLICIES[policy])
+    assert runs["compiled"] == runs["predecoded"]
+    if every > 1:
+        assert calls["compiled"] < calls["predecoded"]
+    untraced = Interpreter(
+        module, PLAT.model, COND_POLICIES[policy], powers[mode](),
+        InterpreterConfig(),
+    )
+    assert _asdict(untraced.run()) == runs["compiled"][0]
+
+
+@pytest.mark.parametrize("visit", [3, 4, 5],
+                         ids=["branch-target", "after-fall-through",
+                              "second-in-a-row"])
+@pytest.mark.parametrize("policy", ["wait", "rollback"])
+@pytest.mark.parametrize("mode", ["energy", "periodic", "scheduled",
+                                  "scheduled-late", "stochastic"])
+def test_iteration_check_not_admitted(visit, policy, mode):
+    """The first power failure strikes on an iteration check's own two
+    cycles (or its energy): the region does not admit the check, and the
+    per-step path meets the failure there, as with segments off."""
+    module = parse_ir(COND_IR.format(every=7))
+    label, index, consumed, cycles, timeline, _n = _check_visits(
+        module, COND_POLICIES[policy]
+    )[visit]
+    energy = 2 * PLAT.model.energy_per_cycle
+
+    def stochastic():
+        # Every drawn window ends inside the check's two cycles.
+        power = PowerManager.stochastic(mean_cycles=1_000, seed=1)
+        power._draw_window = lambda: cycles + 1
+        power._window = power._draw_window()
+        return power
+
+    powers = {
+        "energy": lambda: PowerManager.energy_budget(consumed + energy / 2),
+        "periodic": lambda: PowerManager.periodic(tbpf=cycles + 1),
+        "scheduled": lambda: PowerManager.scheduled((timeline,)),
+        "scheduled-late": lambda: PowerManager.scheduled((timeline + 1,)),
+        "stochastic": stochastic,
+    }
+    runs = _run_both(module, powers[mode], policy=COND_POLICIES[policy])
+    assert runs["compiled"] == runs["predecoded"]
+    report = runs["compiled"][0]
+    assert report["failure_offsets"][0] == timeline, (
+        f"the first failure must strike the check at {label}:{index}"
+    )
+
+
+@pytest.mark.parametrize("visit", [3, 4, 5, 8])
+def test_max_instructions_edge_at_iteration_check(visit):
+    """The instruction budget runs out exactly at an iteration check:
+    the per-step path ends the run there, before the check (the first of
+    two in a row), with both loops; one more instruction of budget lets
+    the check run."""
+    module = parse_ir(COND_IR.format(every=7))
+    policy = COND_POLICIES["rollback"]
+    visits = _check_visits(module, policy)
+    executed = visits[visit][5]
+    edge = next(v for v in visits if v[5] == executed)
+    for budget in (executed, executed + 1):
+        runs = _run_both(module, policy=policy, max_instructions=budget)
+        assert runs["compiled"] == runs["predecoded"]
+        assert not runs["compiled"][0]["completed"]
+        if budget == executed:
+            assert runs["compiled"][6] == edge[:2]
+
+
+@pytest.mark.parametrize("every", [2, 7])
+def test_diffemu_recording_with_iteration_checks(every, monkeypatch):
+    """A wait-mode recording (``commit_hook`` snapshots) charges its
+    iteration checks inside regions: the tape equals the one recorded
+    per step, and every cell forked from it equals a cold per-step
+    run."""
+    from repro.emulator import diffemu
+
+    module = parse_ir(COND_IR.format(every=every))
+    policy = COND_POLICIES["wait"]
+    tape = record_tape(module, PLAT.model, policy)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            diffemu, "InterpreterConfig",
+            functools.partial(InterpreterConfig, compiled=False),
+        )
+        reference = record_tape(module, PLAT.model, policy)
+    assert tape.commits > 2
+    assert tape.digest == reference.digest
+    cont = run_continuous(module, PLAT.model, compiled=False)
+    specs = [
+        PowerSpec.energy_budget(cont.energy.total / 8),
+        PowerSpec.periodic(tbpf=cont.active_cycles // 5),
+        PowerSpec.stochastic(mean_cycles=cont.active_cycles // 4, seed=2),
+    ]
+    for spec in specs:
+        paired, _plan = run_cell(module, PLAT.model, policy, spec, tape)
+        cold = run_intermittent(
+            module, PLAT.model, policy, spec.build(), compiled=False,
+        )
+        assert _asdict(paired) == _asdict(cold)
+
+
+def test_check_segments_do_not_count_toward_region_limit():
+    """Two blocks of ``REGION_LIMIT`` instruction segments in all,
+    separated by iteration checks, make one region: counting the check
+    segments would cut it in two and exit between the blocks."""
+    half = REGION_LIMIT // 2
+    ckpt = ("    cond_checkpoint #{} every=5 save=[] restore=[] vm_after=[] "
+            "nvm_after=[out]\n")
+    add = "    %s:u32 = add %s:u32, {}:i32\n"
+
+    def body(first, end):
+        lines = []
+        for k in range(half):
+            if k:
+                lines.append(ckpt.format(first + k))
+            lines.append(add.format(k + 1))
+        return "".join(lines) + end
+
+    text = (
+        "module limit (entry @main)\nglobal @out:u32\n\n"
+        "func @main() -> void {\n.entry:\n    %s:u32 = move 0:i32\n"
+        + body(1, "    jump .b\n") + ".b:\n"
+        + body(100, "    store.nvm @out = %s:u32\n    ret\n") + "}\n"
+    )
+    module = parse_ir(text)
+    interp = _interp(module)
+    interp.run()
+    [region] = _regions(interp)
+    instruction_segments = [seg for seg in region.segments if seg.n]
+    assert len(instruction_segments) == REGION_LIMIT
+    assert len(region.segments) == 2 * REGION_LIMIT - 2
+    runs = _run_both(module)
+    assert runs["compiled"] == runs["predecoded"]
+
+
+def test_unplannable_iteration_check_fails_as_per_step():
+    """A conditional checkpoint that saves a variable the memory does
+    not hold cannot be planned: its function's checks stay on the
+    per-step path, which raises the planning error at the first check
+    with both loops."""
+    text = COND_IR.format(every=7).replace(
+        "#3 every=7 save=[]", "#3 every=7 save=[nosuch]"
+    )
+    module = parse_ir(text)
+    states = {}
+    for name, kw in LOOPS:
+        trace, events = _recorder()
+        interp = _interp(module, trace=trace, **kw)
+        with pytest.raises(KeyError) as excinfo:
+            interp.run()
+        states[name] = (
+            str(excinfo.value), events, interp.instructions_executed,
+            interp.active_cycles, interp.meter.state_dict(),
+            interp.power.state_dict(),
+            (interp.frames[-1].block, interp.frames[-1].index),
+        )
+    assert states["compiled"] == states["predecoded"]
+    assert states["compiled"][-1] == ("body", 5)

@@ -185,3 +185,85 @@ class TestModule:
         clone.functions["main"].blocks["entry"].instructions.pop()
         original = module.functions["main"].blocks["entry"]
         assert original.is_terminated
+
+
+CLONE_SRC = """
+u32 out; const u8 table[4] = {3, 1, 4, 1}; i32 data[4];
+void fill(i32 buf[], i32 v) {
+    for (i32 i = 0; i < 4; i++) { buf[i] = v + (i32) table[i]; }
+}
+void main() {
+    fill(data, 10);
+    atomic { out = (u32) (data[0] + data[3]); }
+}
+"""
+
+
+def _mutable_objects(module):
+    """Every mutable object reachable from ``module``'s IR, by id."""
+    from repro.ir.values import VarRef
+
+    found = {}
+
+    def add(obj):
+        found[id(obj)] = obj
+
+    for obj in (module, module.globals, module.functions):
+        add(obj)
+    for var in module.all_variables():
+        add(var)
+        if var.init is not None:
+            add(var.init)
+    for func in module.functions.values():
+        for obj in (func, func.params, func.variables, func.blocks,
+                    func.loop_maxiter, func.atomic_ranges):
+            add(obj)
+        for block in func.blocks.values():
+            add(block)
+            add(block.instructions)
+            for inst in block.instructions:
+                add(inst)
+                for field in vars(inst).values():
+                    if isinstance(field, (list, dict, Variable)):
+                        add(field)
+                    for arg in field if isinstance(field, list) else ():
+                        if isinstance(arg, VarRef):
+                            add(arg.variable)
+    return found
+
+
+def test_clone_is_structural_and_shares_no_mutable_state():
+    """The clone prints as the original, shares no mutable object with
+    it, and every variable reference points at the clone's own variable
+    of that name; a placed module's checkpoint maps are copies too."""
+    import copy
+
+    from repro.energy import msp430fr5969_platform
+    from repro.frontend import compile_source
+    from repro.ir.printer import print_module
+    from repro.ir.values import VarRef
+    from repro.testkit.corpus import compile_for, load_program
+
+    bench = load_program("calls")
+    placed = compile_for(
+        "schematic", bench.module, msp430fr5969_platform(eb=3000.0),
+        input_generator=bench.input_generator(),
+    ).module
+    for module in (compile_source(CLONE_SRC), placed):
+        clone = module.clone()
+        assert print_module(clone) == print_module(module)
+        assert print_module(clone) == print_module(copy.deepcopy(module))
+        assert not set(_mutable_objects(clone)) & set(_mutable_objects(module))
+        table = {var.name: var for var in clone.all_variables()}
+        refs = 0
+        for func in clone.functions.values():
+            for block in func.blocks.values():
+                for inst in block.instructions:
+                    var = getattr(inst, "var", None)
+                    if var is not None:
+                        assert table[var.name] is var
+                    for arg in getattr(inst, "args", ()):
+                        if isinstance(arg, VarRef):
+                            assert table[arg.variable.name] is arg.variable
+                            refs += 1
+        assert refs or module is placed
