@@ -19,10 +19,10 @@ Semantics notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.telemetry import flight, metrics
+from repro.telemetry import metrics
 from repro.emulator import compiled as compiled_blocks
 from repro.emulator.memory import MemoryState
 from repro.emulator.meter import EnergyMeter
@@ -287,17 +287,13 @@ class Interpreter:
         self._tm = telemetry.get()
         self._run_id = self._tm.next_run_id() if self._tm is not None else 0
         self._seg_anchor = 0.0
-        # The metrics registry and flight recorder follow the same
-        # discipline: bound once, consulted only on cold paths, None
-        # when disabled. Like tracing (_tm), they do not turn segments
-        # off: events and counters are emitted only on cold paths, which
-        # always take the per-step path.
+        # The metrics registry follows the same discipline: bound once,
+        # consulted only on cold paths, None when disabled. Like tracing
+        # (_tm), it does not turn segments off: counters are bumped only
+        # on cold paths, which always take the per-step path.
         self._mm = metrics.get()
-        self._fr = flight.get()
         if self._mm is not None:
             self._mm.counter("interp.runs").add(1)
-        if self._fr is not None:
-            self._fr.provide("interpreter", self._flight_state)
         #: Per-variable monotone sample counters for volatile environment
         #: inputs. The world does not roll back with the program: the
         #: counters survive power failures and snapshot restores, so a
@@ -505,29 +501,6 @@ class Interpreter:
             power_mode=self.power.mode.value,
             failure_offsets=list(self.power.failure_log),
         )
-
-    def _flight_state(self) -> Dict[str, Any]:
-        """Flight-recorder state provider: where this interpreter is,
-        sampled only when a postmortem bundle is dumped."""
-        frame = self.frames[-1] if self.frames else None
-        return {
-            "run": self._run_id,
-            "power_timeline": self.power.timeline,
-            "power_failures": self.power.failures,
-            "instructions_executed": self.instructions_executed,
-            "active_cycles": self.active_cycles,
-            "loop_used": self.loop_used,
-            "snapshot_ckpt": (
-                self._snapshot.ckpt_id if self._snapshot is not None
-                else None
-            ),
-            "attempts_on_snapshot": self._attempts_on_snapshot,
-            "frame": (
-                f"{frame.function.name}:{frame.block}:{frame.index}"
-                if frame is not None else None
-            ),
-            "vm_bytes_used": self.memory.vm_bytes_used(),
-        }
 
     def _execute(self) -> Tuple[bool, str]:
         """The interpreter loop, with compiled segments on or off.
@@ -898,11 +871,6 @@ class Interpreter:
         meter.commit()
         if self._mm is not None:
             self._mm.counter("interp.ckpt_saves").add(1)
-        if self._fr is not None:
-            self._fr.record(
-                "ckpt-save", run=self._run_id, ckpt=inst.ckpt_id,
-                payload_bytes=payload,
-            )
         if self._tm is not None:
             # The previous snapshot (still in place) opened this window.
             self._tm.event(
@@ -1047,11 +1015,6 @@ class Interpreter:
         self._attempts_on_snapshot += 1
         if self._mm is not None:
             self._mm.counter("interp.power_failures").add(1)
-        if self._fr is not None:
-            self._fr.record(
-                "power-failure", run=self._run_id,
-                attempt=self._attempts_on_snapshot,
-            )
         if self._tm is not None:
             self._tm.event(
                 "power-failure", track=telemetry.TRACK_RUNTIME,
@@ -1082,8 +1045,6 @@ class Interpreter:
             self.power.consume(restore_energy, self.model.restore_cycles(0))
             if self._mm is not None:
                 self._mm.counter("interp.reboots").add(1)
-            if self._fr is not None:
-                self._fr.record("reboot", run=self._run_id)
             if self._tm is not None:
                 self._tm.event(
                     "reboot", track=telemetry.TRACK_RUNTIME,

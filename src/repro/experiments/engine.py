@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.emulator.diffemu import PowerSpec
-from repro.telemetry import flight, metrics
+from repro.telemetry import metrics
 from repro.telemetry.rollup import publish_cache_stats, write_sidecar
 from repro.experiments.common import (
     PROFILE_RUNS,
@@ -145,9 +145,9 @@ def _init_worker(
     parallel_map may call it in a process that already has one).
 
     When the parent passes a ``metrics_dir``, a genuine pool worker
-    (``os.getpid() != parent_pid``) installs a *fresh* metrics registry
-    and flight recorder — under the fork start method the child inherits
-    the parent's registry object, and accumulating into that copy would
+    (``os.getpid() != parent_pid``) installs a *fresh* metrics
+    registry — under the fork start method the child inherits the
+    parent's registry object, and accumulating into that copy would
     double-count the parent's totals in the sidecar. The in-process
     serial fallback keeps the parent's registry: its counts land there
     directly and need no sidecar."""
@@ -157,7 +157,6 @@ def _init_worker(
     cache = ArtifactCache(cache_root) if cache_root else None
     if metrics_dir is not None and os.getpid() != parent_pid:
         metrics.enable(meta={"role": "worker", "pid": os.getpid()})
-        flight.enable()
         _WORKER_METRICS_DIR = metrics_dir
     _WORKER_CTX = EvaluationContext(
         benchmarks=benchmarks,
@@ -171,8 +170,7 @@ def _flush_worker_sidecar() -> None:
     cache's current ``stats_dict``. Idempotent by construction — the
     cache counters are folded into a throwaway copy at every flush, so
     re-flushing never double-counts — and atomic, so the parent's rollup
-    (and a postmortem inspection) always sees a complete snapshot no
-    matter where the worker dies."""
+    always sees a complete snapshot no matter where the worker dies."""
     mm = metrics.get()
     if mm is None or _WORKER_METRICS_DIR is None:
         return
@@ -190,44 +188,21 @@ def _flush_worker_sidecar() -> None:
 def _compute_cell(cell: Cell) -> Tuple[Cell, object, int]:
     """Compute one cell; the worker pid rides along so the parent can
     report how evenly the pool spread the work (manifest / telemetry).
-    A metered worker re-flushes its sidecar after every cell and leaves
-    a postmortem bundle behind if the cell raises."""
+    A metered worker re-flushes its sidecar after every cell, also when
+    the cell raises."""
     ctx = _WORKER_CTX
     assert ctx is not None, "worker context not initialized"
-    fr = flight.get()
-    if fr is not None:
-        fr.record(
-            "cell-start", kind=cell.kind, benchmark=cell.benchmark,
-            technique=cell.technique, variant=cell.variant,
-            eb=cell.eb, tbpf=cell.tbpf,
-        )
     try:
         value = _evaluate_cell(ctx, cell)
-    except Exception as exc:
-        if fr is not None and _WORKER_METRICS_DIR is not None:
-            fr.dump(
-                _WORKER_METRICS_DIR,
-                reason=f"cell {cell.kind}/{cell.benchmark} failed",
-                error=exc,
-            )
+    except Exception:
         _flush_worker_sidecar()
         raise
     mm = metrics.get()
     if mm is not None:
         mm.counter("engine.worker_cells").add(1)
         mm.counter(f"engine.cells.{cell.kind}").add(1)
-        mm.gauge("engine.heartbeat_us").set(telemetry_now_us())
     _flush_worker_sidecar()
     return cell, value, os.getpid()
-
-
-def telemetry_now_us() -> int:
-    """Monotonic microseconds for the worker heartbeat gauge: merged
-    under ``max``, the rollup reports the last moment any worker was
-    alive and making progress."""
-    import time
-
-    return time.monotonic_ns() // 1000
 
 
 def _evaluate_cell(ctx: EvaluationContext, cell: Cell) -> object:
@@ -295,8 +270,8 @@ def prefill(
 
     ``metrics_dir``, when given, makes every pool worker accumulate its
     own metrics registry and flush a JSONL sidecar there after each cell
-    (:mod:`repro.telemetry.rollup`); crashes additionally leave a
-    postmortem bundle in the same directory."""
+    (:mod:`repro.telemetry.rollup`). A worker that dies ends the call
+    in a ``ReproError`` naming its unfinished cell (``parallel_map``)."""
     jobs = resolve_jobs(jobs)
     if jobs <= 1:
         return 0

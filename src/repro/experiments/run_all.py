@@ -33,11 +33,9 @@ cold-path counters, cache hit/miss totals) without full tracing; every
 pool worker writes a per-process ``metrics-<pid>.jsonl`` sidecar under
 ``--metrics-dir`` (default: the trace directory) and the parent merges
 them deterministically — serial and parallel runs roll up to the same
-values. Inspect with ``python -m repro.telemetry metrics DIR``. With
-metrics on, a flight recorder also captures a bounded event ring and
-writes a ``postmortem-<pid>.json`` bundle on crash (``python -m
-repro.telemetry postmortem DIR``). Results on stdout stay byte-identical
-whether metrics are on or off.
+values. Inspect with ``python -m repro.telemetry metrics DIR``. Results
+on stdout stay byte-identical whether metrics are on or off. A section
+that raises still turns telemetry off and exports the trace so far.
 
 After the sections, ``run_all`` evaluates the paper's claims
 (:mod:`repro.experiments.claims`) on their results and prints one claims
@@ -61,7 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.telemetry import flags as telemetry_flags
-from repro.telemetry import flight, metrics
+from repro.telemetry import metrics
 from repro.telemetry.rollup import (
     SIDECAR_PREFIX,
     SIDECAR_SUFFIX,
@@ -240,17 +238,16 @@ def main(argv=None) -> None:
         "tool": "repro.experiments.run_all",
         "argv": list(argv) if argv is not None else sys.argv[1:],
     })
-    metrics_out: Optional[Path] = None
-    fr = None
-    if mm is not None:
-        metrics_out = Path(telemetry_flags.metrics_dir(args))
-        _clear_sidecars(metrics_out)
-        fr = flight.enable()
-        fr.record("run-start", jobs=args.jobs, quick=args.quick)
-    ctx = make_context(args)
-    jobs = resolve_jobs(args.jobs)
-    prefill_stats: Dict[str, Any] = {}
+    # The telemetry handles are process-global: uninstall them (and
+    # export the trace so far) however the run ends.
     try:
+        metrics_out: Optional[Path] = None
+        if mm is not None:
+            metrics_out = Path(telemetry_flags.metrics_dir(args))
+            _clear_sidecars(metrics_out)
+        ctx = make_context(args)
+        jobs = resolve_jobs(args.jobs)
+        prefill_stats: Dict[str, Any] = {}
         if jobs > 1:
             start = time.perf_counter()
             cells = engine.prefill(
@@ -258,57 +255,49 @@ def main(argv=None) -> None:
                 stats_out=prefill_stats,
                 metrics_dir=str(metrics_out) if metrics_out else None,
             )
-            prefill_stats["seconds"] = round(time.perf_counter() - start, 3)
+            prefill_stats["seconds"] = round(
+                time.perf_counter() - start, 3
+            )
             print(
                 f"prefilled {cells} cells in "
                 f"{time.perf_counter() - start:.1f}s",
                 file=sys.stderr,
             )
         timings, results = render_sections(ctx)
-    except Exception as exc:
-        # Postmortem bundle: the event ring, provider state snapshots and
-        # a metrics snapshot, inspectable via
-        # ``python -m repro.telemetry postmortem <dir>``.
-        if fr is not None and metrics_out is not None:
-            bundle = fr.dump(
-                str(metrics_out), reason="run_all failed", error=exc
-            )
-            print(f"postmortem bundle: {bundle}", file=sys.stderr)
-        raise
-    verdicts = claims.evaluate(results)
-    print("=" * 72)
-    print(claims.render(verdicts))
-    failures = claims.failed(verdicts)
-    if ctx.cache is not None:
-        from repro.runner.cache import stats_line
-
-        print(stats_line(ctx.cache.stats_dict()), file=sys.stderr)
-
-    metrics_rollup: Optional[Dict[str, Any]] = None
-    if mm is not None:
-        # The parent's own share of the rollup: registry counters plus
-        # its cache statistics (workers publish theirs into their own
-        # sidecars).
+        verdicts = claims.evaluate(results)
+        print("=" * 72)
+        print(claims.render(verdicts))
+        failures = claims.failed(verdicts)
         if ctx.cache is not None:
-            publish_cache_stats(mm, ctx.cache.stats_dict())
-        # Merge parent + worker sidecars BEFORE writing the parent's own
-        # sidecar, so the directory never feeds a record in twice.
-        merged = metrics.MetricsRegistry(meta=mm.meta)
-        merged.merge_records(mm.snapshot())
-        if metrics_out is not None:
-            rollup_directory(str(metrics_out), into=merged)
-            sidecar = write_sidecar(mm, str(metrics_out))
-            print(f"metrics sidecar:      {sidecar}", file=sys.stderr)
-            print(
-                "metrics rollup:       "
-                f"python -m repro.telemetry metrics {metrics_out}",
-                file=sys.stderr,
-            )
-        metrics_rollup = rollup_json(merged)
+            from repro.runner.cache import stats_line
 
-    trace_paths = telemetry_flags.finish(tm, mm, args, prefix="run_all")
-    if fr is not None:
-        flight.disable()
+            print(stats_line(ctx.cache.stats_dict()), file=sys.stderr)
+
+        metrics_rollup: Optional[Dict[str, Any]] = None
+        if mm is not None:
+            # The parent's own share of the rollup: registry counters
+            # plus its cache statistics (workers publish theirs into
+            # their own sidecars).
+            if ctx.cache is not None:
+                publish_cache_stats(mm, ctx.cache.stats_dict())
+            # Merge parent + worker sidecars BEFORE writing the parent's
+            # own sidecar, so the directory never feeds a record in twice.
+            merged = metrics.MetricsRegistry(meta=mm.meta)
+            merged.merge_records(mm.snapshot())
+            if metrics_out is not None:
+                rollup_directory(str(metrics_out), into=merged)
+                sidecar = write_sidecar(mm, str(metrics_out))
+                print(f"metrics sidecar:      {sidecar}", file=sys.stderr)
+                print(
+                    "metrics rollup:       "
+                    f"python -m repro.telemetry metrics {metrics_out}",
+                    file=sys.stderr,
+                )
+            metrics_rollup = rollup_json(merged)
+    finally:
+        trace_paths = telemetry_flags.finish(
+            tm, mm, args, prefix="run_all"
+        )
 
     if args.json:
         manifest = build_manifest(

@@ -17,10 +17,9 @@ group is :mod:`repro.telemetry.flags`) and export via
 ``metrics.enable`` (or ``--metrics``) and flush per-process JSONL
 sidecars (:mod:`repro.telemetry.rollup`) that merge deterministically
 across worker pools. ``python -m repro.telemetry`` has subcommands for
-trace reports (``report``/``convert``), the merged metrics table or
-Prometheus exposition (``metrics``) and crash forensics
-(``postmortem``). See docs/observability.md; performance is measured
-by the ``perfbench/`` benchmark (docs/performance.md).
+trace reports (``report``/``convert``) and the merged metrics table or
+JSONL rollup (``metrics``). See docs/observability.md; performance is
+measured by the ``perfbench/`` benchmark (docs/performance.md).
 """
 
 from repro.telemetry.core import (

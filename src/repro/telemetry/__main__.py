@@ -9,11 +9,8 @@ Usage::
     python -m repro.telemetry convert traces/run_all.jsonl -o out.json
 
     # Merge metrics sidecars (or a trace's metrics block) and render a
-    # table, Prometheus exposition text, or the JSONL rollup:
-    python -m repro.telemetry metrics metrics-dir/ [--format table|prom|jsonl]
-
-    # Inspect postmortem bundles left by a crashed worker or sweep:
-    python -m repro.telemetry postmortem metrics-dir/ [--tail N]
+    # table or the JSONL rollup:
+    python -m repro.telemetry metrics metrics-dir/ [--format table|jsonl]
 
 Exit codes: ``report`` exits 1 when any observed segment window exceeds
 its certified static bound. All commands exit 2 on unreadable or
@@ -29,11 +26,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.telemetry import flight, rollup
+from repro.telemetry import rollup
 from repro.telemetry.events import TraceSchemaError
 from repro.telemetry.exporters import read_jsonl, write_chrome
 from repro.telemetry.metrics import MetricsError, MetricsRegistry
-from repro.telemetry.prom import render as render_prom, render_table
 from repro.telemetry.report import analyze, headroom_violations, render
 
 
@@ -71,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "file, or a JSONL trace",
     )
     metrics_cmd.add_argument(
-        "--format", choices=("table", "prom", "jsonl"), default="table",
+        "--format", choices=("table", "jsonl"), default="table",
         help="output format (default: human table)",
     )
     metrics_cmd.add_argument(
@@ -79,18 +75,45 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write to a file instead of stdout",
     )
 
-    postmortem = sub.add_parser(
-        "postmortem", help="render postmortem bundles from a directory"
-    )
-    postmortem.add_argument(
-        "directory", help="directory holding postmortem-*.json bundles"
-    )
-    postmortem.add_argument(
-        "--tail", type=int, default=20,
-        help="flight-recorder events to show per bundle (default 20)",
-    )
-
     return parser
+
+
+def _fmt(value: float) -> str:
+    """Render a value: integers without a trailing ``.0``."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer()
+    ):
+        return str(int(value))
+    return repr(float(value))
+
+
+def render_table(registry: MetricsRegistry) -> str:
+    """The human-facing table behind ``python -m repro.telemetry
+    metrics``: counters, gauges, then histogram summaries."""
+    records = registry.snapshot()
+    if not records:
+        return "(no metrics recorded)"
+    lines: List[str] = []
+    width = max(len(r["name"]) for r in records)
+    for record in records:
+        name = record["name"].ljust(width)
+        if record["kind"] == "counter":
+            lines.append(f"{name}  {record['value']}")
+        elif record["kind"] == "gauge":
+            lines.append(
+                f"{name}  {_fmt(record['value'])} (gauge/{record['agg']})"
+            )
+        else:
+            count = record["count"]
+            mean = record["total"] / count if count else 0.0
+            lines.append(
+                f"{name}  n={count} mean={mean:.3f} "
+                f"min={_fmt(record['min'] or 0)} "
+                f"max={_fmt(record['max'] or 0)}"
+            )
+    return "\n".join(lines)
 
 
 def _load_metrics(source: str) -> MetricsRegistry:
@@ -124,9 +147,7 @@ def _cmd_metrics(args) -> int:
     except (MetricsError, TraceSchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "prom":
-        text = render_prom(registry)
-    elif args.format == "jsonl":
+    if args.format == "jsonl":
         text = "\n".join(
             json.dumps(record, sort_keys=True)
             for record in registry.snapshot()
@@ -143,28 +164,10 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_postmortem(args) -> int:
-    try:
-        bundles = flight.read_bundles(args.directory)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not bundles:
-        print(f"no postmortem bundles under {args.directory}")
-        return 0
-    for i, bundle in enumerate(bundles):
-        if i:
-            print()
-        print(flight.render_bundle(bundle, tail=args.tail))
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "postmortem":
-        return _cmd_postmortem(args)
 
     try:
         records = read_jsonl(args.trace)

@@ -20,17 +20,15 @@ Design constraints, in order:
   accumulates its own registry and emits a JSONL *sidecar*
   (:mod:`repro.telemetry.rollup`). Merging must not depend on worker
   scheduling, so every merge operation is commutative and associative:
-  counters and histograms add, gauges combine under an
-  order-independent policy (``max``/``min``/``sum``) declared at
-  creation time and carried in the snapshot;
+  counters and histograms add, gauges keep the maximum (the snapshot
+  record names that policy as ``"agg": "max"``);
 - **exact histograms** — buckets are a fixed, finite ladder of upper
   bounds chosen at creation (default: powers of two up to 2**20, plus
   overflow). Counts are exact integers, never sampled, so two merges of
   the same sidecars are equal to the last bit.
 
 Metric names are dotted paths (``cache.hits``, ``interp.ckpt_saves``,
-``engine.cells``); the Prometheus exporter (:mod:`repro.telemetry.prom`)
-maps dots to underscores. The instrument catalog lives in
+``engine.cells``). The instrument catalog lives in
 docs/observability.md.
 """
 
@@ -46,9 +44,6 @@ METRICS_SCHEMA = 1
 #: Default histogram bucket upper bounds: powers of two, 1 .. 2**20.
 #: Values above the last bound land in the implicit overflow bucket.
 DEFAULT_BOUNDS: Tuple[float, ...] = tuple(float(2 ** b) for b in range(21))
-
-#: Gauge merge policies (all order-independent — see the module doc).
-GAUGE_AGGREGATIONS = ("max", "min", "sum")
 
 
 class MetricsError(ValueError):
@@ -72,25 +67,15 @@ class Counter:
 
 
 class Gauge:
-    """A named measurement with an order-independent merge policy.
+    """A named measurement. ``set`` is last-value-wins inside one
+    process; *across* processes the sidecar merge keeps the maximum, so
+    the rollup never depends on which worker's file is read first."""
 
-    ``set`` is last-value-wins inside one process; *across* processes the
-    sidecar merge combines values under ``agg`` (``max`` by default —
-    right for heartbeats and peak sizes) so the rollup never depends on
-    which worker's file is read first.
-    """
+    __slots__ = ("name", "value")
 
-    __slots__ = ("name", "value", "agg")
-
-    def __init__(self, name: str, agg: str = "max"):
-        if agg not in GAUGE_AGGREGATIONS:
-            raise MetricsError(
-                f"gauge {name!r}: unknown aggregation {agg!r} "
-                f"(choose one of {', '.join(GAUGE_AGGREGATIONS)})"
-            )
+    def __init__(self, name: str):
         self.name = name
         self.value: float = 0.0
-        self.agg = agg
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -98,7 +83,7 @@ class Gauge:
     def to_json(self) -> Dict[str, Any]:
         return {
             "kind": "gauge", "name": self.name, "value": self.value,
-            "agg": self.agg,
+            "agg": "max",
         }
 
 
@@ -181,10 +166,10 @@ class MetricsRegistry:
             counter = self._counters[name] = Counter(name)
         return counter
 
-    def gauge(self, name: str, agg: str = "max") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         gauge = self._gauges.get(name)
         if gauge is None:
-            gauge = self._gauges[name] = Gauge(name, agg=agg)
+            gauge = self._gauges[name] = Gauge(name)
         return gauge
 
     def histogram(self, name: str,
@@ -224,22 +209,8 @@ def merge_record(registry: MetricsRegistry, record: Dict[str, Any]) -> None:
     if kind == "counter":
         registry.counter(name).add(int(record["value"]))
     elif kind == "gauge":
-        agg = record.get("agg", "max")
-        gauge = registry.gauge(name, agg=agg)
-        if gauge.agg != agg:
-            raise MetricsError(
-                f"gauge {name!r}: conflicting aggregations "
-                f"{gauge.agg!r} vs {agg!r}"
-            )
-        incoming = float(record["value"])
-        if name not in registry._gauges:  # pragma: no cover - unreachable
-            gauge.set(incoming)
-        elif agg == "sum":
-            gauge.value += incoming
-        elif agg == "min":
-            gauge.value = min(gauge.value, incoming)
-        else:
-            gauge.value = max(gauge.value, incoming)
+        gauge = registry.gauge(name)
+        gauge.value = max(gauge.value, float(record["value"]))
     else:  # histogram
         bounds = tuple(float(b) for b in record["bounds"])
         hist = registry.histogram(name, bounds=bounds)
@@ -285,9 +256,7 @@ def validate_metric_record(record: Any) -> None:
         value = record.get("value")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MetricsError(f"{kind} {name!r} without a numeric value")
-        if kind == "gauge" and record.get("agg", "max") not in (
-            GAUGE_AGGREGATIONS
-        ):
+        if kind == "gauge" and record.get("agg", "max") != "max":
             raise MetricsError(
                 f"gauge {name!r}: unknown aggregation {record.get('agg')!r}"
             )

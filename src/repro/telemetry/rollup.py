@@ -13,7 +13,7 @@ A sidecar is a header line followed by one snapshot record per metric::
 
     {"kind": "metrics_header", "schema": 1, "pid": 1234, "meta": {...}}
     {"kind": "counter", "name": "interp.ckpt_saves", "value": 812}
-    {"kind": "gauge", "name": "engine.heartbeat_us", "value": 9.1e8, ...}
+    {"kind": "gauge", "name": "engine.jobs", "value": 2.0, "agg": "max"}
     {"kind": "histogram", "name": "engine.cells_per_worker", ...}
 
 :func:`rollup_directory` reads every ``metrics-*.jsonl`` in sorted

@@ -7,9 +7,11 @@ produce exactly the records a serial run produces.
 """
 
 import dataclasses
+import os
 
 import pytest
 
+from repro.errors import ReproError
 from repro.experiments import ablations, common, engine, table3_forward_progress
 from repro.experiments.common import EvaluationContext
 from repro.runner.cache import ArtifactCache
@@ -49,6 +51,29 @@ def test_prefill_matches_serial_renders(tmp_path):
     # The prefill populated the caches: rendering must not have added
     # outcome cells beyond what the planner enumerated.
     assert fanned._references and fanned._runs and fanned._ablations
+
+
+def test_prefill_names_the_cell_a_killed_worker_left_unfinished(
+    monkeypatch
+):
+    """A worker that dies mid-cell ends the prefill in a ReproError that
+    names the cell: kind and benchmark, enough to rerun it serially."""
+    ctx = EvaluationContext(benchmarks=["crc"])
+    first = engine.plan_artifacts(ctx, extra_benchmarks=["crc"])[0]
+    evaluate = engine._evaluate_cell
+
+    def die_on_first(ctx, cell):
+        if cell == first:
+            os._exit(1)
+        return evaluate(ctx, cell)
+
+    monkeypatch.setattr(engine, "_evaluate_cell", die_on_first)
+    with pytest.raises(ReproError) as exc:
+        engine.prefill(ctx, 2)
+    message = str(exc.value)
+    assert "worker process died" in message
+    assert f"kind={first.kind!r}" in message
+    assert f"benchmark={first.benchmark!r}" in message
 
 
 def test_sweep_parallel_matches_serial():

@@ -1,8 +1,8 @@
 """Sidecars and the cross-process rollup: write/read roundtrip, the
 interleaved multi-process merge, malformed-sidecar rejection, the cache
-stats bridge, and the ``python -m repro.telemetry`` CLI
-surface (``metrics``, ``postmortem``) including its exit codes on
-malformed and empty inputs.
+stats bridge, and the ``python -m repro.telemetry metrics`` CLI
+including its exit codes on malformed and empty inputs and on the
+retired subcommand and format.
 """
 
 import json
@@ -91,7 +91,7 @@ def test_interleaved_multi_process_merge_is_order_independent(tmp_path):
 
 def test_rollup_ignores_foreign_files(tmp_path):
     (tmp_path / "notes.txt").write_text("not a sidecar\n")
-    (tmp_path / "postmortem-1.json").write_text("{}\n")
+    (tmp_path / "manifest.json").write_text("{}\n")
     assert rollup_directory(str(tmp_path)).snapshot() == []
 
 
@@ -149,10 +149,8 @@ def test_cli_metrics_renders_directory_table(tmp_path, capsys):
     assert "7 (gauge/max)" in out
 
 
-def test_cli_metrics_prom_and_jsonl_formats(tmp_path, capsys):
+def test_cli_metrics_jsonl_format(tmp_path):
     write_sidecar(_worker_registry(1, 4, 2.0, ()), str(tmp_path), pid=1)
-    assert telemetry_main(["metrics", str(tmp_path), "--format", "prom"]) == 0
-    assert "repro_cells_total 4" in capsys.readouterr().out
     out_path = tmp_path / "rollup.jsonl"
     assert telemetry_main([
         "metrics", str(tmp_path), "--format", "jsonl",
@@ -200,21 +198,17 @@ def test_cli_metrics_exit_codes_on_bad_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_postmortem_renders_bundles_and_handles_none(tmp_path, capsys):
-    from repro.telemetry import flight
-
-    fr = flight.FlightRecorder(capacity=4)
-    fr.record("cell-start", benchmark="crc")
-    fr.dump(str(tmp_path), reason="test crash", error=ValueError("boom"))
-    assert telemetry_main(["postmortem", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "test crash" in out and "ValueError: boom" in out
-    assert "cell-start" in out
-
-    empty = tmp_path / "none"
-    empty.mkdir()
-    assert telemetry_main(["postmortem", str(empty)]) == 0
-    assert "no postmortem bundles" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ["postmortem", "{dir}"],
+    ["metrics", "{dir}", "--format", "prom"],
+], ids=["postmortem", "format-prom"])
+def test_cli_retired_surface_is_a_usage_error(tmp_path, capsys, argv):
+    """The crash-bundle subcommand and the Prometheus format are gone;
+    asking for either is argparse's usage error, not a silent no-op."""
+    with pytest.raises(SystemExit) as exc:
+        telemetry_main([a.format(dir=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # -- injected clock -----------------------------------------------------------

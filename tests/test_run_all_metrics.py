@@ -9,7 +9,8 @@
 - a ``--trace`` run emulates exactly what an untraced run emulates:
   same stdout, same checkpoint/failure counters, same compiled-loop runs;
 - the ``--json`` manifest embeds the merged rollup under ``metrics``;
-- a crashing section leaves a postmortem bundle behind.
+- a crashing section still propagates its error, uninstalls the
+  process-global telemetry handles and exports its trace.
 
 The fast tests stub ``SECTIONS``; the serial-vs-parallel test runs the
 real single-benchmark evaluation three times and is the slowest test in
@@ -23,13 +24,13 @@ import pytest
 
 from repro import telemetry
 from repro.experiments import run_all
-from repro.telemetry import flight, metrics
+from repro.telemetry import metrics
+from repro.telemetry.exporters import read_jsonl
 
 #: Counters whose values are a deterministic property of the evaluated
 #: cell grid. Explicitly NOT in this set: ``interp.runs`` and
-#: ``interp.loop.*`` (workers redundantly recompute shared references),
-#: ``engine.heartbeat_us`` (wall clock) and ``engine.cells_per_worker``
-#: (scheduling).
+#: ``interp.loop.*`` (workers redundantly recompute shared references)
+#: and ``engine.cells_per_worker`` (scheduling).
 DETERMINISTIC_COUNTERS = (
     "interp.ckpt_saves",
     "interp.ckpt_restores",
@@ -73,10 +74,8 @@ def _no_leak():
     yield
     assert telemetry.get() is None
     assert metrics.get() is None
-    assert flight.get() is None
     telemetry.disable()
     metrics.disable()
-    flight.disable()
 
 
 class _FakeResult:
@@ -94,9 +93,7 @@ class _FakeSection:
 class _CrashSection:
     @staticmethod
     def run(ctx):
-        fr = flight.get()
-        if fr is not None:
-            fr.record("about-to-die", section="crash")
+        metrics.count("crash.sections")
         raise RuntimeError("section exploded")
 
 
@@ -109,9 +106,10 @@ def test_metrics_flag_keeps_stdout_identical_and_fills_manifest(
     run_all.main(base_args)
     plain = capfd.readouterr()
 
+    metrics_dir = tmp_path / "metrics"
     manifest_path = tmp_path / "manifest.json"
     run_all.main(base_args + [
-        "--metrics", "--metrics-dir", str(tmp_path),
+        "--metrics", "--metrics-dir", str(metrics_dir),
         "--json", str(manifest_path),
     ])
     metered = capfd.readouterr()
@@ -121,9 +119,9 @@ def test_metrics_flag_keeps_stdout_identical_and_fills_manifest(
 
     counters = _counters(manifest_path)
     assert counters["fake.sections"] == 1
-    # The parent's own sidecar is on disk and CLI-readable.
-    sidecars = list(tmp_path.glob("metrics-*.jsonl"))
-    assert len(sidecars) == 1
+    # The parent's own sidecar is all the metrics directory holds.
+    [sidecar] = metrics_dir.iterdir()
+    assert sidecar.name.startswith("metrics-") and sidecar.suffix == ".jsonl"
 
     manifest = json.loads(manifest_path.read_text())
     assert manifest["schema_version"] == run_all.MANIFEST_SCHEMA
@@ -147,25 +145,26 @@ def test_stale_sidecars_are_cleared_between_runs(tmp_path, monkeypatch):
     assert _counters(manifest_path)["fake.sections"] == 1
 
 
-def test_crash_leaves_a_postmortem_bundle(tmp_path, capfd, monkeypatch):
+@pytest.mark.parametrize("flag", ["--metrics-dir", "--trace-dir"])
+def test_crash_uninstalls_telemetry_and_keeps_the_trace(
+    tmp_path, monkeypatch, flag
+):
     monkeypatch.setattr(run_all, "SECTIONS", [("Crash", _CrashSection)])
     with pytest.raises(RuntimeError, match="section exploded"):
-        run_all.main([
-            "--benchmarks", "crc", "--no-cache",
-            "--metrics", "--metrics-dir", str(tmp_path),
-        ])
-    err = capfd.readouterr().err
-    assert "postmortem bundle:" in err
-    [bundle_path] = tmp_path.glob("postmortem-*.json")
-    bundle = json.loads(bundle_path.read_text())
-    assert bundle["reason"] == "run_all failed"
-    assert bundle["error"]["type"] == "RuntimeError"
-    labels = [e["label"] for e in bundle["events"]]
-    assert labels == ["run-start", "about-to-die"]
-    # The globals must not leak past the raise.
-    telemetry.disable()
-    metrics.disable()
-    flight.disable()
+        run_all.main(
+            ["--benchmarks", "crc", "--no-cache", flag, str(tmp_path)]
+        )
+    assert telemetry.get() is None
+    assert metrics.get() is None
+    if flag == "--metrics-dir":
+        # The parent writes its sidecar only after the sections, and a
+        # crash writes no other file: the directory stays empty.
+        assert list(tmp_path.iterdir()) == []
+    else:
+        records = read_jsonl(str(tmp_path / "run_all.jsonl"))
+        [block] = [r for r in records if r.get("kind") == "metrics"]
+        counts = {m["name"]: m["value"] for m in block["metrics"]}
+        assert counts["crash.sections"] == 1
 
 
 def test_serial_and_parallel_rollups_agree_on_deterministic_counters(

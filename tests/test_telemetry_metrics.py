@@ -1,6 +1,5 @@
 """The metrics registry: counters, gauges, exact histograms, the
-order-independent merge, the process-global handle discipline, and the
-Prometheus / table renderers.
+order-independent merge and the process-global handle discipline.
 
 The registry's contract is what makes the cross-worker rollup sound:
 every merge is commutative and associative, snapshots are name-sorted,
@@ -22,7 +21,7 @@ from repro.telemetry.metrics import (
     merge_record,
     validate_metric_record,
 )
-from repro.telemetry.prom import prom_name, render, render_table
+from repro.telemetry.__main__ import render_table
 
 
 @pytest.fixture(autouse=True)
@@ -53,8 +52,16 @@ def test_gauge_set_is_last_value_wins_in_process():
 
 
 def test_gauge_rejects_unknown_aggregation():
-    with pytest.raises(MetricsError, match="unknown aggregation"):
-        MetricsRegistry().gauge("g", agg="median")
+    """Gauges merge under ``max`` only; a sidecar record naming another
+    aggregation is rejected before it touches the registry."""
+    reg = MetricsRegistry()
+    reg.gauge("g").set(1.0)
+    for agg in ("min", "sum"):
+        with pytest.raises(MetricsError, match="unknown aggregation"):
+            reg.merge_records(
+                [{"kind": "gauge", "name": "g", "value": 9.0, "agg": agg}]
+            )
+    assert reg.gauge("g").value == 1.0
 
 
 def test_histogram_exact_bucketing():
@@ -125,22 +132,14 @@ def test_merge_is_order_independent():
 
 
 def test_merge_gauge_policies():
-    for agg, expected in (("max", 9.0), ("min", 2.0), ("sum", 11.0)):
+    """The one gauge policy is ``max``, whichever side holds it."""
+    for mine, theirs in ((2.0, 9.0), (9.0, 2.0)):
         a = MetricsRegistry()
-        a.gauge("g", agg=agg).set(2.0)
+        a.gauge("g").set(mine)
         b = MetricsRegistry()
-        b.gauge("g", agg=agg).set(9.0)
+        b.gauge("g").set(theirs)
         a.merge_records(b.snapshot())
-        assert a.gauge("g", agg=agg).value == expected, agg
-
-
-def test_merge_rejects_conflicting_gauge_aggregations():
-    a = MetricsRegistry()
-    a.gauge("g", agg="max").set(1.0)
-    b = MetricsRegistry()
-    b.gauge("g", agg="sum").set(1.0)
-    with pytest.raises(MetricsError, match="conflicting aggregations"):
-        a.merge_records(b.snapshot())
+        assert a.gauge("g").value == 9.0
 
 
 def test_merge_rejects_incompatible_histogram_bounds():
@@ -269,34 +268,7 @@ def test_metrics_do_not_change_interpreter_results_or_loop():
     assert counters.get("interp.runs") == 1
 
 
-# -- exposition ---------------------------------------------------------------
-
-
-def test_prom_name_sanitizes():
-    assert prom_name("cache.hits") == "repro_cache_hits"
-    assert prom_name("staticcheck.family_us.idempotency") == (
-        "repro_staticcheck_family_us_idempotency"
-    )
-    assert prom_name("weird-name!x") == "repro_weird_name_x"
-
-
-def test_prometheus_exposition_shapes():
-    reg = MetricsRegistry()
-    reg.counter("cache.hits").add(3)
-    reg.gauge("engine.jobs").set(4)
-    h = reg.histogram("win", bounds=(1.0, 2.0))
-    h.record(0.5)
-    h.record(5.0)
-    text = render(reg)
-    assert "# TYPE repro_cache_hits_total counter" in text
-    assert "repro_cache_hits_total 3" in text
-    assert "repro_engine_jobs 4" in text
-    # Cumulative buckets with +Inf, plus _sum/_count.
-    assert 'repro_win_bucket{le="1"} 1' in text
-    assert 'repro_win_bucket{le="2"} 1' in text
-    assert 'repro_win_bucket{le="+Inf"} 2' in text
-    assert "repro_win_sum 5.5" in text
-    assert "repro_win_count 2" in text
+# -- the metrics table --------------------------------------------------------
 
 
 def test_table_renders_empty_registry():
