@@ -60,13 +60,14 @@ experiments:
 experiments-quick:
 	$(PYTHON) -m repro.experiments.run_all --quick --jobs auto
 
-# Traced quick evaluation (serial, so runtime events land in the parent
-# trace): writes traces/run_all.jsonl + traces/run_all.chrome.json (load
-# in https://ui.perfetto.dev) and a run manifest, then renders the
+# Traced quick evaluation (serial and cold, so every cell's runtime
+# events land in the parent trace; a cached cell emits none): writes
+# traces/run_all.jsonl + traces/run_all.chrome.json (load in
+# https://ui.perfetto.dev) and a run manifest, then renders the
 # segment-energy headroom report — exit 1 if any observed window exceeds
 # its certified bound. See docs/observability.md.
 trace:
-	$(PYTHON) -m repro.experiments.run_all --quick \
+	$(PYTHON) -m repro.experiments.run_all --quick --no-cache \
 		--trace-dir traces --json traces/manifest.json > /dev/null
 	$(PYTHON) -m repro.telemetry report traces/run_all.jsonl
 

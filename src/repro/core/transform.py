@@ -8,11 +8,16 @@ to the computed memory allocations and inserting save/restore operations"):
 2. :class:`Checkpoint`/:class:`CondCheckpoint` instructions are inserted at
    the enabled locations — mid-block positions directly, CFG edges by edge
    splitting (a fresh block holding the checkpoint plus a jump).
+
+A last repair step (:func:`_restore_saved_residents`) closes a gap between
+the two: a save copies a variable's VM image to NVM whether or not that
+image holds its value, so a checkpoint must not save a VM resident that an
+earlier checkpoint left unrestored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core.function_analysis import FunctionPlan
 from repro.errors import PlacementError
@@ -109,6 +114,9 @@ def apply_plans(
             for inst in block:
                 if isinstance(inst, (Load, Store)) and inst.space is MemorySpace.AUTO:
                     inst.space = MemorySpace.NVM
+
+    for func in module.functions.values():
+        _restore_saved_residents(module, func)
     return factory.next_id - 1
 
 
@@ -221,3 +229,91 @@ def _split_edge(func: Function, src: str, dst: str, ckpt: Instruction) -> None:
             f"{func.name}/.{src}: cannot split an edge after "
             f"{type(term).__name__}"
         )
+
+
+def _restore_saved_residents(module: Module, func: Function) -> None:
+    """Add to a checkpoint's restore set every VM resident it leaves
+    unrestored that a later checkpoint saves before overwriting it.
+
+    A restore rebuilds only ``restore_vars``; every other VM resident
+    holds no value until it is written (the emulator poisons it). A save
+    copies the VM image to NVM regardless, so saving such a resident
+    would overwrite its NVM home with garbage. This happens when the
+    segment after a checkpoint never reads a variable but a later save
+    is conservative — a loop's back-edge save covers every live VM
+    resident at the latch (:mod:`repro.core.loop_analysis`).
+
+    A forward dataflow over ``func`` tracks, per variable, the
+    checkpoints whose unrestored image may still be in VM. A checkpoint
+    also passes its incoming state through, since a conditional
+    checkpoint that does not fire, a skipped one and a roll-back-mode one
+    that does not fail all keep VM intact. A full scalar store in VM
+    ends the hazard. Restoring is always sound (NVM holds the value the
+    earlier save left), so the repair only adds restores.
+    """
+    checkpoints = {
+        inst.ckpt_id: inst
+        for block in func.blocks.values()
+        for inst in block
+        if isinstance(inst, (Checkpoint, CondCheckpoint))
+    }
+    if not checkpoints:
+        return
+
+    #: variable name -> ids of the checkpoints whose unrestored VM image
+    #: of it may reach this point.
+    State = Dict[str, FrozenSet[int]]
+    missing: Dict[int, Set[str]] = {}
+
+    def transfer(block, state: State, record: bool) -> State:
+        state = dict(state)
+        for inst in block:
+            if isinstance(inst, (Checkpoint, CondCheckpoint)):
+                if record:
+                    for name in inst.save_vars:
+                        for origin in state.get(name, ()):
+                            missing.setdefault(origin, set()).add(name)
+                restored = set(inst.restore_vars)
+                for name, space in inst.alloc_after.items():
+                    if space is not MemorySpace.VM or name in restored:
+                        continue
+                    if module.find_variable(name).is_const:
+                        continue
+                    state[name] = state.get(name, frozenset()) | {inst.ckpt_id}
+            elif (
+                isinstance(inst, Store)
+                and inst.space is MemorySpace.VM
+                and inst.index is None
+                and not inst.var.is_array
+            ):
+                state.pop(inst.var.name, None)
+        return state
+
+    def join(states: Iterable[State]) -> State:
+        merged: Dict[str, FrozenSet[int]] = {}
+        for state in states:
+            for name, origins in state.items():
+                merged[name] = merged.get(name, frozenset()) | origins
+        return merged
+
+    preds: Dict[str, List[str]] = {label: [] for label in func.blocks}
+    for label, block in func.blocks.items():
+        for succ in block.successor_labels():
+            preds[succ].append(label)
+    out: Dict[str, State] = {}
+    work = list(func.blocks)
+    while work:
+        label = work.pop()
+        new = transfer(
+            func.blocks[label], join(out.get(p, {}) for p in preds[label]),
+            record=False,
+        )
+        if new != out.get(label):
+            out[label] = new
+            work.extend(func.blocks[label].successor_labels())
+    for label, block in func.blocks.items():
+        transfer(block, join(out.get(p, {}) for p in preds[label]), record=True)
+
+    for ckpt_id, names in missing.items():
+        inst = checkpoints[ckpt_id]
+        inst.restore_vars = tuple(sorted(set(inst.restore_vars) | names))

@@ -18,10 +18,6 @@ repro.experiments.run_all`` regenerates everything (see EXPERIMENTS.md)
 and checks the paper's claims (:mod:`repro.experiments.claims`).
 """
 
-from repro.experiments.common import (
-    EvaluationContext,
-    TBPF_VALUES,
-    eb_for_tbpf,
-)
+from repro.experiments.common import EvaluationContext, TBPF_VALUES
 
-__all__ = ["EvaluationContext", "TBPF_VALUES", "eb_for_tbpf"]
+__all__ = ["EvaluationContext", "TBPF_VALUES"]

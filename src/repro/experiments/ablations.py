@@ -95,44 +95,33 @@ class AblationResult:
 def compute_cell(
     ctx: EvaluationContext, variant: str, name: str, tbpf: int
 ) -> AblationCell:
-    """One ablated-variant emulation, cached in the context (and on disk
-    when the context has a persistent cache) so parallel prefills and warm
-    re-runs skip it."""
-    mem_key = (variant, name, tbpf)
-    if mem_key not in ctx._ablations:
-        config = VARIANTS[variant]
-        parts = (
-            "ablation", variant, name, ctx._module_fp(name),
-            ctx._platform_fp(), tbpf, repr(config), ctx._inputs_fp(name),
-            ctx.profile_runs,
-        )
-        eb = ctx.eb_for_tbpf(name, tbpf)
+    """One ablated-variant emulation, memoized by the context (and on
+    disk when the context has a persistent cache) so parallel prefills
+    and warm re-runs skip it."""
+    config = VARIANTS[variant]
+    eb = ctx.eb_for_tbpf(name, tbpf)
 
-        def compute() -> AblationCell:
-            compiled = compile_schematic(
-                ctx.benchmark(name).module, ctx.platform_proto.with_eb(eb),
-                profile=ctx.profile(name), config=config,
-            )
-            report = ctx.emulate(
-                compiled, name, eb, PowerSpec.energy_budget(eb)
-            )
-            ok = (
-                report.completed
-                and report.outputs == ctx.reference(name).outputs
-            )
-            cell = AblationCell(variant=variant, benchmark=name, completed=ok)
-            if ok:
-                cell.total = report.energy.total
-                cell.computation = report.energy.computation
-                cell.save = report.energy.save
-                cell.restore = report.energy.restore
-                cell.vm_accesses = report.vm_accesses
-            return cell
-
-        ctx._ablations[mem_key] = ctx._cell(
-            "ablation", parts, f"ablation:{variant}", name, eb, compute
+    def compute() -> AblationCell:
+        compiled = compile_schematic(
+            ctx.benchmark(name).module, ctx.platform_proto.with_eb(eb),
+            profile=ctx.profile(name), config=config,
         )
-    return ctx._ablations[mem_key]
+        report = ctx.emulate(compiled, name, eb, PowerSpec.energy_budget(eb))
+        ok = report.completed and report.outputs == ctx.reference(name).outputs
+        cell = AblationCell(variant=variant, benchmark=name, completed=ok)
+        if ok:
+            cell.total = report.energy.total
+            cell.computation = report.energy.computation
+            cell.save = report.energy.save
+            cell.restore = report.energy.restore
+            cell.vm_accesses = report.vm_accesses
+        return cell
+
+    return ctx.memo(
+        ctx.key("ablation", name, variant=variant, tbpf=tbpf), compute,
+        scope=dict(benchmark=name, technique=f"ablation:{variant}",
+                   eb=round(eb, 3)),
+    )
 
 
 def run(

@@ -11,9 +11,10 @@ The experimental setup:
 - benchmarks: the eight MiBench2 kernels with fixed evaluation inputs
   (profiling uses different seeded inputs).
 
-:class:`EvaluationContext` caches reference runs, profiles and compiled
-techniques so the table/figure modules do not recompute shared
-artifacts.
+:class:`EvaluationContext` memoizes reference runs, profiles, compiled
+techniques, run outcomes and ablation cells so the table/figure modules
+do not recompute shared artifacts. Each artifact has one key, its
+content, shared by memory and the persistent cache.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class RunOutcome:
 
 
 class EvaluationContext:
-    """Caches everything the experiments share."""
+    """Memoizes everything the experiments share, under one content key
+    per artifact (:meth:`key`)."""
 
     def __init__(
         self,
@@ -107,23 +109,19 @@ class EvaluationContext:
         cache: Optional[ArtifactCache] = None,
     ):
         """``cache``: an optional persistent :class:`ArtifactCache`; when
-        set, references, profiles, compiled techniques and run outcomes
-        are read from / written to disk, keyed by content (module text,
-        platform constants, inputs, power spec), so a warm context — or a
-        worker process sharing the cache — skips the emulator."""
+        set, every artifact is also read from / written to disk under its
+        content key, so a warm context — or a worker process sharing the
+        cache — skips the emulator."""
         self.benchmark_names = list(benchmarks or BENCHMARK_NAMES)
         self.profile_runs = profile_runs
         self.platform_proto = msp430fr5969_platform()
         self.cache = cache
-        self._profiles: Dict[str, Profile] = {}
-        self._references: Dict[str, ExecutionReport] = {}
-        self._vm_references: Dict[str, ExecutionReport] = {}
-        self._compiled: Dict[Tuple[str, str, float], CompiledTechnique] = {}
-        self._runs: Dict[Tuple, RunOutcome] = {}
-        #: (variant, benchmark, tbpf) -> ablation cell (see ablations.py).
-        self._ablations: Dict[Tuple[str, str, int], object] = {}
+        #: Content key (:meth:`key`) -> artifact: references, profiles,
+        #: compiled techniques, run outcomes and ablation cells alike.
+        self.artifacts: Dict[Tuple, object] = {}
         self._fingerprints: Dict[str, str] = {}
         self._input_fingerprints: Dict[str, str] = {}
+        self._platform_repr: Tuple[object, str] = (None, "")
 
     # ------------------------------------------------------------- keys
 
@@ -149,27 +147,96 @@ class EvaluationContext:
         return self._input_fingerprints[name]
 
     def _platform_fp(self) -> str:
-        # Frozen-dataclass repr: every model constant and memory size.
-        return repr(self.platform_proto)
+        """The frozen-dataclass repr of ``platform_proto`` (every model
+        constant and memory size), printed again only when the platform
+        is replaced."""
+        proto, text = self._platform_repr
+        if proto is not self.platform_proto:
+            text = repr(self.platform_proto)
+            self._platform_repr = (self.platform_proto, text)
+        return text
 
-    def _cache_get(self, category: str, parts: Tuple):
-        if self.cache is None:
-            return None
-        return self.cache.get(category, ArtifactCache.key(*parts))
+    def fingerprints(self) -> Dict[str, object]:
+        """The platform, module and input hashes that key the artifacts."""
+        return {
+            "platform": ArtifactCache.text_fingerprint(self._platform_fp()),
+            "modules": {n: self._module_fp(n) for n in self.benchmark_names},
+            "inputs": {n: self._inputs_fp(n) for n in self.benchmark_names},
+        }
 
-    def _cache_put(self, category: str, parts: Tuple, value) -> None:
-        if self.cache is not None:
-            self.cache.put(category, ArtifactCache.key(*parts), value)
-
-    @staticmethod
-    def _run_key(
-        technique: str, benchmark: str, eb: float, spec: PowerSpec
+    def key(
+        self,
+        kind: str,
+        benchmark: str,
+        technique: str = "",
+        eb: float = 0.0,
+        spec: Optional[PowerSpec] = None,
+        variant: str = "",
+        tbpf: Optional[int] = None,
     ) -> Tuple:
-        """In-memory key of one emulation: the whole power spec is part of
-        it, so two cells with the same EB under different power models or
-        periods never alias (regression: the key used to be (technique,
-        benchmark, eb) only, returning stale outcomes)."""
-        return (technique, benchmark, eb) + spec.key_parts()
+        """The content tuple of one artifact: the module text, platform,
+        inputs and profile-run count it derives from, plus its own
+        coordinates. The same tuple keys it in :attr:`artifacts` and, as
+        :meth:`ArtifactCache.key` parts, on disk — so replacing
+        ``platform_proto`` re-derives everything downstream, and an
+        edited program misses the disk cache. A run's ``spec`` defaults to the energy-budget model
+        at ``eb``; its whole ``key_parts()`` is in the key, so two specs
+        with otherwise equal numbers never share an outcome."""
+        module, platform = self._module_fp(benchmark), self._platform_fp()
+        if kind in ("reference", "vm_reference"):
+            return (kind, benchmark, module, platform,
+                    self._inputs_fp(benchmark))
+        if kind == "profile":
+            return (kind, benchmark, module, platform, self.profile_runs)
+        if kind == "compiled":
+            return (kind, technique, benchmark, module, platform, eb,
+                    self.profile_runs)
+        inputs = self._inputs_fp(benchmark)
+        if kind == "run":
+            spec = spec or PowerSpec.energy_budget(eb)
+            return (kind, technique, benchmark, module, platform, eb, inputs,
+                    self.profile_runs) + spec.key_parts()
+        if kind == "ablation":
+            # Imported here: the ablations module builds on this one.
+            from repro.experiments.ablations import VARIANTS
+
+            return (kind, variant, benchmark, module, platform, tbpf,
+                    repr(VARIANTS[variant]), inputs, self.profile_runs)
+        raise ValueError(f"unknown artifact kind {kind!r}")
+
+    def memo(
+        self,
+        key: Tuple,
+        compute: Callable[[], object],
+        admit: Optional[Callable[[object], None]] = None,
+        scope: Optional[Dict[str, object]] = None,
+    ):
+        """The artifact under ``key`` (see :meth:`key`): from memory, else
+        from the persistent cache, else ``compute()`` — stored in both.
+        Tracing changes none of this, so a cached cell emits no runtime
+        events. When tracing, ``compute()`` runs inside a scope carrying
+        the grid coordinates ``scope``. ``admit(value)`` sees each value
+        once, as it enters memory."""
+        value = self.artifacts.get(key)
+        if value is not None:
+            return value
+        category = "reference" if key[0] == "vm_reference" else key[0]
+        disk_key = None if self.cache is None else ArtifactCache.key(*key)
+        if disk_key is not None:
+            value = self.cache.get(category, disk_key)
+        if value is None:
+            tm = telemetry.get()
+            if tm is not None and scope:
+                with tm.scope(**scope):
+                    value = compute()
+            else:
+                value = compute()
+            if disk_key is not None:
+                self.cache.put(category, disk_key, value)
+        if admit is not None:
+            admit(value)
+        self.artifacts[key] = value
+        return value
 
     # ------------------------------------------------------------- pieces
 
@@ -179,64 +246,31 @@ class EvaluationContext:
     def reference(self, name: str) -> ExecutionReport:
         """Continuously-powered run (all data in NVM): output oracle and
         the average-power source for the TBPF -> EB conversion."""
-        if name not in self._references:
-            parts = (
-                "reference", name, self._module_fp(name),
-                self._platform_fp(), self._inputs_fp(name),
-            )
-            report = self._cache_get("reference", parts)
-            if report is None:
-                bench = self.benchmark(name)
-                report = run_continuous(
-                    bench.module,
-                    self.platform_proto.model,
-                    inputs=bench.default_inputs(),
-                )
-                self._cache_put("reference", parts, report)
-            self._references[name] = report
-        return self._references[name]
+        bench = self.benchmark(name)
+        return self.memo(self.key("reference", name), lambda: run_continuous(
+            bench.module, self.platform_proto.model,
+            inputs=bench.default_inputs(),
+        ))
 
     def vm_reference(self, name: str) -> ExecutionReport:
         """Continuously-powered run with all data in VM — Table II's
         "execution time (in clock cycles, with all data in VM)"."""
-        if name not in self._vm_references:
-            from repro.ir import MemorySpace
+        from repro.ir import MemorySpace
 
-            parts = (
-                "vm_reference", name, self._module_fp(name),
-                self._platform_fp(), self._inputs_fp(name),
-            )
-            report = self._cache_get("reference", parts)
-            if report is None:
-                bench = self.benchmark(name)
-                report = run_continuous(
-                    bench.module,
-                    self.platform_proto.model,
-                    default_space=MemorySpace.VM,
-                    inputs=bench.default_inputs(),
-                )
-                self._cache_put("reference", parts, report)
-            self._vm_references[name] = report
-        return self._vm_references[name]
+        bench = self.benchmark(name)
+        return self.memo(
+            self.key("vm_reference", name), lambda: run_continuous(
+                bench.module, self.platform_proto.model,
+                default_space=MemorySpace.VM, inputs=bench.default_inputs(),
+            ),
+        )
 
     def profile(self, name: str) -> Profile:
-        if name not in self._profiles:
-            parts = (
-                "profile", name, self._module_fp(name),
-                self._platform_fp(), self.profile_runs,
-            )
-            profile = self._cache_get("profile", parts)
-            if profile is None:
-                bench = self.benchmark(name)
-                profile = collect_profile(
-                    bench.module,
-                    self.platform_proto.model,
-                    input_generator=bench.input_generator(),
-                    runs=self.profile_runs,
-                )
-                self._cache_put("profile", parts, profile)
-            self._profiles[name] = profile
-        return self._profiles[name]
+        bench = self.benchmark(name)
+        return self.memo(self.key("profile", name), lambda: collect_profile(
+            bench.module, self.platform_proto.model,
+            input_generator=bench.input_generator(), runs=self.profile_runs,
+        ))
 
     def eb_for_tbpf(self, name: str, tbpf: int) -> float:
         """§IV-C: EB = average energy consumed per TBPF cycles."""
@@ -247,33 +281,29 @@ class EvaluationContext:
     def compile(
         self, technique: str, benchmark: str, eb: float
     ) -> CompiledTechnique:
-        key = (technique, benchmark, eb)
-        if key not in self._compiled:
-            parts = (
-                "compiled", technique, benchmark, self._module_fp(benchmark),
-                self._platform_fp(), eb, self.profile_runs,
+        def place() -> CompiledTechnique:
+            profile = (
+                self.profile(benchmark)
+                if technique in PROFILED_TECHNIQUES else None
             )
-            compiled = self._cache_get("compiled", parts)
-            if compiled is None:
-                bench = self.benchmark(benchmark)
-                platform = self.platform_proto.with_eb(eb)
-                profile = (
-                    self.profile(benchmark)
-                    if technique in PROFILED_TECHNIQUES else None
-                )
-                compiled = compile_for(
-                    technique, bench.module, platform, profile=profile
-                )
-                self._cache_put("compiled", parts, compiled)
+            return compile_for(
+                technique, self.benchmark(benchmark).module,
+                self.platform_proto.with_eb(eb), profile=profile,
+            )
+
+        def validate(compiled: CompiledTechnique) -> None:
+            # Silent translation validation of every placement that
+            # enters the evaluation (counted in the run_all manifest).
+            # Never changes any report.
             if compiled.feasible:
-                # Silent translation validation of every placement that
-                # enters the evaluation (counted in the run_all
-                # manifest). Never changes any report.
                 verify.validate_placement(
                     self.benchmark(benchmark).module, compiled.module
                 )
-            self._compiled[key] = compiled
-        return self._compiled[key]
+
+        return self.memo(
+            self.key("compiled", benchmark, technique=technique, eb=eb),
+            place, admit=validate,
+        )
 
     def run(
         self,
@@ -285,25 +315,14 @@ class EvaluationContext:
         """Compile (cached) and emulate one cell under ``spec`` — by
         default the energy-budget model at ``eb``, the metric SCHEMATIC's
         guarantee is stated in. The SCEPTIC emulator's literal periodic
-        methodology is ``run(t, b, eb, PowerSpec.periodic(tbpf, eb))``.
-
-        Both the in-memory key and the persistent cache key include
-        ``spec.key_parts()`` — mode, seed and schedule included — so two
-        specs with otherwise equal numbers never share a cached outcome
-        (tests/test_diffemu_planner.py pins the schema)."""
+        methodology is ``run(t, b, eb, PowerSpec.periodic(tbpf, eb))``."""
         spec = spec or PowerSpec.energy_budget(eb)
-        key = self._run_key(technique, benchmark, eb, spec)
-        if key not in self._runs:
-            parts = (
-                "run", technique, benchmark, self._module_fp(benchmark),
-                self._platform_fp(), eb, self._inputs_fp(benchmark),
-                self.profile_runs,
-            ) + spec.key_parts()
-            self._runs[key] = self._cell(
-                "run", parts, technique, benchmark, eb,
-                lambda: self._run_cell(technique, benchmark, eb, spec),
-            )
-        return self._runs[key]
+        return self.memo(
+            self.key("run", benchmark, technique=technique, eb=eb, spec=spec),
+            lambda: self._run_cell(technique, benchmark, eb, spec),
+            scope=dict(benchmark=benchmark, technique=technique,
+                       eb=round(eb, 3)),
+        )
 
     def _run_cell(
         self, technique: str, benchmark: str, eb: float, spec: PowerSpec
@@ -322,36 +341,6 @@ class EvaluationContext:
             outcome.completed = report.completed
             outcome.correct = report.outputs == self.reference(benchmark).outputs
         return outcome
-
-    def _cell(
-        self,
-        category: str,
-        parts: Tuple,
-        technique: str,
-        benchmark: str,
-        eb: float,
-        compute: Callable[[], object],
-    ):
-        """One cached evaluation cell (a run or an ablation variant).
-
-        Untraced, a persistent-cache hit is returned as is. Traced, the
-        read is skipped so the cell actually runs and the trace carries
-        its runtime events; ``compute()`` — compile plus emulation — runs
-        inside a scope carrying the grid coordinates. The outcome is
-        deterministic, so the results are unchanged (a recomputed value
-        is re-stored over the identical entry)."""
-        tm = telemetry.get()
-        if tm is None:
-            value = self._cache_get(category, parts)
-            if value is not None:
-                return value
-            value = compute()
-        else:
-            with tm.scope(benchmark=benchmark, technique=technique,
-                          eb=round(eb, 3)):
-                value = compute()
-        self._cache_put(category, parts, value)
-        return value
 
     def emulate(
         self,
@@ -373,25 +362,6 @@ class EvaluationContext:
 
     def run_tbpf(self, technique: str, benchmark: str, tbpf: int) -> RunOutcome:
         return self.run(technique, benchmark, self.eb_for_tbpf(benchmark, tbpf))
-
-
-#: Shared context behind the module-level conveniences. Creating a fresh
-#: ``EvaluationContext`` per call silently re-emulated the full continuous
-#: reference run every time (the hidden-recompute bug); the singleton makes
-#: repeated calls hit the in-memory reference cache instead.
-_SHARED_CTX: Optional[EvaluationContext] = None
-
-
-def shared_context() -> EvaluationContext:
-    global _SHARED_CTX
-    if _SHARED_CTX is None:
-        _SHARED_CTX = EvaluationContext()
-    return _SHARED_CTX
-
-
-def eb_for_tbpf(benchmark: str, tbpf: int, ctx: Optional[EvaluationContext] = None) -> float:
-    """Module-level convenience wrapper; memoized via a shared context."""
-    return (ctx or shared_context()).eb_for_tbpf(benchmark, tbpf)
 
 
 def format_matrix(

@@ -3,9 +3,11 @@
 The full evaluation is a grid of deterministic, independent cells —
 (technique x benchmark x TBPF) emulations, reference/profile artifacts and
 ablated variants. The engine *prefills* an :class:`EvaluationContext`'s
-in-memory caches by computing those cells in a process pool; the table and
-figure modules then run unchanged and hit the warm caches, which makes the
-parallel output byte-identical to a serial run by construction.
+memo by computing those cells in a process pool and installing each result
+under the content key the context's own lookup builds
+(:meth:`EvaluationContext.key`); the table and figure modules then run
+unchanged and find every cell in memory, which makes the parallel output
+byte-identical to a serial run by construction.
 
 Two stages, because run cells need the EB conversion (and the correctness
 oracle) derived from the reference runs:
@@ -32,11 +34,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.emulator.diffemu import PowerSpec
 from repro.telemetry import metrics
 from repro.telemetry.rollup import publish_cache_stats, write_sidecar
 from repro.experiments.common import (
-    PROFILE_RUNS,
     TBPF_VALUES,
     TECHNIQUE_ORDER,
     EvaluationContext,
@@ -227,24 +227,17 @@ def _evaluate_cell(ctx: EvaluationContext, cell: Cell) -> object:
 def merge_results(
     ctx: EvaluationContext, results: Sequence[Tuple]
 ) -> None:
-    """Install worker results into the parent context's caches. Results
-    arrive in submission order, and the emulator is deterministic, so the
-    merged state is identical to what serial evaluation would build.
-    Accepts both ``(cell, value)`` and ``(cell, value, worker_pid)``
-    records."""
+    """Install worker results into the parent context's memo under the
+    key the parent's own lookup builds (:meth:`EvaluationContext.key`).
+    Results arrive in submission order, and the emulator is
+    deterministic, so the merged state is identical to what serial
+    evaluation would build. Accepts both ``(cell, value)`` and
+    ``(cell, value, worker_pid)`` records."""
     for cell, value, *_ in results:
-        if cell.kind == "reference":
-            ctx._references[cell.benchmark] = value
-        elif cell.kind == "vm_reference":
-            ctx._vm_references[cell.benchmark] = value
-        elif cell.kind == "profile":
-            ctx._profiles[cell.benchmark] = value
-        elif cell.kind == "run":
-            key = ctx._run_key(cell.technique, cell.benchmark, cell.eb,
-                               PowerSpec.energy_budget(cell.eb))
-            ctx._runs[key] = value
-        elif cell.kind == "ablation":
-            ctx._ablations[(cell.variant, cell.benchmark, cell.tbpf)] = value
+        ctx.artifacts[ctx.key(
+            cell.kind, cell.benchmark, technique=cell.technique, eb=cell.eb,
+            variant=cell.variant, tbpf=cell.tbpf,
+        )] = value
 
 
 # ------------------------------------------------------------------ driver

@@ -24,9 +24,11 @@ phase spans, runtime checkpoint/power events and static segment bounds —
 and writes ``run_all.jsonl`` + ``run_all.trace.json`` (Chrome trace
 viewer / Perfetto) under ``--trace-dir`` (default ``traces/``); a given
 ``--trace-dir`` implies ``--trace``. Render the headroom report with
-``python -m repro.telemetry report traces/run_all.jsonl``. Worker
-processes do not feed the parent's trace: use ``--jobs 1`` for full
-runtime-event capture (see docs/observability.md).
+``python -m repro.telemetry report traces/run_all.jsonl``. A traced run
+reads the artifact cache as an untraced one does, and a cached cell
+emits no runtime events; worker processes do not feed the parent's
+trace either. Use ``--no-cache --jobs 1`` to trace every emulation (see
+docs/observability.md).
 
 ``--metrics`` records aggregated metrics (engine cell counts, interpreter
 cold-path counters, cache hit/miss totals) without full tracing; every
@@ -35,7 +37,8 @@ pool worker writes a per-process ``metrics-<pid>.jsonl`` sidecar under
 them deterministically — serial and parallel runs roll up to the same
 values. Inspect with ``python -m repro.telemetry metrics DIR``. Results
 on stdout stay byte-identical whether metrics are on or off. A section
-that raises still turns telemetry off and exports the trace so far.
+that raises still writes the parent's sidecar, turns telemetry off and
+exports the trace so far.
 
 After the sections, ``run_all`` evaluates the paper's claims
 (:mod:`repro.experiments.claims`) on their results and prints one claims
@@ -188,15 +191,7 @@ def build_manifest(
         "jobs": jobs,
         "profile_runs": ctx.profile_runs,
         "benchmarks": list(ctx.benchmark_names),
-        "fingerprints": {
-            "platform": ArtifactCache.text_fingerprint(ctx._platform_fp()),
-            "modules": {
-                name: ctx._module_fp(name) for name in ctx.benchmark_names
-            },
-            "inputs": {
-                name: ctx._inputs_fp(name) for name in ctx.benchmark_names
-            },
-        },
+        "fingerprints": ctx.fingerprints(),
         "sections": [
             {"title": title, "seconds": round(seconds, 3)}
             for title, seconds in timings
@@ -238,12 +233,15 @@ def main(argv=None) -> None:
         "tool": "repro.experiments.run_all",
         "argv": list(argv) if argv is not None else sys.argv[1:],
     })
-    # The telemetry handles are process-global: uninstall them (and
-    # export the trace so far) however the run ends.
+    metrics_out = (
+        Path(telemetry_flags.metrics_dir(args)) if mm is not None else None
+    )
+    ctx: Optional[common.EvaluationContext] = None
+    # The telemetry handles are process-global: write the parent's
+    # sidecar, uninstall them and export the trace so far however the
+    # run ends.
     try:
-        metrics_out: Optional[Path] = None
-        if mm is not None:
-            metrics_out = Path(telemetry_flags.metrics_dir(args))
+        if metrics_out is not None:
             _clear_sidecars(metrics_out)
         ctx = make_context(args)
         jobs = resolve_jobs(args.jobs)
@@ -272,33 +270,30 @@ def main(argv=None) -> None:
             from repro.runner.cache import stats_line
 
             print(stats_line(ctx.cache.stats_dict()), file=sys.stderr)
-
-        metrics_rollup: Optional[Dict[str, Any]] = None
-        if mm is not None:
-            # The parent's own share of the rollup: registry counters
-            # plus its cache statistics (workers publish theirs into
-            # their own sidecars).
-            if ctx.cache is not None:
-                publish_cache_stats(mm, ctx.cache.stats_dict())
-            # Merge parent + worker sidecars BEFORE writing the parent's
-            # own sidecar, so the directory never feeds a record in twice.
-            merged = metrics.MetricsRegistry(meta=mm.meta)
-            merged.merge_records(mm.snapshot())
+    finally:
+        try:
             if metrics_out is not None:
-                rollup_directory(str(metrics_out), into=merged)
+                # The parent's own sidecar: its registry counters plus
+                # its cache statistics (workers publish theirs).
+                if ctx is not None and ctx.cache is not None:
+                    publish_cache_stats(mm, ctx.cache.stats_dict())
                 sidecar = write_sidecar(mm, str(metrics_out))
                 print(f"metrics sidecar:      {sidecar}", file=sys.stderr)
-                print(
-                    "metrics rollup:       "
-                    f"python -m repro.telemetry metrics {metrics_out}",
-                    file=sys.stderr,
-                )
-            metrics_rollup = rollup_json(merged)
-    finally:
-        trace_paths = telemetry_flags.finish(
-            tm, mm, args, prefix="run_all"
-        )
+        finally:
+            trace_paths = telemetry_flags.finish(
+                tm, mm, args, prefix="run_all"
+            )
 
+    metrics_rollup: Optional[Dict[str, Any]] = None
+    if metrics_out is not None:
+        print(
+            "metrics rollup:       "
+            f"python -m repro.telemetry metrics {metrics_out}",
+            file=sys.stderr,
+        )
+        metrics_rollup = rollup_json(rollup_directory(
+            str(metrics_out), into=metrics.MetricsRegistry(meta=mm.meta)
+        ))
     if args.json:
         manifest = build_manifest(
             ctx, jobs, timings, prefill_stats,

@@ -57,13 +57,6 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function, Param
 from repro.ir.module import Module
 from repro.ir.builder import IRBuilder
-from repro.ir.passes import (
-    fold_constants,
-    optimize_function,
-    optimize_module,
-    remove_unreachable_blocks,
-    thread_jumps,
-)
 from repro.ir.printer import print_function, print_module
 from repro.ir.textparser import parse_ir
 from repro.ir.validate import validate_module
@@ -102,11 +95,6 @@ __all__ = [
     "Param",
     "Module",
     "IRBuilder",
-    "fold_constants",
-    "optimize_function",
-    "optimize_module",
-    "remove_unreachable_blocks",
-    "thread_jumps",
     "print_function",
     "print_module",
     "parse_ir",

@@ -1,6 +1,8 @@
 """Tests for the transformation pass (edge splitting, space rewriting) and
 the dynamic forward-progress verifier."""
 
+import random
+
 import pytest
 
 from repro.core.transform import _CheckpointFactory, _split_edge
@@ -172,3 +174,78 @@ class TestVerifier:
             max_instructions=2_000_000,
         )
         assert not verdict.ok
+
+
+#: The body checkpoint after ``acc ^= i`` keeps ``acc`` in VM but the
+#: step segment behind it never reads it, so the checkpoint does not
+#: restore it; the back-edge checkpoint right after saves every live VM
+#: resident at the latch, ``acc`` included.
+UNREAD_RESIDENT_SRC = """
+u32 out;
+i32 data[5];
+
+u32 mix(u32 v) {
+    v ^= v >> 3;
+    v *= 2654435761;
+    return v ^ (v >> 13);
+}
+
+void main() {
+    u32 acc = 956;
+    for (i32 i = 0; i < 9; i++) {
+        for (i32 j = 0; j < 3; j++) {
+            acc += (u32) data[(i * 3 + j) % 5] * 3;
+            acc = mix(acc);
+        }
+        if (acc > 681419581) { break; }
+        acc ^= (u32) i;
+    }
+    out = acc;
+}
+"""
+
+
+class TestSavedResidentsAreRestored:
+    def _compile(self):
+        from repro.core import Schematic
+        from repro.core.placement import SchematicConfig
+
+        module = compile_source(UNREAD_RESIDENT_SRC)
+        plat = platform(eb=300.0)
+        def gen(run):
+            r = random.Random(15_700 + run)
+            return {"data": [r.randrange(0, 500) for _ in range(5)]}
+
+        result = Schematic(plat, SchematicConfig(profile_runs=2)).compile(
+            module, input_generator=gen
+        )
+        return module, plat, result
+
+    def test_every_checkpoint_keeping_acc_in_vm_restores_it(self):
+        """``acc`` is saved at every checkpoint of the loop, so each one
+        that keeps it in VM must load it back, read or not."""
+        _, _, result = self._compile()
+        ckpts = [
+            inst
+            for block in result.module.functions["main"].blocks.values()
+            for inst in block
+            if isinstance(inst, (Checkpoint, CondCheckpoint))
+        ]
+        assert any("main.acc" in c.save_vars for c in ckpts)
+        keeping = [
+            c for c in ckpts
+            if c.alloc_after.get("main.acc") is MemorySpace.VM
+        ]
+        assert keeping
+        for ckpt in keeping:
+            assert "main.acc" in ckpt.restore_vars, ckpt
+
+    def test_outputs_match_continuous_run(self):
+        module, plat, result = self._compile()
+        inputs = {"data": [462, 103, 80, 149, 400]}
+        verdict = verify_forward_progress(
+            result.module, module, MODEL, plat.eb, plat.vm_size, inputs=inputs,
+        )
+        assert verdict.completed
+        assert verdict.outputs_match
+        assert verdict.power_failures == 0

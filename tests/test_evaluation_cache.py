@@ -1,46 +1,44 @@
 """Regression tests for the EvaluationContext caching bugs and the disk
 cache integration.
 
-Two historical bugs are pinned down here:
+Two historical bugs of the in-memory key are pinned down here:
 
-1. **Stale run keys** — the in-memory ``_runs`` key omitted the power
-   model and TBPF, so under periodic failures two runs with the same EB
-   but different periods aliased and the second returned the first's
+1. **Stale run keys** — the in-memory run key omitted the power model
+   and TBPF, so under periodic failures two runs with the same EB but
+   different periods aliased and the second returned the first's
    outcome.
-2. **Hidden re-emulation** — the module-level ``eb_for_tbpf()`` built a
-   throwaway ``EvaluationContext`` per call, silently re-running the full
-   continuous reference every time.
+2. **Stale platform** — the in-memory keys omitted the platform, so a
+   context whose ``platform_proto`` was replaced kept serving the old
+   reference, EBs and runs.
+
+Both are closed by keying memory with the content tuple the disk cache
+uses (``EvaluationContext.key``).
 """
 
 import dataclasses
 
-import pytest
-
 from repro.emulator.diffemu import PowerSpec
+from repro.energy import Platform
 from repro.experiments import common
-from repro.experiments.common import EvaluationContext, eb_for_tbpf
+from repro.experiments.common import EvaluationContext
 from repro.runner.cache import ArtifactCache
 
 BENCH = "randmath"  # smallest/fastest of the eight
-
-
-@pytest.fixture
-def fresh_shared_ctx(monkeypatch):
-    """Isolate the module-level shared context from other tests."""
-    monkeypatch.setattr(common, "_SHARED_CTX", None)
 
 
 # -- bug 1: stale run keys under periodic failures ----------------------------
 
 
 def test_run_key_includes_failure_model_and_tbpf():
-    key = EvaluationContext._run_key
+    ctx = EvaluationContext(benchmarks=[BENCH])
     eb = 100.0
-    periodic_1k = key("schematic", BENCH, eb, PowerSpec.periodic(1_000, eb))
-    periodic_100k = key(
-        "schematic", BENCH, eb, PowerSpec.periodic(100_000, eb)
-    )
-    energy = key("schematic", BENCH, eb, PowerSpec.energy_budget(eb))
+
+    def key(spec):
+        return ctx.key("run", BENCH, technique="schematic", eb=eb, spec=spec)
+
+    periodic_1k = key(PowerSpec.periodic(1_000, eb))
+    periodic_100k = key(PowerSpec.periodic(100_000, eb))
+    energy = key(PowerSpec.energy_budget(eb))
     assert periodic_1k != periodic_100k, (
         "same EB, different period must be different cells"
     )
@@ -61,33 +59,33 @@ def test_cycles_model_distinct_outcomes_per_tbpf():
     assert short.report.power_failures != long.report.power_failures
 
 
-# -- bug 2: eb_for_tbpf hidden re-emulation -----------------------------------
+# -- bug 2: a replaced platform kept the old artifacts -------------------------
 
 
-def test_eb_for_tbpf_reference_runs_once(fresh_shared_ctx, monkeypatch):
-    calls = []
-    real = common.run_continuous
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(common, "run_continuous", counting)
-    first = eb_for_tbpf(BENCH, 1_000)
-    second = eb_for_tbpf(BENCH, 10_000)
-    third = eb_for_tbpf(BENCH, 1_000)
-    assert len(calls) == 1, (
-        "module-level eb_for_tbpf must memoize the reference run "
-        f"(ran {len(calls)} times)"
-    )
-    assert second == pytest.approx(first * 10)
-    assert third == first
-
-
-def test_eb_for_tbpf_accepts_explicit_context(fresh_shared_ctx):
+def test_replacing_the_platform_rederives_reference_eb_and_run():
     ctx = EvaluationContext(benchmarks=[BENCH])
-    assert eb_for_tbpf(BENCH, 1_000, ctx=ctx) == ctx.eb_for_tbpf(BENCH, 1_000)
-    assert common._SHARED_CTX is None, "explicit ctx must not build the shared one"
+    eb = ctx.eb_for_tbpf(BENCH, 10_000)
+    reference = ctx.reference(BENCH)
+    outcome = ctx.run("schematic", BENCH, eb)
+
+    costlier_nvm = Platform(model=dataclasses.replace(
+        ctx.platform_proto.model, nvm_access_ratio=4.0
+    ))
+    ctx.platform_proto = costlier_nvm
+    fresh = EvaluationContext(benchmarks=[BENCH])
+    fresh.platform_proto = costlier_nvm
+
+    rederived = ctx.reference(BENCH)
+    assert rederived is not reference
+    assert rederived.energy.total == fresh.reference(BENCH).energy.total
+    assert rederived.energy.total > reference.energy.total
+    assert ctx.eb_for_tbpf(BENCH, 10_000) == fresh.eb_for_tbpf(BENCH, 10_000)
+    assert ctx.eb_for_tbpf(BENCH, 10_000) != eb
+    rerun = ctx.run("schematic", BENCH, eb)
+    assert rerun is not outcome
+    assert dataclasses.asdict(rerun) == dataclasses.asdict(
+        fresh.run("schematic", BENCH, eb)
+    )
 
 
 # -- disk cache integration ---------------------------------------------------

@@ -9,8 +9,11 @@
 - a ``--trace`` run emulates exactly what an untraced run emulates:
   same stdout, same checkpoint/failure counters, same compiled-loop runs;
 - the ``--json`` manifest embeds the merged rollup under ``metrics``;
-- a crashing section still propagates its error, uninstalls the
-  process-global telemetry handles and exports its trace.
+- a crashing section still propagates its error, writes the parent's
+  metrics sidecar, uninstalls the process-global telemetry handles and
+  exports its trace;
+- with a warm cache, a ``--trace`` run reads the cache as an untraced
+  run does: same stdout, same loop and cache counters.
 
 The fast tests stub ``SECTIONS``; the serial-vs-parallel test runs the
 real single-benchmark evaluation three times and is the slowest test in
@@ -26,6 +29,7 @@ from repro import telemetry
 from repro.experiments import run_all
 from repro.telemetry import metrics
 from repro.telemetry.exporters import read_jsonl
+from repro.telemetry.rollup import read_sidecar
 
 #: Counters whose values are a deterministic property of the evaluated
 #: cell grid. Explicitly NOT in this set: ``interp.runs`` and
@@ -157,14 +161,16 @@ def test_crash_uninstalls_telemetry_and_keeps_the_trace(
     assert telemetry.get() is None
     assert metrics.get() is None
     if flag == "--metrics-dir":
-        # The parent writes its sidecar only after the sections, and a
-        # crash writes no other file: the directory stays empty.
-        assert list(tmp_path.iterdir()) == []
+        # The parent's sidecar is written however the run ends, so it
+        # keeps what the crashed section counted.
+        [sidecar] = tmp_path.iterdir()
+        records = read_sidecar(str(sidecar))
     else:
         records = read_jsonl(str(tmp_path / "run_all.jsonl"))
         [block] = [r for r in records if r.get("kind") == "metrics"]
-        counts = {m["name"]: m["value"] for m in block["metrics"]}
-        assert counts["crash.sections"] == 1
+        records = block["metrics"]
+    counts = {m["name"]: m["value"] for m in records}
+    assert counts["crash.sections"] == 1
 
 
 def test_serial_and_parallel_rollups_agree_on_deterministic_counters(
@@ -220,3 +226,40 @@ def test_serial_and_parallel_rollups_agree_on_deterministic_counters(
     # The parallel run counted its cells across worker sidecars.
     assert parallel["engine.worker_cells"] > 0
     assert len(list(parallel_dir.glob("metrics-*.jsonl"))) > 1
+
+
+def test_traced_warm_run_reads_the_cache_like_an_untraced_one(
+    tmp_path, capfd
+):
+    """Tracing does not change what runs: with a warm cache, a traced and
+    an untraced run_all hit the same entries and run the same loops."""
+    base_args = ["--benchmarks", "crc", "--cache-dir", str(tmp_path / "cache")]
+    run_all.main(base_args)  # fill the cache
+    capfd.readouterr()
+
+    untraced_manifest = tmp_path / "untraced.json"
+    run_all.main(base_args + [
+        "--metrics-dir", str(tmp_path / "untraced"),
+        "--json", str(untraced_manifest),
+    ])
+    untraced_out = capfd.readouterr().out
+
+    traced_manifest = tmp_path / "traced.json"
+    run_all.main(base_args + [
+        "--trace-dir", str(tmp_path / "traced"),
+        "--json", str(traced_manifest),
+    ])
+    traced_out = capfd.readouterr().out
+
+    assert _normalize(traced_out) == _normalize(untraced_out)
+    untraced = _counters(untraced_manifest)
+    traced = _counters(traced_manifest)
+
+    def watched(counters):
+        return {
+            name: value for name, value in counters.items()
+            if name.startswith(("interp.loop.", "cache."))
+        }
+
+    assert watched(traced) == watched(untraced)
+    assert untraced["cache.hits"] > 0 and "cache.misses" not in untraced
