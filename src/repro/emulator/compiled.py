@@ -9,13 +9,14 @@ segments), each executed by one generated function:
 
 - A *segment* is a maximal straight-line run of one basic block's
   non-checkpoint instructions, ending at a control instruction or just
-  before a checkpoint. Its simple instructions are fused into a handful
-  of *superinstruction* closures (``FUSE_LIMIT`` instructions at most
-  each) that share one ``frame.registers`` load and one (zero-cost on
-  CPython 3.11) ``try`` frame, with operand kinds, AUTO-space
-  resolution, wrap masks and constant operands resolved at compile time;
-  a comparison feeding the block's branch becomes one compare-and-branch
-  superinstruction that returns the branch condition.
+  before a checkpoint. The region function holds each segment's
+  instruction code inline, under one ``frame.registers`` load, with
+  operand kinds, AUTO-space resolution, wrap masks and constant operands
+  resolved at compile time; a comparison feeding the block's branch
+  computes the branch condition ``_v`` directly. A Call, a Ret and an
+  instruction the generator does not express (:func:`_can_gen`) are
+  calls: the Call and Ret ops of :func:`_make_call`/:func:`_make_ret`,
+  or the interpreter's own handler.
 - A conditional checkpoint is a zero-instruction *check segment*: the
   iteration-count test of SCHEMATIC's loop scheme, which runs on every
   pass through a loop latch and fires once every ``every`` passes. It
@@ -28,8 +29,8 @@ segments), each executed by one generated function:
   Branch targets inside the function, and can be entered at any segment
   start. It goes back to ``Interpreter._execute`` only at a plain
   checkpoint, at an iteration check that fires, after a Call or Ret,
-  after a control instruction the interpreter's own handler ran
-  (:func:`_ref_op`), at a jump into another region, at the
+  after a control instruction the interpreter's own handler ran, at a
+  jump into another region, at the
   ``max_instructions`` edge, or when a segment is not admitted.
 - The region keeps the power manager's consumption, cycle and timeline
   counters, the meter's six pending fields, ``active_cycles`` and
@@ -53,9 +54,9 @@ Bit-identity ground rules the generated code obeys:
   register's type, so a copy between same-typed storage elides the wrap
   (``wrap`` is the identity on in-range values). Comparison results
   (0/1) are never wrapped, matching ``IntType.wrap``'s identity there.
-- Error behaviour is byte-identical: register reads convert ``KeyError``
-  into the interpreter's exact uninitialized-register message
-  (``raise ... from None``). A Load or Store indexes the live
+- Error behaviour is byte-identical: the region turns a ``KeyError``
+  from a generated register read into the interpreter's exact
+  uninitialized-register message (``raise ... from None``). A Load or Store indexes the live
   ``MemoryState.nvm``/``vm`` dict of its resolved space directly, under
   the inline test ``0 <= index < len(image)`` that ``read``/``write``
   apply; every access that test does not pass (an unknown or
@@ -67,31 +68,33 @@ Bit-identity ground rules the generated code obeys:
   (``MemoryState.restore_images`` refills them in place), so code
   compiled before a snapshot restore reads the restored values.
 - Evaluation order within an instruction (lhs before rhs, index before
-  value) and across fused instructions is the interpreter's order, so a
-  mid-segment exception fires at the same sub-instruction with the same
-  partial effects. A segment commits its accounting only after its last
-  instruction ran, so a fault leaves the state before the faulting
-  segment, tagged with the segment and the faulting offset
+  value) and across a segment's instructions is the interpreter's
+  order, so a mid-segment exception fires at the same instruction with
+  the same partial effects. One local, ``_i``, holds the offset of the
+  instruction or op running. A segment commits its accounting only
+  after its last instruction ran, so a fault leaves the state before
+  the faulting segment, tagged with the segment and ``_i``
   (``_seg_fault``) for :meth:`repro.emulator.interpreter.Interpreter.
-  _reconcile_segment_fault` to replay per step.
+  _reconcile_segment_fault` to replay per step. Exceptions raised
+  outside instruction code (trace callbacks) are not tagged.
 - A generated transfer (Jump, Branch, Call, Ret) calls ``config.trace``
   for the block it enters; a handler-run control instruction traces
   itself. Every block entry emits exactly one event.
 
-Codegen cost stays bounded by two process-wide caches, each holding at
-most ``CACHE_LIMIT`` entries and evicting the least recently used.
-Generated sources name every constant and every per-interpreter object
-(memory images, ``read``/``write``, the environment-sample counters,
-``trace``, the Call/Ret/handler closures, register and variable names,
-labels) instead of spelling it, so a factory is keyed by its source
-text alone: superinstructions of the same shape, and regions of the
-same shape, share one factory across functions and modules. A
+Region functions are the only generated code, and two process-wide
+caches, each holding at most ``CACHE_LIMIT`` entries and evicting the
+least recently used, bound what codegen costs. The region source names
+every constant and every per-interpreter object (memory images,
+``read``/``write``, the environment-sample counters, ``trace``, the
+Call/Ret ops and handlers, register and variable names, labels) instead
+of spelling it, so a factory is keyed by its source text alone: regions
+of the same shape share one factory across functions and modules. A
 function's regions are keyed by its content (every instruction's text
 and cost, the variable attributes codegen reads, the AUTO default space,
 whether the run is traced and the iteration-check energy, a literal in
 the generated source), so an interpreter over a module another
-interpreter already compiled only instantiates closures: it generates
-no source and runs no ``exec``.
+interpreter already compiled only instantiates its regions: it
+generates no source and runs no ``exec``.
 """
 
 from __future__ import annotations
@@ -140,9 +143,6 @@ _ARITH_SYM = {
     Opcode.XOR: "^",
 }
 
-#: Maximum number of IR instructions fused into one generated closure.
-FUSE_LIMIT = 10
-
 #: Maximum number of segments in one region. A larger function is cut
 #: into several regions of whole blocks: compiling a region takes
 #: transient memory in proportion to its size (7.8 MB for 112 segments),
@@ -153,7 +153,7 @@ REGION_LIMIT = 16
 
 #: Entries each generated-code cache keeps: a long run over many placed
 #: modules (``run_all``, ``testkit diff``) evicts the least recently
-#: used beyond it. One ``paper-cold`` pass uses 70 function keys and 88
+#: used beyond it. One ``paper-cold`` pass uses 70 function keys and 60
 #: factories.
 CACHE_LIMIT = 256
 
@@ -196,10 +196,9 @@ class Segment:
         "n",
         "cycles",
         "costs",
-        "widths",
     )
 
-    def __init__(self, label, start, costs, widths, end_index, traces_entry):
+    def __init__(self, label, start, costs, end_index, traces_entry):
         self.label = label
         self.start = start
         #: Index the frame resumes at when the segment ends without a
@@ -209,15 +208,11 @@ class Segment:
         #: True when the segment ends in a generated control transfer,
         #: which skips the interpreter's handlers: the region then emits
         #: the block-entry ``trace`` event itself. False for
-        #: fall-through segments and for a control op that is the
-        #: interpreter's own handler (:func:`_ref_op`), which traces
-        #: itself — so each block entry emits exactly one event.
+        #: fall-through segments and for a control instruction the
+        #: interpreter's own handler runs, which traces itself — so each
+        #: block entry emits exactly one event.
         self.traces_entry = traces_entry
         self.costs = costs
-        #: Instructions per unit, in order: a fused closure, a
-        #: Call/Ret/handler op, or a Jump or constant Branch the region
-        #: performs itself.
-        self.widths = widths
         self.n = len(costs)
         self.cycles = sum(c[0] for c in costs)
 
@@ -268,7 +263,7 @@ class Region:
 # -- generated-code caches ---------------------------------------------------
 
 # Both caches keep their entries in order of last use (see _cached).
-#: Superinstruction and region factory per SHA-256 of its source text.
+#: Region factory per SHA-256 of its source text.
 _FACTORIES: Dict[bytes, Callable] = {}
 #: A function's regions per content key (:func:`_function_key`).
 _PROGRAMS: Dict[tuple, tuple] = {}
@@ -277,7 +272,6 @@ _EXEC_GLOBALS = {
     "_E": EmulationError,
     "_int": int,
     "len": len,
-    "getattr": getattr,
     "_cdiv": _cdiv,
     "_crem": _crem,
     "KeyError": KeyError,
@@ -327,16 +321,21 @@ def fold_source(acc: str, stream) -> str:
     return " + ".join(terms)
 
 
-# -- superinstruction code generation ----------------------------------------
+# -- instruction code generation ---------------------------------------------
 
 
 class _Ctx:
-    """Accumulates generated source lines and their runtime bindings."""
+    """Accumulates a region's generated source lines, at the current
+    indent, and the constants they name."""
 
     def __init__(self):
         self.lines: List[str] = []
+        self.indent = ""
         self.names: List[str] = []
         self.values: List[object] = []
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
 
     def bind(self, value) -> str:
         name = f"_b{len(self.names)}"
@@ -440,63 +439,57 @@ def _emit_binop(ctx: _Ctx, inst: BinOp) -> None:
         expr = f"_crem({at}, {_operand_tok(ctx, inst.rhs)})"
     else:  # comparison: 0/1 result, wrap is the identity
         expr = f"_int({at} {_CMP_SYM[op]} {_operand_tok(ctx, inst.rhs)})"
-        ctx.lines.append(f"r[{ctx.bind(inst.dest.name)}] = {expr}")
+        ctx.emit(f"r[{ctx.bind(inst.dest.name)}] = {expr}")
         return
     wrapped = _wrap_expr(expr, inst.dest.type)
-    ctx.lines.append(f"r[{ctx.bind(inst.dest.name)}] = {wrapped}")
+    ctx.emit(f"r[{ctx.bind(inst.dest.name)}] = {wrapped}")
 
 
 def _emit_unop(ctx: _Ctx, inst: UnOp) -> None:
     at = _reg_tok(ctx, inst.src.name)
     dtok = ctx.bind(inst.dest.name)
     if inst.op is UnaryOpcode.LNOT:  # 0/1: wrap is the identity
-        ctx.lines.append(f"r[{dtok}] = _int({at} == 0)")
+        ctx.emit(f"r[{dtok}] = _int({at} == 0)")
         return
     expr = f"(-{at})" if inst.op is UnaryOpcode.NEG else f"(~{at})"
-    ctx.lines.append(f"r[{dtok}] = {_wrap_expr(expr, inst.dest.type)}")
+    ctx.emit(f"r[{dtok}] = {_wrap_expr(expr, inst.dest.type)}")
 
 
 def _emit_move(ctx: _Ctx, inst: Move) -> None:
     dtok = ctx.bind(inst.dest.name)
     if isinstance(inst.src, Const):
-        ctx.lines.append(
+        ctx.emit(
             f"r[{dtok}] = {ctx.bind(inst.dest.type.wrap(inst.src.value))}"
         )
         return
     src = _reg_tok(ctx, inst.src.name)
     if inst.src.type == inst.dest.type:  # stored values are in-range
-        ctx.lines.append(f"r[{dtok}] = {src}")
+        ctx.emit(f"r[{dtok}] = {src}")
     else:
-        ctx.lines.append(f"r[{dtok}] = {_wrap_expr(src, inst.dest.type)}")
-
-
-#: Placeholders a superinstruction binds for the live NVM and VM image
-#: dicts, replaced by the interpreter's own at instantiation: an access
-#: shape compiles to one factory whichever space it resolves to.
-_NVM_IMAGE = object()
-_VM_IMAGE = object()
+        ctx.emit(f"r[{dtok}] = {_wrap_expr(src, inst.dest.type)}")
 
 
 def _access(ctx: _Ctx, space, inst):
-    """Common operands of an inline memory access: the name bound to the
-    live image dict the resolved space indexes (None when only the diagnostic
-    path can handle the access: an AUTO space, a negative constant
-    index), the variable-name expression and the index expression. A
-    by-reference name or a register index is evaluated once, into ``_n``
-    or ``_j``, in the interpreter's order (name before index)."""
+    """Common operands of an inline memory access: the live image dict
+    the resolved space indexes (``_nvm`` or ``_vm``; None when only the
+    diagnostic path can handle the access: an AUTO space, a negative
+    constant index), the variable-name expression and the index
+    expression. A by-reference name or a register index is evaluated
+    once, into ``_n`` or ``_j``, in the interpreter's order (name before
+    index)."""
     images = None
     if not (isinstance(inst.index, Const) and inst.index.value < 0):
         if space is MemorySpace.VM:
-            images = ctx.bind(_VM_IMAGE)
+            images = "_vm"
         elif space is MemorySpace.NVM:
-            images = ctx.bind(_NVM_IMAGE)
+            images = "_nvm"
     name = _name_expr(ctx, inst)
     if inst.var.is_ref:
-        ctx.lines.append(f"_n = {name}")
+        ctx.emit(f"_n = {name}")
         name = "_n"
     index = _index_expr(ctx, inst)
     if isinstance(inst.index, Register):
-        ctx.lines.append(f"_j = {index}")
+        ctx.emit(f"_j = {index}")
         index = "_j"
     return images, name, index, ctx.bind(space)
 
@@ -507,7 +500,7 @@ def _in_bounds(ctx: _Ctx, images, name: str, inst, index: str) -> str:
     else (an unknown or non-resident variable, an out-of-bounds or
     negative index) takes the ``MemoryState`` call, so every diagnostic
     stays its own."""
-    ctx.lines.append(f"_m = {images}.get({name})")
+    ctx.emit(f"_m = {images}.get({name})")
     if inst.index is None:
         return "_m"  # index 0: any non-empty image
     if isinstance(inst.index, Const):
@@ -520,12 +513,10 @@ def _emit_load(ctx: _Ctx, space, inst: Load) -> None:
     dtok = ctx.bind(inst.dest.name)
     call = f"_read({name}, {index}, {stok})"
     if inst.var.volatile_input:
-        ctx.lines.append(f"_v = {call}")
-        ctx.lines.append(f"_c = _env.get({name}, 0)")
-        ctx.lines.append(f"_env[{name}] = _c + 1")
-        ctx.lines.append(
-            f"r[{dtok}] = {_wrap_expr('(_v + _c)', inst.dest.type)}"
-        )
+        ctx.emit(f"_v = {call}")
+        ctx.emit(f"_u = _env.get({name}, 0)")
+        ctx.emit(f"_env[{name}] = _u + 1")
+        ctx.emit(f"r[{dtok}] = {_wrap_expr('(_v + _u)', inst.dest.type)}")
         return
     if images is None:
         expr = call
@@ -533,9 +524,9 @@ def _emit_load(ctx: _Ctx, space, inst: Load) -> None:
         cond = _in_bounds(ctx, images, name, inst, index)
         expr = f"(_m[{index}] if {cond} else {call})"
     if inst.dest.type == inst.var.type:  # stored values are in-range
-        ctx.lines.append(f"r[{dtok}] = {expr}")
+        ctx.emit(f"r[{dtok}] = {expr}")
     else:
-        ctx.lines.append(f"r[{dtok}] = {_wrap_expr(expr, inst.dest.type)}")
+        ctx.emit(f"r[{dtok}] = {_wrap_expr(expr, inst.dest.type)}")
 
 
 def _emit_store(ctx: _Ctx, space, inst: Store) -> None:
@@ -550,87 +541,39 @@ def _emit_store(ctx: _Ctx, space, inst: Store) -> None:
     # the interpreter's argument evaluation does.
     call = f"_write({name}, {index}, {value}, {stok})"
     if images is None:
-        ctx.lines.append(call)
+        ctx.emit(call)
         return
     cond = _in_bounds(ctx, images, name, inst, index)
-    ctx.lines.append(f"if {cond}: _m[{index}] = {value}")
-    ctx.lines.append(f"else: {call}")
-
-
-def _emit_branch(ctx: _Ctx, inst: Branch) -> None:
-    """A register-conditioned branch: the closure returns the condition
-    and the region transfers on it."""
-    ctx.lines.append(f"return {_reg_tok(ctx, inst.cond.name)}")
+    ctx.emit(f"if {cond}: _m[{index}] = {value}")
+    ctx.emit(f"else: {call}")
 
 
 def _emit_cmp_branch(ctx: _Ctx, cmp: BinOp) -> None:
-    """The compare-and-branch superinstruction: compute the comparison,
-    store its (unwrapped 0/1) result register — it may be read later —
-    and return it as the branch condition."""
+    """A comparison fused with the branch it feeds: compute it into the
+    branch condition ``_v`` and store its (unwrapped 0/1) result
+    register, which may be read later."""
     at = _operand_tok(ctx, cmp.lhs)
     bt = _operand_tok(ctx, cmp.rhs)
-    ctx.lines.append(f"_v = _int({at} {_CMP_SYM[cmp.op]} {bt})")
-    ctx.lines.append(f"r[{ctx.bind(cmp.dest.name)}] = _v")
-    ctx.lines.append("return _v")
+    ctx.emit(f"_v = _int({at} {_CMP_SYM[cmp.op]} {bt})")
+    ctx.emit(f"r[{ctx.bind(cmp.dest.name)}] = _v")
 
 
-def _gen_chunk(units, space, offset):
-    """Generate one fused superinstruction from consecutive
-    code-generatable units starting at ``offset`` in their segment:
-    ``(factory, bound values)``, instantiated per interpreter with its
-    memory objects. ``_i`` tracks the sub-instruction index so an
-    exception is tagged with its exact instruction's offset."""
-    ctx = _Ctx()
-    base = ctx.bind(offset)  # a bound value: the shape stays shared
-    sub = 0
-    for kind, inst in units:
-        if sub:
-            ctx.lines.append(f"_i = {sub}")
-        if kind == "cmpbr":
-            _emit_cmp_branch(ctx, inst[0])
-            sub += 2
-            continue
-        if type(inst) is BinOp:
-            _emit_binop(ctx, inst)
-        elif type(inst) is UnOp:
-            _emit_unop(ctx, inst)
-        elif type(inst) is Move:
-            _emit_move(ctx, inst)
-        elif type(inst) is Load:
-            _emit_load(ctx, _resolve(space, inst), inst)
-        elif type(inst) is Store:
-            _emit_store(ctx, _resolve(space, inst), inst)
-        else:
-            _emit_branch(ctx, inst)
-        sub += 1
-
-    body = "\n".join("            " + line for line in ctx.lines)
-    src = (
-        f"def _make(_B, _M):\n"
-        f"    {ctx.unpack('_B')}\n"
-        f"    (_read, _write, _env) = _M[2:]\n"
-        f"    def _op(frame):\n"
-        f"        r = frame.registers\n"
-        f"        _i = 0\n"
-        f"        try:\n"
-        f"{body}\n"
-        f"        except KeyError as _k:\n"
-        f"            _e = _E('read of uninitialized register %'\n"
-        f"                    + _k.args[0] + ' in @'\n"
-        f"                    + frame.function.name)\n"
-        f"            _e._seg_sub = {base} + _i\n"
-        f"            raise _e from None\n"
-        f"        except BaseException as _x:\n"
-        f"            _x._seg_sub = {base} + _i\n"
-        f"            raise\n"
-        f"    return _op\n"
-    )
-    slots = tuple(
-        (pos, 1 if value is _VM_IMAGE else 0)
-        for pos, value in enumerate(ctx.values)
-        if value is _VM_IMAGE or value is _NVM_IMAGE
-    )
-    return _factory(src), tuple(ctx.values), slots
+def _emit_inst(ctx: _Ctx, space, kind, inst) -> None:
+    """The lines of one generated unit (see :func:`_plan_segment`)."""
+    if kind == "cmpbr":
+        _emit_cmp_branch(ctx, inst)
+    elif type(inst) is BinOp:
+        _emit_binop(ctx, inst)
+    elif type(inst) is UnOp:
+        _emit_unop(ctx, inst)
+    elif type(inst) is Move:
+        _emit_move(ctx, inst)
+    elif type(inst) is Load:
+        _emit_load(ctx, _resolve(space, inst), inst)
+    elif type(inst) is Store:
+        _emit_store(ctx, _resolve(space, inst), inst)
+    else:  # a register-conditioned Branch: the region transfers on _v
+        ctx.emit(f"_v = {_reg_tok(ctx, inst.cond.name)}")
 
 
 def _resolve(default_space, inst):
@@ -641,37 +584,14 @@ def _resolve(default_space, inst):
 # -- per-interpreter ops -----------------------------------------------------
 
 
-# Each op tags an exception it raises with its instruction's offset in
-# the segment (``_seg_sub``), as a superinstruction does.
-
-
-def _ref_op(handler, inst, offset):
-    """Fallback for shapes the generator does not express: delegate to
-    the interpreter's own handler. Safe mid-segment for everything but
-    Call, because only Call derives new state from ``frame.index`` (the
-    relative bump these handlers perform lands on a stale index that the
-    region overwrites on exit)."""
-
-    def _op(frame):
-        try:
-            handler(frame, inst)
-        except BaseException as exc:
-            exc._seg_sub = offset
-            raise
-
-    return _op
-
-
-def _uninit(name, frame, offset):
-    """The interpreter's uninitialized-register error, tagged."""
-    exc = EmulationError(
+def _uninit(name, frame):
+    """The interpreter's uninitialized-register error."""
+    return EmulationError(
         f"read of uninitialized register %{name} in @{frame.function.name}"
     )
-    exc._seg_sub = offset
-    return exc
 
 
-def _make_call(inst: Call, interp, next_index: int, frame_cls, offset):
+def _make_call(inst: Call, interp, next_index: int, frame_cls):
     """Call op with the argument-marshalling plan precomputed and the
     post-return index applied absolutely (the reference handler's
     ``frame.index += 1`` would act on a stale index)."""
@@ -703,7 +623,7 @@ def _make_call(inst: Call, interp, next_index: int, frame_cls, offset):
                 try:
                     value = frame.registers[aname]
                 except KeyError:
-                    raise _uninit(aname, frame, offset) from None
+                    raise _uninit(aname, frame) from None
                 registers[rname] = value if same else wrap(value)
             elif kind == "const":
                 registers[plan[1]] = plan[2]
@@ -725,7 +645,7 @@ def _make_call(inst: Call, interp, next_index: int, frame_cls, offset):
     return _op
 
 
-def _make_ret(inst: Ret, interp, offset):
+def _make_ret(inst: Ret, interp):
     """Return op. Reads ``interp.frames`` at call time — the interpreter
     rebinds the frames list on run()/restore_snapshot()."""
     if inst.value is None:
@@ -745,13 +665,13 @@ def _make_ret(inst: Ret, interp, offset):
                 frames[-1].registers[ret_target] = const
 
         return _op
-    name = inst.value.name  # a Register: VarRef values take _ref_op
+    name = inst.value.name  # a Register: VarRef values run the handler
 
     def _op(frame):
         try:
             value = frame.registers[name]
         except KeyError:
-            raise _uninit(name, frame, offset) from None
+            raise _uninit(name, frame) from None
         frames = interp.frames
         frames.pop()
         ret_target = frame.ret_target
@@ -764,96 +684,68 @@ def _make_ret(inst: Ret, interp, offset):
 # -- segment planning ----------------------------------------------------------
 
 
-def _plan_segment(label, start, insts, space, ops):
+def _plan_segment(label, start, insts, ops):
     """Plan one straight-line run (``insts`` is a list of ``(inst,
     cost)`` pairs; a control instruction can only be last). Appends the
-    op recipes it needs to ``ops`` and returns the segment and its
-    ``(calls, transfer)`` plan: ``calls`` lists ``(offset, op slot,
-    returns condition)`` in order."""
-    # Classify into units: generated chunks absorb consecutive 'gen'
-    # units up to FUSE_LIMIT instructions; a generated Jump or constant
-    # Branch is the region's own transfer; everything else is a
-    # standalone op of width 1 (2 for the fused compare-and-branch).
+    ``(kind, label, index)`` recipe of each Call, Ret and handler-run
+    instruction to ``ops`` and returns the segment and its ``(units,
+    transfer)`` plan. ``units`` lists ``(offset, kind, payload)`` in
+    order: an instruction the region generates (``"gen"``), a comparison
+    fused with the branch it feeds (``"cmpbr"``, payload the
+    comparison), or a ``"call"``, ``"ret"`` or handler-run ``"ref"`` op
+    by its slot in ``ops``. A Jump or constant Branch has no unit: it is
+    the region's own transfer.
+
+    A handler-run op is safe mid-segment because only Call derives new
+    state from ``frame.index``: the relative bump the handlers perform
+    lands on a stale index that the region overwrites on exit."""
     units: List[tuple] = []
-    for index, (inst, _cost) in enumerate(insts, start):
+    goto = None
+    for offset, (inst, _cost) in enumerate(insts):
         if type(inst) is Call:
-            units.append(("call", index))
+            kind = "call"
         elif type(inst) is Ret and not isinstance(inst.value, VarRef):
-            units.append(("ret", index))
+            kind = "ret"
         elif not _can_gen(inst):
-            units.append(("ref", index))
+            kind = "ref"
         elif type(inst) is Jump:
-            units.append(("goto", inst.target))
+            goto = inst.target
+            continue
         elif type(inst) is Branch and isinstance(inst.cond, Const):
-            target = inst.if_true if inst.cond.value != 0 else inst.if_false
-            units.append(("goto", target))
+            goto = inst.if_true if inst.cond.value != 0 else inst.if_false
+            continue
         else:
-            units.append(("gen", inst))
+            units.append((offset, "gen", inst))
+            continue
+        units.append((offset, kind, len(ops)))
+        ops.append((kind, label, start + offset))
     # Fuse a comparison into the branch it feeds.
     if (
         len(units) >= 2
-        and units[-1][0] == "gen"
-        and type(units[-1][1]) is Branch
-        and units[-2][0] == "gen"
-        and type(units[-2][1]) is BinOp
-        and units[-2][1].op in _CMP_OPS
-        and units[-2][1].dest.name == units[-1][1].cond.name
+        and units[-1][1] == "gen"
+        and type(units[-1][2]) is Branch
+        and units[-2][1] == "gen"
+        and type(units[-2][2]) is BinOp
+        and units[-2][2].op in _CMP_OPS
+        and units[-2][2].dest.name == units[-1][2].cond.name
     ):
-        units[-2:] = [("cmpbr", (units[-2][1], units[-1][1]))]
+        units[-2:] = [(units[-2][0], "cmpbr", units[-2][2])]
 
-    calls: List[tuple] = []
-    widths: List[int] = []
-    pending: List[tuple] = []
-    pending_width = 0
-    offset = 0
-
-    def add_op(recipe, width, returns=False):
-        nonlocal offset
-        calls.append((offset, len(ops), returns))
-        ops.append(recipe)
-        widths.append(width)
-        offset += width
-
-    def flush(returns=False):
-        nonlocal pending_width
-        if pending:
-            add_op(("chunk", tuple(pending), offset), pending_width,
-                   returns)
-            pending.clear()
-            pending_width = 0
-
-    for kind, payload in units:
-        if kind in ("gen", "cmpbr"):
-            width = 2 if kind == "cmpbr" else 1
-            if pending_width + width > FUSE_LIMIT:
-                flush()
-            pending.append((kind, payload))
-            pending_width += width
-            continue
-        flush()
-        if kind == "goto":
-            widths.append(1)
-            offset += 1
-        else:
-            add_op((kind, label, payload, offset), 1)
     last = insts[-1][0]
-    kind = units[-1][0]
-    flush(returns=type(last) is Branch and kind in ("gen", "cmpbr"))
-
     if type(last) not in _CONTROL:
         transfer = ("fall", start + len(insts))
-    elif kind == "goto":
-        transfer = ("goto", units[-1][1])
-    elif kind in ("gen", "cmpbr"):
+    elif goto is not None:
+        transfer = ("goto", goto)
+    elif units[-1][1] in ("gen", "cmpbr"):
         transfer = ("branch", last.if_true, last.if_false)
     else:
-        transfer = (kind,)  # call, ret or a handler-run ref
+        transfer = (units[-1][1],)  # call, ret or a handler-run ref
     segment = Segment(
-        label, start, tuple(cost for _, cost in insts), tuple(widths),
+        label, start, tuple(cost for _, cost in insts),
         transfer[1] if transfer[0] == "fall" else None,
         transfer[0] not in ("fall", "ref"),
     )
-    return segment, (calls, transfer)
+    return segment, (units, transfer)
 
 
 # -- region code generation ----------------------------------------------------
@@ -861,7 +753,8 @@ def _plan_segment(label, start, insts, space, ops):
 _REGION_HEAD = """\
 def _make(_V, _P):
     {consts}
-    (_interp, _power, _meter, _trace, {ops}) = _P
+    (_interp, _power, _meter, _trace, _nvm, _vm, _read, _write, _env,
+     {ops}) = _P
     def _region(frame, s, xmax):
         _p = _meter.pending
         c = _power.consumed_since_recharge
@@ -878,6 +771,7 @@ def _make(_V, _P):
         pv = _p.vm_access
         pn = _p.nvm_access
         cy = n = vn = nn = 0
+        _i = None
         try:
             while s < {n_segments}:
 """
@@ -887,9 +781,14 @@ _REGION_TAIL = """\
             frame.index = _XI[s]
             return _XR[s]
         except BaseException as _x:
-            _off = getattr(_x, '_seg_sub', None)
-            if _off is not None:
-                _x._seg_fault = (_S[s], _off)
+            if _i is not None:
+                if (_x.__class__ is KeyError
+                        and _x.__traceback__.tb_next is None):
+                    _e = _E('read of uninitialized register %'
+                            + _x.args[0] + ' in @' + frame.function.name)
+                    _e._seg_fault = (_S[s], _i)
+                    raise _e from None
+                _x._seg_fault = (_S[s], _i)
             raise
         finally:
             _power.consumed_since_recharge = c
@@ -907,8 +806,8 @@ _REGION_TAIL = """\
 """
 
 
-def _region_source(fname, segments, plans, entries, traced, check_energy,
-                   n_ops):
+def _region_source(fname, space, traced, check_energy, segments, plans,
+                   entries, ops):
     """The region factory's source and its bound constants.
 
     ``s`` is the current segment id; ids from ``len(segments)`` on name
@@ -924,10 +823,19 @@ def _region_source(fname, segments, plans, entries, traced, check_energy,
     cycle and timeline limits less the entry counters) bounds both;
     ``n`` the instructions run, against ``nl``; ``pc``/``pu``/``pv``/
     ``pn`` and ``vn``/``nn`` the meter's pending energies and access
-    counts (the counts as increments). Every op tags an exception it
-    raises with its instruction's offset in the segment (``_seg_sub``);
-    only such exceptions are reconciled."""
+    counts (the counts as increments); ``_c`` a segment's admitted
+    consumption.
+
+    ``_i`` is the offset in the current segment of the instruction or op
+    running, None outside instruction code. An exception raised while it
+    is set is tagged with ``(segment, _i)`` (``_seg_fault``) for the
+    interpreter to reconcile; a ``KeyError`` raised by the region's own
+    code (its traceback goes no deeper than the region), which only a
+    generated register read can raise, becomes the interpreter's
+    uninitialized-register error. Exceptions raised outside instruction
+    code (trace callbacks) stay untagged."""
     ctx = _Ctx()
+    emit = ctx.emit
     fn_tok = ctx.bind(fname)
     # Exit table: segment ids first (an unadmitted segment resumes at
     # its own start, per step), then one id per distinct exit.
@@ -961,11 +869,16 @@ def _region_source(fname, segments, plans, entries, traced, check_energy,
         return labels[label]
 
     def enter(label):
-        """Lines that enter block ``label``."""
-        lines = [f"s = {target(label)}"]
+        """Enter block ``label``."""
         if traced:
-            lines.insert(0, f"_trace({fn_tok}, {lab(label)})")
-        return lines
+            emit(f"_trace({fn_tok}, {lab(label)})")
+        emit(f"s = {target(label)}")
+
+    def nested(body, *args):
+        """``body(*args)``, one indent deeper."""
+        ctx.indent += "    "
+        body(*args)
+        ctx.indent = ctx.indent[:-4]
 
     def check(seg, key, every):
         """A conditional checkpoint's iteration check, as the prefix of
@@ -975,89 +888,91 @@ def _region_source(fname, segments, plans, entries, traced, check_energy,
         fires, is not admitted or sits at the instruction-budget edge
         leaves for the per-step path with nothing charged."""
         tok = ctx.bind(key)
-        return [
-            "r = frame.registers",
-            f"_k = r.get({tok}, 0) + 1",
-            f"_c = {fold_source('c', (check_energy,))}",
-            f"if _k >= {ctx.bind(every)} or _c > el or "
-            f"cy + {COND_CHECK_CYCLES} > cl or n >= nl: break",
-            f"r[{tok}] = _k",
-            "c = _c",
-            f"cy += {COND_CHECK_CYCLES}",
-            f"pc = {fold_source('pc', (check_energy,))}",
-            f"pu = {fold_source('pu', (check_energy,))}",
-            f"s = {resume(seg.label, seg.end_index)}",
-        ]
+        emit("r = frame.registers")
+        emit(f"_k = r.get({tok}, 0) + 1")
+        emit(f"_c = {fold_source('c', (check_energy,))}")
+        emit(f"if _k >= {ctx.bind(every)} or _c > el or "
+             f"cy + {COND_CHECK_CYCLES} > cl or n >= nl: break")
+        emit(f"r[{tok}] = _k")
+        emit("c = _c")
+        emit(f"cy += {COND_CHECK_CYCLES}")
+        emit(f"pc = {fold_source('pc', (check_energy,))}")
+        emit(f"pu = {fold_source('pu', (check_energy,))}")
+        emit(f"s = {resume(seg.label, seg.end_index)}")
 
     def leaf(sid):
         seg = segments[sid]
-        calls, transfer = plans[sid]
+        units, transfer = plans[sid]
         kind = transfer[0]
         if kind == "check":
-            return check(seg, *transfer[1:])
-        lines = [
-            f"_c = {fold_source('c', seg.energies)}",
-            f"if _c > el or cy + {seg.cycles} > cl or n + {seg.n} > nl: "
-            "break",
-        ]
+            check(seg, *transfer[1:])
+            return
+        emit(f"_c = {fold_source('c', seg.energies)}")
+        emit(f"if _c > el or cy + {seg.cycles} > cl or n + {seg.n} > nl: "
+             "break")
         if kind == "call":
             # The caller resumes in this block after the callee returns.
-            lines.append(f"frame.block = {lab(seg.label)}")
-        for _offset, slot, returns in calls:
-            lines.append(f"{'_v = ' if returns else ''}_o{slot}(frame)")
-        lines += [
-            "c = _c",
-            f"cy += {seg.cycles}",
-            f"n += {seg.n}",
-            f"pc = {fold_source('pc', seg.energies)}",
-            f"pu = {fold_source('pu', seg.cpu)}",
-        ]
+            emit(f"frame.block = {lab(seg.label)}")
+        if any(unit[1] in ("gen", "cmpbr") for unit in units):
+            emit("r = frame.registers")
+        for offset, unit, payload in units:
+            emit(f"_i = {offset}")
+            if unit == "ref":
+                emit(f"_o{payload}(frame, _a{payload})")
+            elif unit in ("call", "ret"):
+                emit(f"_o{payload}(frame)")
+            else:
+                _emit_inst(ctx, space, unit, payload)
+        if units:
+            emit("_i = None")
+        emit("c = _c")
+        emit(f"cy += {seg.cycles}")
+        emit(f"n += {seg.n}")
+        emit(f"pc = {fold_source('pc', seg.energies)}")
+        emit(f"pu = {fold_source('pu', seg.cpu)}")
         if seg.vm_e:
-            lines += [f"pv = {fold_source('pv', seg.vm_e)}",
-                      f"vn += {len(seg.vm_e)}"]
+            emit(f"pv = {fold_source('pv', seg.vm_e)}")
+            emit(f"vn += {len(seg.vm_e)}")
         if seg.nvm_e:
-            lines += [f"pn = {fold_source('pn', seg.nvm_e)}",
-                      f"nn += {len(seg.nvm_e)}"]
+            emit(f"pn = {fold_source('pn', seg.nvm_e)}")
+            emit(f"nn += {len(seg.nvm_e)}")
         if kind == "goto":
-            lines += enter(transfer[1])
+            enter(transfer[1])
         elif kind == "branch":
             if traced:
-                lines.append("if _v:")
-                lines += ["    " + line for line in enter(transfer[1])]
-                lines.append("else:")
-                lines += ["    " + line for line in enter(transfer[2])]
+                emit("if _v:")
+                nested(enter, transfer[1])
+                emit("else:")
+                nested(enter, transfer[2])
             else:
-                lines.append(
-                    f"s = {target(transfer[1])} if _v else "
-                    f"{target(transfer[2])}"
-                )
+                emit(f"s = {target(transfer[1])} if _v else "
+                     f"{target(transfer[2])}")
         elif kind == "fall":
-            lines.append(f"s = {resume(seg.label, transfer[1])}")
+            emit(f"s = {resume(seg.label, transfer[1])}")
         else:
             if traced and kind == "call":
-                lines += ["_f = _interp.frames[-1]",
-                          "_trace(_f.function.name, _f.block)"]
+                emit("_f = _interp.frames[-1]")
+                emit("_trace(_f.function.name, _f.block)")
             elif traced and kind == "ret":
-                lines += ["_f = _interp.frames",
-                          "if _f:",
-                          "    _f = _f[-1]",
-                          "    _trace(_f.function.name, _f.block)"]
-            lines.append("return False")
-        return lines
+                emit("_f = _interp.frames")
+                emit("if _f:")
+                emit("    _f = _f[-1]")
+                emit("    _trace(_f.function.name, _f.block)")
+            emit("return False")
 
-    def tree(lo, hi, indent):
+    def tree(lo, hi):
         """Binary dispatch on ``s`` over segment ids ``lo`` to ``hi``."""
         if hi - lo == 1:
-            return [indent + line for line in leaf(lo)]
+            leaf(lo)
+            return
         mid = (lo + hi) // 2
-        return (
-            [f"{indent}if s < {mid}:"]
-            + tree(lo, mid, indent + "    ")
-            + [f"{indent}else:"]
-            + tree(mid, hi, indent + "    ")
-        )
+        emit(f"if s < {mid}:")
+        nested(tree, lo, mid)
+        emit("else:")
+        nested(tree, mid, hi)
 
-    body = tree(0, len(segments), " " * 16)
+    ctx.indent = " " * 16
+    tree(0, len(segments))
     ctx.names.extend(("_S", "_XL", "_XI", "_XR"))
     ctx.values.extend((
         tuple(segments),
@@ -1065,11 +980,14 @@ def _region_source(fname, segments, plans, entries, traced, check_energy,
         tuple(index for _, index, _ in exits),
         tuple(step for _, _, step in exits),
     ))
-    op_names = "".join(f"_o{i}, " for i in range(n_ops))
+    op_names = "".join(
+        f"_o{slot}, _a{slot}, " if kind == "ref" else f"_o{slot}, "
+        for slot, (kind, _label, _index) in enumerate(ops)
+    )
     src = (
         _REGION_HEAD.format(consts=ctx.unpack("_V"), ops=op_names,
                             n_segments=len(segments))
-        + "\n".join(body) + "\n"
+        + "\n".join(ctx.lines) + "\n"
         + _REGION_TAIL
     )
     return src, tuple(ctx.values)
@@ -1086,22 +1004,16 @@ class _Program:
 
     def __init__(self, fname, space, traced, check_energy, segments, plans,
                  entries, ops):
-        """Generate and compile the region's superinstructions and the
-        region function over them, from the plan of its ``segments``
-        (``_plan_segment``)."""
+        """Generate and compile the region function from the plan of its
+        ``segments`` (``_plan_segment``)."""
         self.fname = fname
         self.segments = segments
         self.entries = entries
-        #: Per op slot: ``("chunk", factory, values, image slots)`` for a
-        #: superinstruction, ``(kind, label, index, offset)`` for a call,
-        #: ret or handler op.
-        self.ops = tuple(
-            ("chunk", *_gen_chunk(recipe[1], space, recipe[2]))
-            if recipe[0] == "chunk" else recipe
-            for recipe in ops
-        )
+        #: ``(kind, label, index)`` per op slot: a Call, Ret or
+        #: handler-run instruction, bound per interpreter.
+        self.ops = ops
         src, self.consts = _region_source(
-            fname, segments, plans, entries, traced, check_energy, len(ops)
+            fname, space, traced, check_energy, segments, plans, entries, ops
         )
         # Functions that differ only in bound values (register and
         # variable names, labels) share one region factory.
@@ -1110,33 +1022,21 @@ class _Program:
     def instantiate(self, interp, frame_cls):
         """The region function bound to ``interp``'s objects."""
         memory = interp.memory
-        env = (memory.nvm, memory.vm, memory.read, memory.write,
-               interp._env_counts)
         code = interp._code
         ops = []
-        for recipe in self.ops:
-            if recipe[0] == "chunk":
-                _, factory, values, slots = recipe
-                if slots:
-                    values = list(values)
-                    for pos, image in slots:
-                        values[pos] = env[image]
-                ops.append(factory(values, env))
-                continue
-            kind, label, index, offset = recipe
+        for kind, label, index in self.ops:
             handler, _cost, inst, _l = code[(self.fname, label)][index]
             if kind == "call":
-                ops.append(
-                    _make_call(inst, interp, index + 1, frame_cls, offset)
-                )
+                ops.append(_make_call(inst, interp, index + 1, frame_cls))
             elif kind == "ret":
-                ops.append(_make_ret(inst, interp, offset))
+                ops.append(_make_ret(inst, interp))
             else:
-                ops.append(_ref_op(handler, inst, offset))
-        return self.make(
-            self.consts,
-            (interp, interp.power, interp.meter, interp.config.trace, *ops),
-        )
+                ops += (handler, inst)
+        return self.make(self.consts, (
+            interp, interp.power, interp.meter, interp.config.trace,
+            memory.nvm, memory.vm, memory.read, memory.write,
+            interp._env_counts, *ops,
+        ))
 
 
 #: ``repr`` of each distinct cost tuple (a handful per energy model).
@@ -1168,7 +1068,7 @@ def _function_key(fname, blocks, space, traced, check_energy) -> tuple:
     return fname, digest
 
 
-def _segments_of(label, code, space, checks, segments, plans, ops, starts):
+def _segments_of(label, code, checks, segments, plans, ops, starts):
     """Plan the segments of one block into the region's lists; returns
     how many of them run instructions. With ``checks`` set, each
     conditional checkpoint gets a check segment; every other checkpoint
@@ -1181,7 +1081,7 @@ def _segments_of(label, code, space, checks, segments, plans, ops, starts):
             inst = code[i][2]
             if checks and type(inst) is CondCheckpoint:
                 starts[i] = len(segments)
-                segments.append(Segment(label, i, (), (), i + 1, False))
+                segments.append(Segment(label, i, (), i + 1, False))
                 plans.append(((), ("check", f"__ckpt{inst.ckpt_id}",
                                    inst.every)))
             i += 1
@@ -1195,7 +1095,7 @@ def _segments_of(label, code, space, checks, segments, plans, ops, starts):
             if type(inst) in _CONTROL:
                 break
         starts[i] = len(segments)
-        segment, plan = _plan_segment(label, i, insts, space, ops)
+        segment, plan = _plan_segment(label, i, insts, ops)
         segments.append(segment)
         plans.append(plan)
         planned += 1
@@ -1223,8 +1123,8 @@ def _compile_function(
             label, code = blocks[k]
             starts: Dict[int, int] = {}
             mark = (len(segments), len(plans), len(ops))
-            size += _segments_of(label, code, space, checks, segments, plans,
-                                 ops, starts)
+            size += _segments_of(label, code, checks, segments, plans, ops,
+                                 starts)
             if size > REGION_LIMIT and entries:
                 # Over the limit: this block opens the next region.
                 del segments[mark[0]:], plans[mark[1]:], ops[mark[2]:]

@@ -90,6 +90,31 @@ class _Frame:
         self.ret_target = ret_target
 
 
+def _freeze(frames: List[_Frame]) -> List[FrameSnapshot]:
+    """Snapshot a call stack; each frame's register and binding dicts are
+    copied, so later execution cannot change the snapshot."""
+    return [
+        FrameSnapshot(
+            f.function.name, f.block, f.index, dict(f.registers),
+            dict(f.ref_bindings), f.ret_target,
+        )
+        for f in frames
+    ]
+
+
+def _thaw(module: Module, frames: List[FrameSnapshot]) -> List[_Frame]:
+    """Live frames of ``module`` from a snapshot, with fresh copies of
+    its dicts, so execution cannot change the snapshot."""
+    return [
+        _Frame(
+            module.function(f.function), f.block, f.index,
+            registers=dict(f.registers), ref_bindings=dict(f.ref_bindings),
+            ret_target=f.ret_target,
+        )
+        for f in frames
+    ]
+
+
 class _CheckpointPlan:
     """What one checkpoint instruction saves, restores and costs: pure
     functions of the instruction, the variable sizes and the energy
@@ -912,13 +937,7 @@ class Interpreter:
         whose save has persisted."""
         self._snapshot = Snapshot(
             ckpt_id=inst.ckpt_id,
-            frames=[
-                FrameSnapshot(
-                    f.function.name, f.block, f.index, dict(f.registers),
-                    dict(f.ref_bindings), f.ret_target,
-                )
-                for f in self.frames
-            ],
+            frames=_freeze(self.frames),
             payload_bytes=plan.restore_payload,
         )
         self._snapshot_inst = inst
@@ -1054,18 +1073,7 @@ class Interpreter:
                 self.config.trace(entry.name, entry.entry.label)
             return True
 
-        snapshot = self._snapshot
-        self.frames[:] = [
-            _Frame(
-                self.module.function(f.function),
-                f.block,
-                f.index,
-                registers=dict(f.registers),
-                ref_bindings=dict(f.ref_bindings),
-                ret_target=f.ret_target,
-            )
-            for f in snapshot.frames
-        ]
+        self.frames[:] = _thaw(self.module, self._snapshot.frames)
         inst = self._snapshot_inst
         return self._apply_restore(inst, self._plan(inst), reason="rollback")
 
@@ -1093,17 +1101,7 @@ class Interpreter:
             )
         return EmulatorSnapshot(
             ckpt_id=self._snapshot.ckpt_id,
-            frames=[
-                FrameSnapshot(
-                    function=f.function.name,
-                    block=f.block,
-                    index=f.index,
-                    registers=dict(f.registers),
-                    ref_bindings=dict(f.ref_bindings),
-                    ret_target=f.ret_target,
-                )
-                for f in self.frames
-            ],
+            frames=_freeze(self.frames),
             snapshot_payload_bytes=self._snapshot.payload_bytes,
             images=self.memory.snapshot_images(),
             meter_state=self.meter.state_dict(),
@@ -1145,17 +1143,7 @@ class Interpreter:
                 f"instruction before {top.function}:{top.block}:"
                 f"{top.index} is {type(inst).__name__}"
             )
-        self.frames = [
-            _Frame(
-                self.module.function(f.function),
-                f.block,
-                f.index,
-                registers=dict(f.registers),
-                ref_bindings=dict(f.ref_bindings),
-                ret_target=f.ret_target,
-            )
-            for f in snap.frames
-        ]
+        self.frames = _thaw(self.module, snap.frames)
         self.memory.restore_images(snap.images)
         self.meter.restore_state(snap.meter_state)
         self.power.restore_state(snap.power_state)

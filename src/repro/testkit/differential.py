@@ -35,10 +35,10 @@ applies. A divergence or finding on any leg is recorded as a
 disagreement, exactly like a cross-technique one:
 
 - **compiled loop**: every non-crashed cell is re-run with the
-  interpreter's compiled (threaded-code) segments off
+  interpreter's compiled segments off
   (``compiled=False``: every instruction takes the per-step path), the
   reference of the segments-on run the primary cell uses. A report
-  divergence convicts the batched accounting or the superinstruction
+  divergence convicts the batched accounting or the region
   codegen.
 - **differential emulation**: every non-crashed cell whose policy has no
   ``skip_threshold`` is re-run through the snapshot/fork path (one tape

@@ -1,16 +1,18 @@
-"""The interpreter loop with compiled (threaded-code) segments on must
-be bit-identical to the same loop with segments off, where every
+"""The interpreter loop with compiled segments on must be
+bit-identical to the same loop with segments off, where every
 instruction takes the per-step path.
 
 With segments on, ``Interpreter._execute`` runs whole straight-line
-segments as fused closures with one batched power/meter transaction per
-segment (:mod:`repro.emulator.compiled`). These tests pin the equivalence
-contract down from every angle the batching could break:
+segments inside generated region functions with one batched power/meter
+transaction per segment (:mod:`repro.emulator.compiled`). These tests
+pin the equivalence contract down from every angle the batching could
+break:
 
 - the decode table both modes run on: every instruction bound to the
   handler its type (and environment-input flag) selects, at its cost;
 - report identity across corpus x techniques x power modes, including
-  failure placement (``failure_offsets``) and the Fig. 6/7 energy split;
+  failure placement (``failure_offsets``) and the Fig. 6/7 energy split,
+  and across twelve programs of the fuzz suite's generator;
 - block-trace identity: every run above is traced, and the
   ``(function, label)`` stream must match event for event — one event
   per block entry, whether a generated control transfer or the
@@ -20,9 +22,10 @@ contract down from every angle the batching could break:
   compiling any), while block tracing and telemetry keep segments on and
   record the same streams;
 - crash identity: division by zero, reads of uninitialized registers,
-  a non-scalar terminator operand and instruction-budget exhaustion
-  must surface at the same instruction with the same accounting and
-  trace prefix, even when they fire mid-segment;
+  a non-scalar terminator operand, a handler-run op that raises and
+  instruction-budget exhaustion must surface at the same instruction
+  with the same accounting and trace prefix, even when they fire
+  mid-segment;
 - snapshot/fork (diffemu) resume with segments on;
 - conditional checkpoints' iteration checks run inside regions: every
   check position, each power mode and policy, a failure on the check's
@@ -32,6 +35,7 @@ contract down from every angle the batching could break:
 
 import dataclasses
 import functools
+import random
 import re
 from pathlib import Path
 
@@ -41,7 +45,7 @@ from repro.analysis import memo
 from repro.core import tracing
 from repro.emulator import PowerManager
 from repro.emulator import compiled
-from repro.emulator.compiled import FUSE_LIMIT, REGION_LIMIT, Segment
+from repro.emulator.compiled import REGION_LIMIT, Segment
 from repro.emulator.diffemu import PowerSpec, record_tape, run_cell
 from repro.emulator.interpreter import (
     Interpreter,
@@ -53,6 +57,7 @@ from repro.emulator.interpreter import (
 from repro.emulator.runtime import CheckpointPolicy
 from repro.energy import msp430fr5969_platform
 from repro.errors import EmulationError
+from repro.frontend import compile_source
 from repro.ir.instructions import (
     BinOp,
     Branch,
@@ -71,6 +76,7 @@ from repro.ir.textparser import parse_ir
 from repro.ir.values import MemorySpace
 from repro.programs import BENCHMARK_NAMES, get_benchmark
 from repro.testkit.corpus import compile_for, load_program
+from tests.test_fuzz_schematic import generate_program
 
 PLAT = msp430fr5969_platform(eb=3000.0)
 
@@ -200,9 +206,54 @@ def test_intermittent_tri_loop_identity(program, technique, mode):
     assert runs["compiled"] == runs["predecoded"]
 
 
+#: Budget the generated programs are placed for (one of the fuzz
+#: suite's budgets).
+GENERATED_EB = 1_100.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generated_program_identity(seed):
+    """Programs from the fuzz suite's generator (helper calls, nested
+    loops, ``while`` tails, ``break``s, casts: code shapes the corpus
+    lacks), placed by SCHEMATIC, must give the same report and block
+    trace on both loops under an energy budget and under stochastic
+    power (which here both completes runs after failures and leaves
+    some stuck)."""
+    module = compile_source(generate_program(random.Random(seed)))
+    size = module.globals["data"].count
+
+    def inputs(run):
+        rng = random.Random(seed * 100 + run)
+        return {"data": [rng.randrange(0, 500) for _ in range(size)]}
+
+    plat = msp430fr5969_platform(eb=GENERATED_EB)
+    comp = compile_for("schematic", module, plat, input_generator=inputs)
+    assert comp.feasible
+    powers = (
+        lambda: PowerManager.energy_budget(GENERATED_EB),
+        lambda: PowerManager.stochastic(
+            mean_cycles=2_000, seed=seed, eb=GENERATED_EB
+        ),
+    )
+    for power in powers:
+        runs = {}
+        for name, kw in LOOPS:
+            trace, events = _recorder()
+            interp = Interpreter(
+                comp.module, plat.model, comp.policy, power(),
+                InterpreterConfig(
+                    inputs=inputs(777), vm_size=plat.vm_size, trace=trace,
+                    **kw
+                ),
+            )
+            runs[name] = (_asdict(interp.run()), events)
+            assert interp.loop_used == name
+        assert runs["compiled"] == runs["predecoded"]
+
+
 def test_mid_segment_failure_placement():
     """Scheduled failures at consecutive offsets force failure points
-    into the interior of fused segments; the compiled loop must place
+    into the interior of segments; the compiled loop must place
     every failure (and the resulting rollback/restore accounting) at the
     exact per-step boundary."""
     bench = load_program("warloop")
@@ -444,8 +495,8 @@ func @main() -> void {
 
 
 #: A terminator with a by-reference operand: the code generator does not
-#: express it, so the segment ends in the interpreter's own ``_do_ret``
-#: (the ``_ref_op`` fallback), which raises before returning.
+#: express it, so the segment ends in the interpreter's own ``_do_ret``,
+#: which raises before returning.
 VARREF_RET_IR = """module vr (entry @main)
 global @result:u32
 
@@ -457,6 +508,27 @@ func @main() -> u32 {
     store.auto @result = %t1:u32
     ret &result
 }
+"""
+
+
+#: A segment with a handler-run op in its middle: a const-const BinOp is
+#: left to the interpreter's own ``_apply_binop`` (``_can_gen``), between
+#: generated instructions of ``.body``. Either the op itself raises or
+#: the generated instruction right after it does.
+HANDLER_OP_IR = """module ho (entry @main)
+global @result:u32
+
+func @main() -> void {{
+.entry:
+    %t0:u32 = move 7:i32
+    jump .body
+.body:
+    %t1:u32 = add %t0:u32, 1:i32
+    %t2:u32 = {handler_op}
+    %t3:u32 = add {operand}:u32, %t2:u32
+    store.auto @result = %t3:u32
+    ret
+}}
 """
 
 
@@ -518,17 +590,25 @@ MEMORY_CASES = [
         (DIV_ZERO_IR, {"divisor": [0]}, "division by zero"),
         (UNINIT_IR, None, "uninitialized register %t9"),
         (VARREF_RET_IR, None, "is not a scalar value"),
+        (HANDLER_OP_IR.format(handler_op="add 1:i32, 2:i32",
+                              operand="%t9"),
+         None, "uninitialized register %t9 in @main"),
+        (HANDLER_OP_IR.format(handler_op="div 1:i32, 0:i32",
+                              operand="%t1"),
+         None, "division by zero"),
     ] + [
         (MEMORY_IR.format(access=access, index=index), None, re.escape(msg))
         for _id, access, index, msg in MEMORY_CASES
     ],
-    ids=["div-zero", "uninit-register", "varref-terminator"]
+    ids=["div-zero", "uninit-register", "varref-terminator",
+         "fault-after-handler-op", "handler-op-fault-mid-segment"]
     + [case[0] for case in MEMORY_CASES],
 )
 def test_crash_identity(text, inputs, match):
-    """Faults raised from inside a fused closure must carry the same
-    message, trace prefix and partially-charged accounting as the
-    per-step loops (the reconciliation replay)."""
+    """Faults raised inside a segment, by generated code or by an op it
+    calls, must carry the same message, trace prefix and
+    partially-charged accounting as the per-step loops (the
+    reconciliation replay)."""
     module = parse_ir(text)
     states = {}
     messages = {}
@@ -551,10 +631,11 @@ def test_crash_identity(text, inputs, match):
 
 def test_handler_control_op_traces_once(monkeypatch):
     """A segment whose control op is the interpreter's own handler (the
-    ``_ref_op`` fallback) must not have its block entry traced a second
-    time by the region. Forcing every Jump and Branch through the
-    fallback makes each handler trace a real transfer; the stream must
-    still match the pre-decoded loop's event for event."""
+    fallback for shapes ``_can_gen`` refuses) must not have its block
+    entry traced a second time by the region. Forcing every Jump and
+    Branch through the fallback makes each handler trace a real
+    transfer; the stream must still match the pre-decoded loop's event
+    for event."""
     from repro.emulator import compiled as compiled_blocks
 
     can_gen = compiled_blocks._can_gen
@@ -667,9 +748,8 @@ def test_segment_structure_invariants():
     """compile_blocks must cover exactly the non-checkpoint instruction
     runs plus one zero-instruction check segment per conditional
     checkpoint: every block belongs to one region, segments start where
-    the per-step path hands over, never span a checkpoint, respect the
-    fuse limit per closure, carry accounting streams of the segment's
-    exact length, and trace a block entry exactly when their control
+    the per-step path hands over, never span a checkpoint, carry
+    accounting streams of the segment's exact length, and trace a block entry exactly when their control
     transfer is generated. Check segments do not count toward
     ``REGION_LIMIT``."""
     bench = load_program("calls")
@@ -701,21 +781,19 @@ def test_segment_structure_invariants():
             assert (seg.label, seg.start) == (key[1], start)
             if isinstance(entries[start][2], CondCheckpoint):
                 # A check segment: the iteration check, no instruction.
-                assert seg.n == 0 and seg.costs == () and seg.widths == ()
+                assert seg.n == 0 and seg.costs == ()
                 assert seg.end_index == start + 1
                 assert not seg.traces_entry
                 checked.add(start)
                 continue
             assert seg.n > 0
             assert seg.n == len(seg.costs) == len(seg.energies)
-            assert seg.n == sum(seg.widths)
             assert len(seg.cpu) == seg.n
             assert len(seg.vm_e) == sum(1 for c in seg.costs if c[4] and c[3])
             assert len(seg.nvm_e) == sum(
                 1 for c in seg.costs if c[4] and not c[3]
             )
             assert seg.cycles == sum(c[0] for c in seg.costs)
-            assert all(w <= FUSE_LIMIT for w in seg.widths)
             for index in range(start, start + seg.n):
                 handler, _cost, inst, _label = entries[index]
                 assert handler is not None, (
@@ -756,8 +834,8 @@ def test_compiled_flag_defaults_on():
 
 
 def test_resume_on_compiled_interpreter_reads_restored_images():
-    """Generated chunks bind the live ``MemoryState`` image dicts at
-    compile time, so a snapshot restore must refill those dicts, not
+    """Generated regions bind the live ``MemoryState`` image dicts at
+    instantiation, so a snapshot restore must refill those dicts, not
     rebind them: resuming an interpreter whose segments were compiled by
     an earlier run must replay the cold run's suffix exactly."""
     bench = load_program("sumloop")
@@ -1058,7 +1136,9 @@ def test_second_interpreter_runs_no_exec(monkeypatch):
 def test_program_cache_keeps_the_most_recent_functions(monkeypatch):
     """The process-wide program and factory caches hold at most
     ``CACHE_LIMIT`` entries each and evict the least recently used; runs
-    over more functions than that still equal per-step ones."""
+    over more functions than that still equal per-step ones. Region
+    functions are the only generated code, so the one factory kept is
+    the last compiled region's."""
     monkeypatch.setattr(compiled, "CACHE_LIMIT", 1)
     bench = load_program("calls")
     names = list(bench.module.functions)
@@ -1067,7 +1147,8 @@ def test_program_cache_keeps_the_most_recent_functions(monkeypatch):
         runs = _run_both(bench.module, inputs=bench.default_inputs())
         assert runs["compiled"] == runs["predecoded"]
         assert [key[0] for key in compiled._PROGRAMS] == names[-1:]
-        assert len(compiled._FACTORIES) == 1
+        (programs,) = compiled._PROGRAMS.values()
+        assert list(compiled._FACTORIES.values()) == [programs[-1].make]
 
 
 def test_compiled_code_ignores_later_in_place_rewrites():
